@@ -93,16 +93,24 @@ int main(int argc, char** argv) {
   opts.threads = 1;
   Context ctx(opts);
 
+  int failures = 0;
   common::Timer t_cold;
   for (auto& w : stream)
-    ctx.gemm_const_b(w.a.view(), w.b.view(), w.c.view(), overwrite);
+    failures +=
+        !ctx.run_const_b(w.a.view(), w.b.view(), w.c.view(), overwrite).ok();
   const double cold_seconds = t_cold.seconds();
 
   common::Timer t_warm;
   for (int r = 0; r < rounds; ++r)
     for (auto& w : stream)
-      ctx.gemm_const_b(w.a.view(), w.b.view(), w.c.view(), overwrite);
+      failures +=
+          !ctx.run_const_b(w.a.view(), w.b.view(), w.c.view(), overwrite).ok();
   const double warm_seconds = t_warm.seconds();
+  if (failures > 0) {
+    std::fprintf(stderr, "context path: %d call(s) failed: %s\n", failures,
+                 ctx.health().last_error.to_string().c_str());
+    return 1;
+  }
 
   const auto stats = ctx.stats();
   const int calls = rounds * static_cast<int>(stream.size());

@@ -22,8 +22,12 @@ int main() {
   common::fill_random(a.view(), 1);
   common::fill_random(b.view(), 2);
 
-  // One-shot convenience call: C += A * B with a heuristic plan.
-  gemm(a.view(), b.view(), c.view());
+  // One-shot convenience call: C += A * B with a heuristic plan. Every
+  // entry point reports through autogemm::Status.
+  if (const Status s = gemm(a.view(), b.view(), c.view()); !s.ok()) {
+    std::fprintf(stderr, "gemm failed: %s\n", s.to_string().c_str());
+    return 1;
+  }
 
   // Verify against the double-precision reference.
   common::reference_gemm(a.view(), b.view(), c_ref.view());
@@ -55,8 +59,13 @@ int main() {
   Context ctx;
   GemmExParams overwrite;
   overwrite.beta = 0.0f;  // C = A * B
-  ctx.gemm(a.view(), b.view(), c.view(), overwrite);
-  ctx.gemm(a.view(), b.view(), c.view(), overwrite);  // cached-plan hit
+  for (int i = 0; i < 2; ++i) {  // the second call is a cached-plan hit
+    if (const Status s = ctx.run(a.view(), b.view(), c.view(), overwrite);
+        !s.ok()) {
+      std::fprintf(stderr, "Context::run failed: %s\n", s.to_string().c_str());
+      return 1;
+    }
+  }
   const auto stats = ctx.stats();
   std::printf("context: %llu plan hit(s), %llu miss(es) over 2 calls\n",
               static_cast<unsigned long long>(stats.plan_hits),

@@ -2,8 +2,9 @@
 // serving layer.
 //
 // The library started out fp32-only; the quantized tier (src/quant) adds
-// int8 weights/activations with per-channel fp32 scales and a bf16-style
-// truncated-mantissa mixed-precision mode. DType is the discriminator that
+// int8 weights/activations with per-channel fp32 scales. bf16 is a parsed
+// value with no compute path: serve admission and dnn::TransformerConfig
+// reject it. DType is the discriminator that
 // flows through packed-operand caching (core::Context), tuning records
 // (tune::RecordKey), serve shape buckets and the obs label twins — one axis,
 // declared once, so every layer agrees on the encoding.
@@ -20,7 +21,7 @@ namespace autogemm::common {
 enum class DType : std::uint8_t {
   kF32 = 0,   ///< 32-bit IEEE float operands, fp32 accumulate (the default).
   kI8 = 1,    ///< int8 operands with per-channel fp32 scales, int32 accumulate.
-  kBf16 = 2,  ///< bf16-style truncated-mantissa fp32 operands, fp32 accumulate.
+  kBf16 = 2,  ///< bfloat16: parsed and recorded; no entry point executes it.
 };
 
 /// Short, stable label used in obs series and trace files ("f32"/"i8"/"bf16").

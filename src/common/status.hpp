@@ -4,8 +4,8 @@
 // failures to be values it can branch on, not undefined behaviour or a
 // process abort. Every hardened entry point (Context::run, Plan::create,
 // PackedA/PackedB::create, sim::Interpreter::try_run, the tuning-record
-// I/O) reports through this type; the legacy void/throwing API survives as
-// thin wrappers (see core/context.hpp's last_error()).
+// I/O) reports through this type, and so do the free convenience functions
+// over the process-default Context (core/gemm.hpp, core/gemm_ex.hpp).
 //
 // ## NaN/Inf policy
 //

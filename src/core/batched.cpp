@@ -1,11 +1,8 @@
 #include "core/batched.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <string>
 
-#include "core/context.hpp"
 #include "core/gemm.hpp"
 
 namespace autogemm {
@@ -188,32 +185,6 @@ void gemm_batched(const std::vector<BatchItem>& items, const Plan& plan,
     });
   } else {
     for (const auto& item : items) gemm(item.a, item.b, item.c, plan);
-  }
-}
-
-void gemm_batched(const std::vector<BatchItem>& items, Context& ctx,
-                  common::ThreadPool* pool) {
-  if (items.empty()) return;
-  // Per-shape plans come from the caller's Context, so repeated batches
-  // reuse the same cached (possibly tuned) plans across calls and the
-  // context's quarantine/stats see this traffic.
-  std::map<std::array<int, 3>, std::shared_ptr<const Plan>> plans;
-  for (const auto& item : items) {
-    const std::array<int, 3> key{item.a.rows, item.b.cols, item.a.cols};
-    if (!plans.count(key))
-      plans.emplace(key, ctx.plan_for(key[0], key[1], key[2]));
-  }
-  const auto run_item = [&](const BatchItem& item) {
-    const std::array<int, 3> key{item.a.rows, item.b.cols, item.a.cols};
-    // Each worker runs its item single-threaded (no nested parallelism).
-    gemm(item.a, item.b, item.c, *plans.at(key), nullptr);
-  };
-  if (pool == nullptr) pool = ctx.pool();
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for(static_cast<int>(items.size()),
-                       [&](int i) { run_item(items[i]); });
-  } else {
-    for (const auto& item : items) run_item(item);
   }
 }
 

@@ -22,8 +22,6 @@
 
 namespace autogemm {
 
-class Context;
-
 struct BatchItem {
   common::ConstMatrixView a;
   common::ConstMatrixView b;
@@ -70,19 +68,5 @@ std::vector<std::size_t> find_cross_member_conflicts(
 /// worker).
 void gemm_batched(const std::vector<BatchItem>& items, const Plan& plan,
                   common::ThreadPool* pool = nullptr);
-
-/// Mixed-shape batch resolved through `ctx`: each item's plan comes from
-/// the context's cache (tuned records, quarantine and stats all apply).
-/// `pool` defaults to the context's own pool; pass one explicitly to
-/// schedule on a different pool. Thin legacy wrapper — new code should
-/// call Context::run_batched, which adds whole-batch validation and
-/// Status reporting.
-void gemm_batched(const std::vector<BatchItem>& items, Context& ctx,
-                  common::ThreadPool* pool = nullptr);
-
-// The PR-3-era overload that resolved plans through the process-global
-// default_context() has been removed: it ignored the Context the caller
-// actually configured (tuned records, caches, health reporting). Call
-// gemm_batched(items, ctx, pool) or Context::run_batched instead.
 
 }  // namespace autogemm

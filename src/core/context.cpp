@@ -29,6 +29,8 @@ using common::ConstMatrixView;
 using common::MatrixView;
 
 constexpr std::size_t kMaxHealthEvents = 64;
+/// Probe depth (K) for first-use verification.
+constexpr int kProbeKc = 8;
 
 tune::TuningRecords load_records_or_throw(const std::string& path,
                                           std::uint64_t* skipped) {
@@ -50,7 +52,6 @@ tune::TuningRecords load_records_or_throw(const std::string& path,
 ContextOptions sanitized(ContextOptions opts) {
   if (opts.plan_capacity == 0) opts.plan_capacity = 1;
   if (opts.packed_capacity == 0) opts.packed_capacity = 1;
-  if (opts.probe_kc < 1) opts.probe_kc = 1;
   return opts;
 }
 
@@ -398,115 +399,34 @@ std::atomic<std::size_t>& shape_label_cap_storage() {
   return cap;
 }
 
-/// One FCFS label set shared by the shape-only series and the dtype twins:
-/// the cap bounds the union, and a shape capped to "other" aggregates under
-/// "other" in every dtype series too (no family can leak past the cap).
-std::string capped_shape_label(int m, int n, int k) {
+/// The per-shape latency series autogemm_gemm_seconds{shape=...,dtype=...}.
+/// Shape labels go FCFS to the first `cap` distinct shapes, shared by every
+/// dtype; later shapes land on "other" in each dtype series. Resolved
+/// histograms are cached by (label, dtype), so a call pays one label
+/// string build and one locked lookup (registry entries are stable for the
+/// registry's lifetime, so caching the pointers is safe).
+obs::Histogram& shape_latency_histogram(int m, int n, int k,
+                                        common::DType dtype) {
   static std::mutex mu;
-  static std::set<std::string>& seen = *new std::set<std::string>;
+  static std::set<std::string>& labeled = *new std::set<std::string>;
+  static std::map<std::pair<std::string, common::DType>, obs::Histogram*>&
+      series = *new std::map<std::pair<std::string, common::DType>,
+                             obs::Histogram*>;
   std::string label = shape_string(m, n, k);
   std::lock_guard lock(mu);
-  if (seen.count(label) == 0) {
-    if (seen.size() >= shape_label_cap_storage().load()) label = "other";
-    else seen.insert(label);
+  if (labeled.count(label) == 0) {
+    if (labeled.size() >= shape_label_cap_storage().load()) label = "other";
+    else labeled.insert(label);
   }
-  return label;
-}
-
-obs::Histogram& shape_latency_histogram(int m, int n, int k) {
-  return obs::default_registry().histogram(
-      "autogemm_gemm_seconds{shape=\"" + capped_shape_label(m, n, k) + "\"}");
-}
-
-/// Dtype-labeled twin, alongside (never instead of) the legacy shape-only
-/// series: autogemm_gemm_seconds{shape=...,dtype=...} separates fp32 and
-/// int8 latency for one shape in one process — the serving dashboards'
-/// per-tier view.
-obs::Histogram& shape_dtype_latency_histogram(int m, int n, int k,
-                                              common::DType dtype) {
-  return obs::default_registry().histogram(
-      "autogemm_gemm_seconds{shape=\"" + capped_shape_label(m, n, k) +
-      "\",dtype=\"" + common::dtype_name(dtype) + "\"}");
-}
-
-/// Cached per-shape histogram pointers for the quantized path (registry
-/// entries are stable for the registry's lifetime, so caching is safe).
-/// Keyed by the *capped* label, so the cache is bounded by the shape-label
-/// cap plus the "other" slot even under an adversarial shape stream.
-struct QuantShapeObs {
-  obs::Histogram* latency = nullptr;        // legacy shape-only series
-  obs::Histogram* latency_dtype = nullptr;  // {shape=...,dtype="i8"} twin
-};
-
-const QuantShapeObs& quant_shape_obs(int m, int n, int k) {
-  static std::mutex mu;
-  static std::map<std::string, QuantShapeObs>& cache =
-      *new std::map<std::string, QuantShapeObs>;
-  const std::string label = capped_shape_label(m, n, k);
-  std::lock_guard lock(mu);
-  auto [it, inserted] = cache.try_emplace(label);
-  if (inserted) {
-    obs::Registry& r = obs::default_registry();
-    it->second.latency =
-        &r.histogram("autogemm_gemm_seconds{shape=\"" + label + "\"}");
-    it->second.latency_dtype = &r.histogram(
-        "autogemm_gemm_seconds{shape=\"" + label + "\",dtype=\"" +
-        common::dtype_name(common::DType::kI8) + "\"}");
-  }
-  return it->second;
-}
-
-/// Per-thread last_error slots, keyed by context id. Thread-local (not
-/// guarded by mu_) so concurrent run* calls on different threads cannot
-/// clobber each other's error between a failing call and the query. Each
-/// thread's map registers itself in a process-wide registry so ~Context
-/// can sweep its id out of every live thread's map — without the sweep, a
-/// long-lived thread that churns contexts grows its map without bound
-/// (one dead slot per destroyed context that ever failed on it). The
-/// per-map mutex is only contended by that sweep; a thread's own
-/// reads/writes of its map are otherwise uncontended.
-///
-/// Lock order: registry mutex before any map mutex. Threads touching only
-/// their own map take just that map's mutex, so the sweep cannot deadlock
-/// with normal operation. Both registry statics are leaked on purpose:
-/// threads may still deregister during process teardown.
-struct ThreadErrorMap {
-  std::mutex mu;
-  std::map<std::uint64_t, Status> errors;
-};
-
-std::mutex& thread_error_registry_mu() {
-  static std::mutex& mu = *new std::mutex;
-  return mu;
-}
-
-std::set<ThreadErrorMap*>& thread_error_registry() {
-  static std::set<ThreadErrorMap*>& reg = *new std::set<ThreadErrorMap*>;
-  return reg;
-}
-
-ThreadErrorMap& thread_errors() {
-  struct Holder {
-    ThreadErrorMap map;
-    Holder() {
-      std::lock_guard lock(thread_error_registry_mu());
-      thread_error_registry().insert(&map);
-    }
-    ~Holder() {
-      std::lock_guard lock(thread_error_registry_mu());
-      thread_error_registry().erase(&map);
-    }
-  };
-  static thread_local Holder holder;
-  return holder.map;
+  auto [it, inserted] = series.try_emplace({std::move(label), dtype}, nullptr);
+  if (inserted)
+    it->second = &obs::default_registry().histogram(
+        "autogemm_gemm_seconds{shape=\"" + it->first.first + "\",dtype=\"" +
+        common::dtype_name(dtype) + "\"}");
+  return *it->second;
 }
 
 }  // namespace
-
-std::uint64_t Context::next_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 Context::Context() : Context(ContextOptions{}) {}
 
@@ -531,27 +451,6 @@ Context::Context(tune::TuningRecords records, const ContextOptions& opts)
       backend_(backend::resolve_backend(opts.backend)),
       records_(std::move(records)) {
   if (opts_.trace) obs::set_trace_enabled(true);
-}
-
-Context::~Context() {
-  // Sweep this context's id out of every live thread's last_error slots:
-  // without this, threads that outlive a churn of contexts accumulate one
-  // dead Status per destroyed context forever.
-  std::lock_guard reg_lock(thread_error_registry_mu());
-  for (ThreadErrorMap* m : thread_error_registry()) {
-    std::lock_guard lock(m->mu);
-    m->errors.erase(id_);
-  }
-}
-
-std::size_t Context::thread_error_slots() {
-  std::lock_guard reg_lock(thread_error_registry_mu());
-  std::size_t total = 0;
-  for (ThreadErrorMap* m : thread_error_registry()) {
-    std::lock_guard lock(m->mu);
-    total += m->errors.size();
-  }
-  return total;
 }
 
 common::ThreadPool* Context::effective_pool() {
@@ -593,11 +492,6 @@ void Context::record_event(HealthEvent::Kind kind, std::string detail) {
 Status Context::record_error(Status s) {
   if (!s.ok()) {
     obs_handles().failures->add(1);
-    ThreadErrorMap& tm = thread_errors();
-    {
-      std::lock_guard lock(tm.mu);
-      tm.errors[id_] = s;
-    }
     std::lock_guard lock(mu_);
     health_.last_error = s;
   }
@@ -619,7 +513,7 @@ Status Context::verify_config(const Plan& plan) {
   const int bm = std::min(cfg.mc, plan.m());
   const int bn = std::min(cfg.nc, plan.n());
   const int bk = std::min(cfg.kc, plan.k());
-  const int kc = std::max(1, std::min(bk, opts_.probe_kc));
+  const int kc = std::max(1, std::min(bk, kProbeKc));
   const tiling::TilingResult& tiles = plan.block_tiling(bm, bn, bk);
   if (tiles.tiles.empty())
     return InternalError("probe: tiling produced no tiles for block " +
@@ -725,9 +619,7 @@ Context::PlanEntry Context::entry_for(int m, int n, int k) {
   }
 
   PlanEntry entry;  // plan == nullptr -> reference pin
-  entry.latency = &shape_latency_histogram(m, n, k);
-  entry.latency_dtype =
-      &shape_dtype_latency_histogram(m, n, k, common::DType::kF32);
+  entry.latency = &shape_latency_histogram(m, n, k, common::DType::kF32);
   entry.generation = resolve_gen;
   for (const auto& cand : candidates) {
     StatusOr<Plan> plan_or = Plan::create(m, n, k, cand.cfg);
@@ -845,64 +737,145 @@ void Context::note_strategy(bool serial, ParallelStrategy chosen) {
   }
 }
 
-Status Context::execute_entry(const PlanEntry& entry, ConstMatrixView a,
-                              ConstMatrixView b, MatrixView c,
-                              const GemmExParams& beta1_params,
-                              const PackedA* packed_a,
-                              const PackedB* packed_b) {
-  const std::uint64_t m = static_cast<std::uint64_t>(std::max(0, c.rows));
-  const std::uint64_t n = static_cast<std::uint64_t>(std::max(0, c.cols));
-  const std::uint64_t k = static_cast<std::uint64_t>(
-      std::max(0, beta1_params.trans_a == Trans::kNo ? a.cols : a.rows));
-  obs::SpanScope span("context.execute", m * n, k);
-  ObsHandles& h = obs_handles();
-  const std::uint64_t t0 = common::now_ns();
-  const Status s =
-      execute_entry_impl(entry, a, b, c, beta1_params, packed_a, packed_b);
-  const double seconds = static_cast<double>(common::now_ns() - t0) * 1e-9;
-  backend_obs(backend_).dispatch->add(1);
-  h.calls->add(1);
-  h.flops->add(2 * m * n * k);
-  h.gemm_seconds->observe(seconds);
-  if (entry.latency != nullptr) entry.latency->observe(seconds);
-  if (entry.latency_dtype != nullptr) entry.latency_dtype->observe(seconds);
-  return s;
+Status Context::run(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                    const GemmExParams& params) {
+  return execute({a, b, c, params, common::DType::kF32, Constant::kNone});
 }
 
-Status Context::execute_entry_impl(const PlanEntry& entry, ConstMatrixView a,
-                                   ConstMatrixView b, MatrixView c,
-                                   const GemmExParams& beta1_params,
-                                   const PackedA* packed_a,
-                                   const PackedB* packed_b) {
-  if (entry.plan == nullptr) {
-    note_strategy(/*serial=*/true, ParallelStrategy::kBlocksOnly);
-    accumulate_reference(a, b, c, beta1_params);
+Status Context::run_const_a(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                            const GemmExParams& params) {
+  return execute({a, b, c, params, common::DType::kF32, Constant::kA});
+}
+
+Status Context::run_const_b(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                            const GemmExParams& params) {
+  return execute({a, b, c, params, common::DType::kF32, Constant::kB});
+}
+
+Status Context::run_const_b_i8(ConstMatrixView a, ConstMatrixView b,
+                               MatrixView c, float alpha, float beta) {
+  GemmExParams params;
+  params.alpha = alpha;
+  params.beta = beta;
+  return execute({a, b, c, params, common::DType::kI8, Constant::kB});
+}
+
+Status Context::execute(const Call& call) {
+  const GemmExParams& params = call.params;
+  obs::SpanScope span("context.run",
+                      static_cast<std::uint64_t>(std::max(0, call.c.rows)),
+                      static_cast<std::uint64_t>(std::max(0, call.c.cols)));
+  const Status v = validate_call(call.a, call.b, call.c, params);
+  if (!v.ok()) return record_error(v);
+  const int m = call.c.rows, n = call.c.cols;
+  const int k = params.trans_a == Trans::kNo ? call.a.cols : call.a.rows;
+  // Degenerate shapes are well-defined no-ops: an empty C has nothing to
+  // write; K == 0 makes op(A)*op(B) the zero matrix, so C = beta*C.
+  if (m == 0 || n == 0) return Status::OK();
+  if (k == 0) {
+    detail::scale_c(call.c, params.beta);
     return Status::OK();
   }
-  const Plan& plan = *entry.plan;
+
+  // int8 calls never consult the plan cache: the quantized kernels carry
+  // no blocking, so there is nothing to resolve or verify.
+  const bool f32 = call.dtype == common::DType::kF32;
+  PlanEntry entry;
+  if (f32) entry = entry_for(m, n, k);
+
+  // The fp32 packed layouts need canonical operands (no transposes,
+  // alpha = 1) and a plan (a reference-pinned shape has none); other fp32
+  // calls ignore the constant hint. The int8 packing folds alpha into the
+  // epilogue, so it serves any int8 call.
+  const bool canonical = params.trans_a == Trans::kNo &&
+                         params.trans_b == Trans::kNo && params.alpha == 1.0f;
+  PackedOperand packed;
+  if (call.constant != Constant::kNone &&
+      (!f32 || (canonical && entry.plan != nullptr))) {
+    StatusOr<PackedOperand> packed_or = packed_for(call, entry.plan.get());
+    if (packed_or.ok()) {
+      packed = std::move(packed_or).value();
+    } else if (packed_or.status().code() == StatusCode::kResourceExhausted) {
+      // Packing scratch did not fit; the unpacked path (which may itself
+      // degrade further) serves the call.
+      record_event(HealthEvent::Kind::kAllocFallback,
+                   "packing allocation failed for shape " +
+                       shape_string(m, n, k) + "; serving unpacked");
+    } else {
+      return record_error(packed_or.status());  // C untouched
+    }
+  }
+
+  // beta is applied exactly once: every fp32 tier accumulates into a
+  // pre-scaled C, while the int8 requantization epilogue folds beta in.
+  Call exec = call;
+  if (f32) {
+    if (params.beta != 1.0f) detail::scale_c(call.c, params.beta);
+    exec.params.beta = 1.0f;
+  }
+
+  obs::Histogram& latency =
+      f32 ? *entry.latency : shape_latency_histogram(m, n, k, call.dtype);
+  const std::uint64_t flops = 2ull * static_cast<std::uint64_t>(m) *
+                              static_cast<std::uint64_t>(n) *
+                              static_cast<std::uint64_t>(k);
+  Status s;
+  double seconds = 0;
+  {
+    obs::SpanScope exec_span("context.execute",
+                             static_cast<std::uint64_t>(m) * n,
+                             static_cast<std::uint64_t>(k));
+    const std::uint64_t t0 = common::now_ns();
+    if (f32) {
+      s = execute_plan(entry.plan.get(), exec, packed);
+    } else {
+      quant::QGemmOptions qopts;
+      qopts.alpha = params.alpha;
+      qopts.beta = params.beta;
+      s = packed.qb != nullptr ? quant::qgemm(call.a, *packed.qb, call.c, qopts)
+                               : quant::qgemm(call.a, call.b, call.c, qopts);
+    }
+    seconds = static_cast<double>(common::now_ns() - t0) * 1e-9;
+  }
+  ObsHandles& h = obs_handles();
+  if (f32) backend_obs(backend_).dispatch->add(1);
+  h.calls->add(1);
+  h.flops->add(flops);
+  h.gemm_seconds->observe(seconds);
+  latency.observe(seconds);
+  return record_error(s);
+}
+
+Status Context::execute_plan(const Plan* plan, const Call& call,
+                             const PackedOperand& packed) {
+  const ConstMatrixView a = call.a, b = call.b;
+  const MatrixView c = call.c;
+  const GemmExParams& params = call.params;
+  if (plan == nullptr) {
+    note_strategy(/*serial=*/true, ParallelStrategy::kBlocksOnly);
+    accumulate_reference(a, b, c, params);
+    return Status::OK();
+  }
   common::ThreadPool* pool = effective_pool();
   const bool pooled = pool != nullptr && pool->size() > 1;
-  const bool canonical = beta1_params.trans_a == Trans::kNo &&
-                         beta1_params.trans_b == Trans::kNo &&
-                         beta1_params.alpha == 1.0f;
+  const bool canonical = params.trans_a == Trans::kNo &&
+                         params.trans_b == Trans::kNo && params.alpha == 1.0f;
   // Mirror the executor's choice for observability: gemm_ex's pooled path
   // only schedules C blocks; the canonical path resolves the plan's
   // strategy the same way core/gemm.cpp will.
   note_strategy(/*serial=*/!pooled,
                 pooled && canonical
-                    ? choose_parallel_strategy(plan, pool->size())
+                    ? choose_parallel_strategy(*plan, pool->size())
                     : ParallelStrategy::kBlocksOnly);
   try {
-    if (canonical) {
-      if (packed_a != nullptr) {
-        autogemm::gemm(*packed_a, a, b, c, plan, pool);
-      } else if (packed_b != nullptr) {
-        autogemm::gemm(a, *packed_b, b, c, plan, pool);
-      } else {
-        autogemm::gemm(a, b, c, plan, pool);
-      }
+    if (!canonical) {
+      gemm_ex(a, b, c, params, *plan, pool);
+    } else if (packed.a != nullptr) {
+      autogemm::gemm(*packed.a, a, b, c, *plan, pool);
+    } else if (packed.b != nullptr) {
+      autogemm::gemm(a, *packed.b, b, c, *plan, pool);
     } else {
-      gemm_ex(a, b, c, beta1_params, plan, pool);
+      autogemm::gemm(a, b, c, *plan, pool);
     }
     return Status::OK();
   } catch (const std::bad_alloc&) {
@@ -914,14 +887,11 @@ Status Context::execute_entry_impl(const PlanEntry& entry, ConstMatrixView a,
         std::lock_guard lock(mu_);
         ++health_.alloc_fallbacks;
       }
-      record_event(
-          HealthEvent::Kind::kAllocFallback,
-          "scratch allocation failed for shape " +
-              shape_string(c.rows, c.cols,
-                           beta1_params.trans_a == Trans::kNo ? a.cols
-                                                              : a.rows) +
-              "; call served by the reference path");
-      accumulate_reference(a, b, c, beta1_params);
+      record_event(HealthEvent::Kind::kAllocFallback,
+                   "scratch allocation failed for shape " +
+                       shape_string(plan->m(), plan->n(), plan->k()) +
+                       "; call served by the reference path");
+      accumulate_reference(a, b, c, params);
       return Status::OK();
     }
     // Workers may have written part of C already; the result cannot be
@@ -946,33 +916,15 @@ Status Context::execute_entry_impl(const PlanEntry& entry, ConstMatrixView a,
   }
 }
 
-Status Context::run(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                    const GemmExParams& params) {
-  obs::SpanScope span("context.run",
-                      static_cast<std::uint64_t>(std::max(0, c.rows)),
-                      static_cast<std::uint64_t>(std::max(0, c.cols)));
-  const Status v = validate_call(a, b, c, params);
-  if (!v.ok()) return record_error(v);
-  const int m = c.rows, n = c.cols;
-  const int k = params.trans_a == Trans::kNo ? a.cols : a.rows;
-  // Degenerate shapes are well-defined no-ops: an empty C has nothing to
-  // write; K == 0 makes op(A)*op(B) the zero matrix, so C = beta*C.
-  if (m == 0 || n == 0) return Status::OK();
-  if (k == 0) {
-    detail::scale_c(c, params.beta);
-    return Status::OK();
+StatusOr<Context::PackedOperand> Context::packed_for(const Call& call,
+                                                     const Plan* plan) {
+  const bool is_a = call.constant == Constant::kA;
+  const ConstMatrixView v = is_a ? call.a : call.b;
+  PackedKey key{v.data, v.rows, v.cols, v.ld, call.constant, call.dtype};
+  if (plan != nullptr) {
+    key.block_mn = is_a ? plan->config().mc : plan->config().nc;
+    key.block_k = plan->config().kc;
   }
-  // beta is applied exactly once, up front; every tier below accumulates.
-  if (params.beta != 1.0f) detail::scale_c(c, params.beta);
-  GemmExParams beta1 = params;
-  beta1.beta = 1.0f;
-  const PlanEntry entry = entry_for(m, n, k);
-  return record_error(execute_entry(entry, a, b, c, beta1, nullptr, nullptr));
-}
-
-StatusOr<std::shared_ptr<const PackedA>> Context::packed_a_for(
-    ConstMatrixView a, const std::shared_ptr<const Plan>& plan) {
-  const PackedKey key{a.data, a.rows, a.cols, a.ld, /*is_a=*/true};
   {
     std::lock_guard lock(mu_);
     auto it = packed_index_.find(key);
@@ -980,22 +932,32 @@ StatusOr<std::shared_ptr<const PackedA>> Context::packed_a_for(
       ++stats_.packed_hits;
       obs_handles().packed_hits->add(1);
       packed_lru_.splice(packed_lru_.begin(), packed_lru_, it->second);
-      return it->second->second.a;
+      return it->second->second;
     }
     ++stats_.packed_misses;
     obs_handles().packed_misses->add(1);
   }
-  StatusOr<PackedA> packed_or = PackedA::create(a, *plan);
-  if (!packed_or.ok()) return packed_or.status();
-  auto packed = std::make_shared<const PackedA>(std::move(packed_or).value());
+  PackedOperand packed;
+  if (call.dtype == common::DType::kI8) {
+    StatusOr<quant::QPackedB> q = quant::QPackedB::create(v);
+    if (!q.ok()) return q.status();
+    packed.qb = std::make_shared<const quant::QPackedB>(std::move(q).value());
+  } else if (is_a) {
+    StatusOr<PackedA> p = PackedA::create(v, *plan);
+    if (!p.ok()) return p.status();
+    packed.a = std::make_shared<const PackedA>(std::move(p).value());
+  } else {
+    StatusOr<PackedB> p = PackedB::create(v, *plan);
+    if (!p.ok()) return p.status();
+    packed.b = std::make_shared<const PackedB>(std::move(p).value());
+  }
   std::lock_guard lock(mu_);
   auto it = packed_index_.find(key);
-  if (it != packed_index_.end()) {
+  if (it != packed_index_.end()) {  // a racing miss packed it first
     packed_lru_.splice(packed_lru_.begin(), packed_lru_, it->second);
-    return it->second->second.a;
+    return it->second->second;
   }
-  packed_lru_.emplace_front(
-      key, PackedEntry{std::move(packed), nullptr, plan, nullptr});
+  packed_lru_.emplace_front(key, packed);
   packed_index_[key] = packed_lru_.begin();
   while (packed_lru_.size() > opts_.packed_capacity) {
     packed_index_.erase(packed_lru_.back().first);
@@ -1003,266 +965,7 @@ StatusOr<std::shared_ptr<const PackedA>> Context::packed_a_for(
     ++stats_.packed_evictions;
     obs_handles().packed_evictions->add(1);
   }
-  return packed_lru_.front().second.a;
-}
-
-StatusOr<std::shared_ptr<const PackedB>> Context::packed_b_for(
-    ConstMatrixView b, const std::shared_ptr<const Plan>& plan) {
-  const PackedKey key{b.data, b.rows, b.cols, b.ld, /*is_a=*/false};
-  {
-    std::lock_guard lock(mu_);
-    auto it = packed_index_.find(key);
-    if (it != packed_index_.end()) {
-      ++stats_.packed_hits;
-      obs_handles().packed_hits->add(1);
-      packed_lru_.splice(packed_lru_.begin(), packed_lru_, it->second);
-      return it->second->second.b;
-    }
-    ++stats_.packed_misses;
-    obs_handles().packed_misses->add(1);
-  }
-  StatusOr<PackedB> packed_or = PackedB::create(b, *plan);
-  if (!packed_or.ok()) return packed_or.status();
-  auto packed = std::make_shared<const PackedB>(std::move(packed_or).value());
-  std::lock_guard lock(mu_);
-  auto it = packed_index_.find(key);
-  if (it != packed_index_.end()) {
-    packed_lru_.splice(packed_lru_.begin(), packed_lru_, it->second);
-    return it->second->second.b;
-  }
-  packed_lru_.emplace_front(
-      key, PackedEntry{nullptr, std::move(packed), plan, nullptr});
-  packed_index_[key] = packed_lru_.begin();
-  while (packed_lru_.size() > opts_.packed_capacity) {
-    packed_index_.erase(packed_lru_.back().first);
-    packed_lru_.pop_back();
-    ++stats_.packed_evictions;
-    obs_handles().packed_evictions->add(1);
-  }
-  return packed_lru_.front().second.b;
-}
-
-Status Context::run_const_a(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                            const GemmExParams& params) {
-  if (params.trans_a != Trans::kNo || params.trans_b != Trans::kNo ||
-      params.alpha != 1.0f) {
-    return run(a, b, c, params);  // cached packing needs canonical operands
-  }
-  obs::SpanScope span("context.run_const_a",
-                      static_cast<std::uint64_t>(std::max(0, c.rows)),
-                      static_cast<std::uint64_t>(std::max(0, c.cols)));
-  const Status v = validate_call(a, b, c, params);
-  if (!v.ok()) return record_error(v);
-  const int m = c.rows, n = c.cols, k = a.cols;
-  if (m == 0 || n == 0) return Status::OK();
-  if (k == 0) {
-    detail::scale_c(c, params.beta);
-    return Status::OK();
-  }
-  GemmExParams beta1 = params;
-  beta1.beta = 1.0f;
-  const PlanEntry entry = entry_for(m, n, k);
-  if (entry.plan == nullptr) {
-    if (params.beta != 1.0f) detail::scale_c(c, params.beta);
-    return record_error(execute_entry(entry, a, b, c, beta1, nullptr, nullptr));
-  }
-  auto packed_or = packed_a_for(a, entry.plan);
-  if (!packed_or.ok() &&
-      packed_or.status().code() != StatusCode::kResourceExhausted) {
-    return record_error(packed_or.status());  // C untouched
-  }
-  if (params.beta != 1.0f) detail::scale_c(c, params.beta);
-  if (!packed_or.ok()) {
-    // Packing scratch did not fit; the unpacked path (which may itself
-    // degrade further) serves the call.
-    record_event(HealthEvent::Kind::kAllocFallback,
-                 "PackedA allocation failed; serving unpacked");
-    return record_error(execute_entry(entry, a, b, c, beta1, nullptr, nullptr));
-  }
-  const std::shared_ptr<const PackedA> packed = packed_or.value();
-  return record_error(
-      execute_entry(entry, a, b, c, beta1, packed.get(), nullptr));
-}
-
-Status Context::run_const_b(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                            const GemmExParams& params) {
-  if (params.trans_a != Trans::kNo || params.trans_b != Trans::kNo ||
-      params.alpha != 1.0f) {
-    return run(a, b, c, params);
-  }
-  obs::SpanScope span("context.run_const_b",
-                      static_cast<std::uint64_t>(std::max(0, c.rows)),
-                      static_cast<std::uint64_t>(std::max(0, c.cols)));
-  const Status v = validate_call(a, b, c, params);
-  if (!v.ok()) return record_error(v);
-  const int m = c.rows, n = c.cols, k = a.cols;
-  if (m == 0 || n == 0) return Status::OK();
-  if (k == 0) {
-    detail::scale_c(c, params.beta);
-    return Status::OK();
-  }
-  GemmExParams beta1 = params;
-  beta1.beta = 1.0f;
-  const PlanEntry entry = entry_for(m, n, k);
-  if (entry.plan == nullptr) {
-    if (params.beta != 1.0f) detail::scale_c(c, params.beta);
-    return record_error(execute_entry(entry, a, b, c, beta1, nullptr, nullptr));
-  }
-  auto packed_or = packed_b_for(b, entry.plan);
-  if (!packed_or.ok() &&
-      packed_or.status().code() != StatusCode::kResourceExhausted) {
-    return record_error(packed_or.status());
-  }
-  if (params.beta != 1.0f) detail::scale_c(c, params.beta);
-  if (!packed_or.ok()) {
-    record_event(HealthEvent::Kind::kAllocFallback,
-                 "PackedB allocation failed; serving unpacked");
-    return record_error(execute_entry(entry, a, b, c, beta1, nullptr, nullptr));
-  }
-  const std::shared_ptr<const PackedB> packed = packed_or.value();
-  return record_error(
-      execute_entry(entry, a, b, c, beta1, nullptr, packed.get()));
-}
-
-void Context::gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                   const GemmExParams& params) {
-  (void)run(a, b, c, params);  // failures are queryable via last_error()
-}
-
-void Context::gemm_const_a(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                           const GemmExParams& params) {
-  (void)run_const_a(a, b, c, params);
-}
-
-void Context::gemm_const_b(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                           const GemmExParams& params) {
-  (void)run_const_b(a, b, c, params);
-}
-
-StatusOr<std::shared_ptr<const quant::QPackedB>> Context::qpacked_b_for(
-    ConstMatrixView b) {
-  const PackedKey key{b.data, b.rows, b.cols, b.ld, /*is_a=*/false,
-                      common::DType::kI8};
-  {
-    std::lock_guard lock(mu_);
-    auto it = packed_index_.find(key);
-    if (it != packed_index_.end()) {
-      ++stats_.packed_hits;
-      obs_handles().packed_hits->add(1);
-      packed_lru_.splice(packed_lru_.begin(), packed_lru_, it->second);
-      return it->second->second.qb;
-    }
-    ++stats_.packed_misses;
-    obs_handles().packed_misses->add(1);
-  }
-  StatusOr<quant::QPackedB> packed_or = quant::QPackedB::create(b);
-  if (!packed_or.ok()) return packed_or.status();
-  auto packed =
-      std::make_shared<const quant::QPackedB>(std::move(packed_or).value());
-  std::lock_guard lock(mu_);
-  auto it = packed_index_.find(key);
-  if (it != packed_index_.end()) {
-    packed_lru_.splice(packed_lru_.begin(), packed_lru_, it->second);
-    return it->second->second.qb;
-  }
-  packed_lru_.emplace_front(
-      key, PackedEntry{nullptr, nullptr, nullptr, std::move(packed)});
-  packed_index_[key] = packed_lru_.begin();
-  while (packed_lru_.size() > opts_.packed_capacity) {
-    packed_index_.erase(packed_lru_.back().first);
-    packed_lru_.pop_back();
-    ++stats_.packed_evictions;
-    obs_handles().packed_evictions->add(1);
-  }
-  return packed_lru_.front().second.qb;
-}
-
-Status Context::execute_quant(ConstMatrixView a, ConstMatrixView b,
-                              const quant::QPackedB* qb, MatrixView c,
-                              const quant::QGemmOptions& opts) {
-  const std::uint64_t m = static_cast<std::uint64_t>(std::max(0, c.rows));
-  const std::uint64_t n = static_cast<std::uint64_t>(std::max(0, c.cols));
-  const std::uint64_t k = static_cast<std::uint64_t>(std::max(0, a.cols));
-  obs::SpanScope span("context.execute_i8", m * n, k);
-  ObsHandles& h = obs_handles();
-  const std::uint64_t t0 = common::now_ns();
-  const Status s = qb != nullptr ? quant::qgemm(a, *qb, c, opts)
-                                 : quant::qgemm(a, b, c, opts);
-  const double seconds = static_cast<double>(common::now_ns() - t0) * 1e-9;
-  h.calls->add(1);
-  h.flops->add(2 * m * n * k);
-  h.gemm_seconds->observe(seconds);
-  const QuantShapeObs& qobs = quant_shape_obs(c.rows, c.cols, a.cols);
-  qobs.latency->observe(seconds);
-  qobs.latency_dtype->observe(seconds);
-  return s;
-}
-
-Status Context::run_i8(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                       float alpha, float beta) {
-  obs::SpanScope span("context.run_i8",
-                      static_cast<std::uint64_t>(std::max(0, c.rows)),
-                      static_cast<std::uint64_t>(std::max(0, c.cols)));
-  GemmExParams params;
-  params.alpha = alpha;
-  params.beta = beta;
-  const Status v = validate_call(a, b, c, params);
-  if (!v.ok()) return record_error(v);
-  const int m = c.rows, n = c.cols, k = a.cols;
-  if (m == 0 || n == 0) return Status::OK();
-  if (k == 0) {
-    detail::scale_c(c, beta);
-    return Status::OK();
-  }
-  quant::QGemmOptions qopts;
-  qopts.alpha = alpha;
-  qopts.beta = beta;
-  return record_error(execute_quant(a, b, nullptr, c, qopts));
-}
-
-Status Context::run_const_b_i8(ConstMatrixView a, ConstMatrixView b,
-                               MatrixView c, float alpha, float beta) {
-  obs::SpanScope span("context.run_const_b_i8",
-                      static_cast<std::uint64_t>(std::max(0, c.rows)),
-                      static_cast<std::uint64_t>(std::max(0, c.cols)));
-  GemmExParams params;
-  params.alpha = alpha;
-  params.beta = beta;
-  const Status v = validate_call(a, b, c, params);
-  if (!v.ok()) return record_error(v);
-  const int m = c.rows, n = c.cols, k = a.cols;
-  if (m == 0 || n == 0) return Status::OK();
-  if (k == 0) {
-    detail::scale_c(c, beta);
-    return Status::OK();
-  }
-  quant::QGemmOptions qopts;
-  qopts.alpha = alpha;
-  qopts.beta = beta;
-  auto qb_or = qpacked_b_for(b);
-  if (!qb_or.ok() &&
-      qb_or.status().code() != StatusCode::kResourceExhausted) {
-    return record_error(qb_or.status());  // C untouched
-  }
-  if (!qb_or.ok()) {
-    // Quantized packing scratch did not fit; the pack-per-call path still
-    // serves the request correctly.
-    record_event(HealthEvent::Kind::kAllocFallback,
-                 "QPackedB allocation failed; serving unpacked");
-    return record_error(execute_quant(a, b, nullptr, c, qopts));
-  }
-  const std::shared_ptr<const quant::QPackedB> qb = qb_or.value();
-  return record_error(execute_quant(a, b, qb.get(), c, qopts));
-}
-
-void Context::gemm_i8(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                      float alpha, float beta) {
-  (void)run_i8(a, b, c, alpha, beta);
-}
-
-void Context::gemm_const_b_i8(ConstMatrixView a, ConstMatrixView b,
-                              MatrixView c, float alpha, float beta) {
-  (void)run_const_b_i8(a, b, c, alpha, beta);
+  return packed;
 }
 
 Status Context::run_batched(const std::vector<BatchItem>& items) {
@@ -1452,10 +1155,6 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
   return record_error(result);
 }
 
-void Context::gemm_batched(const std::vector<BatchItem>& items) {
-  (void)run_batched(items);  // failures are queryable via last_error()
-}
-
 std::size_t Context::invalidate(const void* data) {
   std::lock_guard lock(mu_);
   std::size_t dropped = 0;
@@ -1543,13 +1242,6 @@ HealthReport Context::health() const {
   r.records_skipped = records_skipped_;
   r.degraded = r.degraded || r.pool_degraded;
   return r;
-}
-
-Status Context::last_error() const {
-  ThreadErrorMap& tm = thread_errors();
-  std::lock_guard lock(tm.mu);
-  const auto it = tm.errors.find(id_);
-  return it != tm.errors.end() ? it->second : Status::OK();
 }
 
 std::size_t Context::plan_cache_size() const {

@@ -7,9 +7,10 @@
 //
 //   * a thread-safe, shape-keyed LRU cache of Plan objects, so DMT tiling
 //     and hardware-model costing run once per distinct (M, N, K);
-//   * an LRU cache of offline-packed constant operands (PackedA/PackedB),
-//     keyed by the operand's data pointer and shape, so a DNN's weight
-//     matrices are packed once and reused every inference;
+//   * an LRU cache of offline-packed constant operands (PackedA/PackedB,
+//     and quant::QPackedB for int8), keyed by the operand's data pointer,
+//     shape, dtype and packed blocking, so a DNN's weight matrices are
+//     packed once and reused every inference;
 //   * optional tune::TuningRecords backing: a context constructed with a
 //     records file resolves each incoming shape to its tuned GemmConfig
 //     (exact match first, then nearest-shape fallback) before falling back
@@ -40,14 +41,25 @@
 //      exception quarantines the pool (subsequent calls run serial) and
 //      reports kInternal for the affected call.
 //
-// Everything the ladder does is observable through health(); the legacy
-// void API (Context::gemm and the free functions) wraps run() and records
-// failures in a queryable last_error() instead of throwing.
+// Everything the ladder does is observable through health(). Every entry
+// point reports through Status; the free functions (core/gemm.hpp,
+// core/gemm_ex.hpp) return default_context().run()'s Status unchanged.
 //
-// Packed-operand caching is keyed by pointer identity: the cache cannot
-// see through the pointer, so callers that mutate or free a cached
-// operand must call invalidate(ptr) (or clear()) before the next gemm on
-// that buffer. This is the standard contract for prepacked-weight APIs.
+// ## One execution path
+//
+// The four single-call entry points (run, run_const_a, run_const_b,
+// run_const_b_i8) differ only in the call they describe: its dtype and
+// which operand, if any, is promised constant. Each forwards to one
+// private execute(), which validates, handles M/N/K of zero, looks up the
+// cached packing, applies beta once, and runs one timed, accounted
+// execution. The batched entry points share the plan cache and the
+// degradation ladder but amortize packing per group instead.
+//
+// Packed-operand caching is keyed by pointer identity plus the blocking
+// the operand was packed for: the cache cannot see through the pointer,
+// so callers that mutate or free a cached operand must call
+// invalidate(ptr) (or clear()) before the next call on that buffer. This
+// is the standard contract for prepacked-weight APIs.
 #pragma once
 
 #include <atomic>
@@ -75,7 +87,6 @@ class Histogram;
 
 namespace autogemm::quant {
 class QPackedB;
-struct QGemmOptions;
 }  // namespace autogemm::quant
 
 namespace autogemm::sim {
@@ -129,8 +140,6 @@ struct ContextOptions {
   /// probe per distinct config; disable only for benchmarking the
   /// unhardened path.
   bool verify_kernels = true;
-  /// Probe depth (K) for first-use verification.
-  int probe_kc = 8;
   /// Kernel backend every plan this context resolves is generated,
   /// verified and priced against. kAuto consults the AUTOGEMM_BACKEND
   /// environment variable, then falls back to the highest-priority
@@ -215,8 +224,7 @@ struct HealthReport {
   /// "blocks-only", "k-split", or "none" before any call ran (see the
   /// strategy_* counters in ContextStats for totals).
   std::string last_parallel_strategy = "none";
-  /// Most recent non-OK status any entry point reported (by any thread;
-  /// Context::last_error() is the per-thread view).
+  /// Most recent non-OK status any entry point reported (by any thread).
   Status last_error;
   /// Bounded event log, oldest first (capped; counters stay exact).
   std::vector<HealthEvent> events;
@@ -232,7 +240,6 @@ class Context {
   explicit Context(const std::string& records_path);
   /// Tuned records handed over directly (e.g. straight from a tuning run).
   explicit Context(tune::TuningRecords records, const ContextOptions& opts = {});
-  ~Context();
 
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
@@ -247,52 +254,35 @@ class Context {
              common::MatrixView c, const GemmExParams& params = {});
 
   /// As run(), with A promised constant across calls: its offline-packed
-  /// form (PackedA) is cached under A's data pointer + shape. The cached
+  /// form (PackedA) is cached under A's data pointer + shape and the
+  /// plan's (mc, kc) blocking, so a shape whose plan changes (a published
+  /// record) repacks instead of reading a stale layout. The cached
   /// fast path requires canonical operands (no transposes, alpha = 1);
   /// other params fall back to the plain run() path. Conv-as-GEMM weight
   /// matrices are the motivating caller.
   Status run_const_a(common::ConstMatrixView a, common::ConstMatrixView b,
                      common::MatrixView c, const GemmExParams& params = {});
 
-  /// As run(), with B promised constant across calls (cached PackedB).
+  /// As run(), with B promised constant across calls (cached PackedB,
+  /// keyed by the plan's (kc, nc) blocking).
   Status run_const_b(common::ConstMatrixView a, common::ConstMatrixView b,
                      common::MatrixView c, const GemmExParams& params = {});
 
-  /// Quantized int8 entry point: C = alpha * deq(q(A) * q(B)) + beta * C
-  /// with symmetric per-channel int8 quantization of both fp32 operands
-  /// and exact int32 accumulation (quant/qgemm.hpp; the accuracy contract
-  /// — relative Frobenius error <= 1e-2 vs an fp64 reference — lives
-  /// there). No transposes: operands are taken canonical. Shares the obs
-  /// accounting of run() plus the dtype-labeled latency twin
-  /// autogemm_gemm_seconds{shape=...,dtype="i8"}.
-  Status run_i8(common::ConstMatrixView a, common::ConstMatrixView b,
-                common::MatrixView c, float alpha = 1.0f, float beta = 1.0f);
-
-  /// As run_i8(), with B promised constant across calls: its quantized
-  /// packed form (quant::QPackedB — int8 blocks + per-column scales) is
-  /// cached in the same pointer-keyed LRU as the fp32 PackedA/PackedB
-  /// entries, under the same invalidate(ptr)/clear() contract. fp32 and
-  /// int8 packings of the same buffer coexist (the cache key carries the
-  /// dtype), so a weight matrix served at both precisions packs once per
-  /// tier. DNN weight matrices served at int8 are the motivating caller.
+  /// Quantized int8 entry point with B promised constant across calls:
+  /// C = alpha * deq(q(A) * q(B)) + beta * C with symmetric per-channel
+  /// int8 quantization of both fp32 operands and exact int32 accumulation
+  /// (quant/qgemm.hpp; the accuracy contract — relative Frobenius error
+  /// <= 1e-2 vs an fp64 reference — lives there). No transposes: operands
+  /// are taken canonical. B's quantized packed form (quant::QPackedB —
+  /// int8 blocks + per-column scales) is cached in the same pointer-keyed
+  /// LRU as the fp32 PackedA/PackedB entries, under the same
+  /// invalidate(ptr)/clear() contract; fp32 and int8 packings of the same
+  /// buffer coexist (the cache key carries the dtype). int8 calls never
+  /// touch the plan cache, plan stats or strategy counters. DNN weight
+  /// matrices served at int8 are the motivating caller.
   Status run_const_b_i8(common::ConstMatrixView a, common::ConstMatrixView b,
                         common::MatrixView c, float alpha = 1.0f,
                         float beta = 1.0f);
-
-  /// Legacy void wrappers over the run* entry points: failures are
-  /// recorded in last_error() instead of thrown (C stays untouched on
-  /// validation failures).
-  void gemm(common::ConstMatrixView a, common::ConstMatrixView b,
-            common::MatrixView c, const GemmExParams& params = {});
-  void gemm_const_a(common::ConstMatrixView a, common::ConstMatrixView b,
-                    common::MatrixView c, const GemmExParams& params = {});
-  void gemm_const_b(common::ConstMatrixView a, common::ConstMatrixView b,
-                    common::MatrixView c, const GemmExParams& params = {});
-  void gemm_i8(common::ConstMatrixView a, common::ConstMatrixView b,
-               common::MatrixView c, float alpha = 1.0f, float beta = 1.0f);
-  void gemm_const_b_i8(common::ConstMatrixView a, common::ConstMatrixView b,
-                       common::MatrixView c, float alpha = 1.0f,
-                       float beta = 1.0f);
 
   /// C_i += A_i * B_i for every item through the cached per-shape plans
   /// and the owned pool. The whole batch is validated up front
@@ -318,20 +308,16 @@ class Context {
   /// — external callers should use run_batched.
   Status run_batched_prevalidated(const std::vector<BatchItem>& items);
 
-  /// Legacy void wrapper over run_batched (failures land in last_error(),
-  /// as with gemm()).
-  void gemm_batched(const std::vector<BatchItem>& items);
-
   /// Plan for a shape: tuned record (exact, then nearest) over the
   /// heuristic default, LRU-cached, quarantined configs skipped. Shared so
   /// a caller can keep executing a plan that gets evicted mid-flight. For
   /// a shape pinned to the reference path this still returns the heuristic
-  /// plan (legacy callers need one); run() is where the reference pin is
-  /// honored.
+  /// plan (callers driving the Plan-level gemm() need one); run() is where
+  /// the reference pin is honored.
   std::shared_ptr<const Plan> plan_for(int m, int n, int k);
 
   /// Drops every cached packed operand built from `data` (call after
-  /// mutating or freeing a buffer previously passed to gemm_const_*).
+  /// mutating or freeing a buffer previously passed to run_const_*).
   /// Returns the number of entries dropped.
   std::size_t invalidate(const void* data);
 
@@ -378,13 +364,6 @@ class Context {
   ContextStats stats() const;
   /// Degradation snapshot (see HealthReport).
   HealthReport health() const;
-  /// Most recent non-OK status reported by an entry point *on the calling
-  /// thread* (OK if this thread has not had a failure) — the query channel
-  /// for the legacy void API. Per-thread on purpose: concurrent run* calls
-  /// from different threads cannot clobber each other's error between the
-  /// failing call and the query. The process-wide most-recent error is
-  /// health().last_error.
-  Status last_error() const;
 
   std::size_t plan_cache_size() const;
   std::size_t packed_cache_size() const;
@@ -393,10 +372,6 @@ class Context {
   /// safe while no concurrent publisher (e.g. a running OnlineTuner) is
   /// attached — use records_snapshot() otherwise.
   const tune::TuningRecords& records() const { return records_; }
-  /// Total last_error slots currently held across every live thread's
-  /// per-thread map, for all contexts (test hook for the destructor sweep
-  /// that keeps context churn from growing the maps without bound).
-  static std::size_t thread_error_slots();
   /// The backend this context resolved at construction (never kAuto).
   backend::BackendId backend_id() const { return backend_; }
   /// sim::SimOptions pre-filled with this context's watchdog budgets
@@ -421,33 +396,49 @@ class Context {
     int backend = 0;
     auto operator<=>(const ConfigKey&) const = default;
   };
+  /// The operand a call promises constant across calls (its packed form
+  /// is cached).
+  enum class Constant : std::uint8_t { kNone, kA, kB };
+  /// One single GEMM call, as every single-call entry point describes it
+  /// to execute().
+  struct Call {
+    common::ConstMatrixView a;
+    common::ConstMatrixView b;
+    common::MatrixView c;
+    GemmExParams params;
+    common::DType dtype = common::DType::kF32;
+    Constant constant = Constant::kNone;
+  };
   struct PackedKey {
     const void* data = nullptr;
     int rows = 0, cols = 0, ld = 0;
-    bool is_a = false;
+    Constant operand = Constant::kNone;
     /// Packing tier the entry was built for: fp32 (PackedA/PackedB) and
     /// int8 (quant::QPackedB) packings of the same buffer are distinct
     /// cache lines; invalidate(ptr) drops both.
     common::DType dtype = common::DType::kF32;
+    /// The blocking the packed layout depends on: (mc, kc) for A, (nc, kc)
+    /// for B, zero for int8 (QPackedB is independent of any plan). Keying
+    /// on the layout, not the whole config, lets plans that block the
+    /// operand alike share one packing.
+    int block_mn = 0, block_k = 0;
     auto operator<=>(const PackedKey&) const = default;
   };
-  struct PackedEntry {
+  /// One cached packing; the member matching the key's operand and dtype
+  /// is set.
+  struct PackedOperand {
     std::shared_ptr<const PackedA> a;
     std::shared_ptr<const PackedB> b;
-    std::shared_ptr<const Plan> plan;  // layout the packing was built for
-    /// Quantized tier (key.dtype == kI8): int8 blocks + per-column scales.
     std::shared_ptr<const quant::QPackedB> qb;
   };
   /// A cached, verified resolution for one shape. `plan == nullptr` means
   /// the shape is pinned to the reference path. `latency` is the shape's
-  /// per-shape latency histogram in the process-wide obs registry (stable
-  /// for the registry's lifetime, so caching the pointer is safe).
+  /// {shape=...,dtype="f32"} latency series in the process-wide obs
+  /// registry (stable for the registry's lifetime, so caching the pointer
+  /// is safe).
   struct PlanEntry {
     std::shared_ptr<const Plan> plan;
     obs::Histogram* latency = nullptr;
-    /// The {shape=...,dtype="f32"} twin of `latency` (same registry
-    /// stability argument; the quantized path keeps its own i8 twins).
-    obs::Histogram* latency_dtype = nullptr;
     /// records_gen_ observed when this entry resolved. A hit whose
     /// generation is behind the live counter is stale — the records table
     /// changed since — and re-resolves as a miss.
@@ -455,42 +446,28 @@ class Context {
   };
 
   PlanEntry entry_for(int m, int n, int k);
+  /// The single-call path: validate, degenerate shapes, cached packing
+  /// (falling back to unpacked on kResourceExhausted), beta, then the only
+  /// single-call timing/accounting block (span, calls/flops, latency
+  /// histograms, record_error).
+  Status execute(const Call& call);
+  /// Runs an fp32 call (beta already applied) on the plan, or on the
+  /// reference tier for a pinned shape, degrading on faults.
+  Status execute_plan(const Plan* plan, const Call& call,
+                      const PackedOperand& packed);
+  /// Cached packing of the call's constant operand for `plan` (fp32) or
+  /// for the int8 tier (plan unused).
+  StatusOr<PackedOperand> packed_for(const Call& call, const Plan* plan);
   Status run_batched_impl(const std::vector<BatchItem>& items, bool validate);
   Status verify_config(const Plan& plan);
-  /// execute_entry wraps the impl with the obs timing/accounting (span,
-  /// latency histograms, call/flop/failure counters).
-  Status execute_entry(const PlanEntry& entry, common::ConstMatrixView a,
-                       common::ConstMatrixView b, common::MatrixView c,
-                       const GemmExParams& beta1_params,
-                       const PackedA* packed_a, const PackedB* packed_b);
-  Status execute_entry_impl(const PlanEntry& entry, common::ConstMatrixView a,
-                            common::ConstMatrixView b, common::MatrixView c,
-                            const GemmExParams& beta1_params,
-                            const PackedA* packed_a, const PackedB* packed_b);
-  StatusOr<std::shared_ptr<const PackedA>> packed_a_for(
-      common::ConstMatrixView a, const std::shared_ptr<const Plan>& plan);
-  StatusOr<std::shared_ptr<const PackedB>> packed_b_for(
-      common::ConstMatrixView b, const std::shared_ptr<const Plan>& plan);
-  StatusOr<std::shared_ptr<const quant::QPackedB>> qpacked_b_for(
-      common::ConstMatrixView b);
-  /// Times one quantized call and updates the obs accounting (calls/flops,
-  /// unlabeled + shape-labeled + dtype-labeled latency series). Exactly one
-  /// of b / qb drives the kernel.
-  Status execute_quant(common::ConstMatrixView a, common::ConstMatrixView b,
-                       const quant::QPackedB* qb, common::MatrixView c,
-                       const quant::QGemmOptions& opts);
   common::ThreadPool* effective_pool();
   void note_strategy(bool serial, ParallelStrategy chosen);
   void record_event(HealthEvent::Kind kind, std::string detail);
-  Status record_error(Status s);  // stores non-OK into last_error, passes through
-
-  /// Process-unique id keying this context's per-thread last_error slots.
-  static std::uint64_t next_id();
+  Status record_error(Status s);  // stores non-OK into health, passes through
 
   const ContextOptions opts_;
   /// Resolved at construction from opts_.backend (kAuto -> env/registry).
   backend::BackendId backend_ = backend::BackendId::kNeon;
-  const std::uint64_t id_ = next_id();
   std::uint64_t records_skipped_ = 0;  // set before records_ loads
   /// Mutated only by publish_record (under mu_); every read on the plan
   /// resolution path also holds mu_. The records() accessor hands out an
@@ -504,7 +481,7 @@ class Context {
   // Plan LRU: list front = most recently used; index into the list.
   std::list<std::pair<ShapeKey, PlanEntry>> plan_lru_;
   std::map<ShapeKey, decltype(plan_lru_)::iterator> plan_index_;
-  std::list<std::pair<PackedKey, PackedEntry>> packed_lru_;
+  std::list<std::pair<PackedKey, PackedOperand>> packed_lru_;
   std::map<PackedKey, decltype(packed_lru_)::iterator> packed_index_;
   ContextStats stats_;
 
@@ -524,21 +501,18 @@ class Context {
 Context& default_context();
 
 /// Cardinality cap for the per-shape latency series
-/// (autogemm_gemm_seconds{shape="MxNxK"}): labels are assigned first-come-
-/// first-served to the first `cap` distinct shapes a process executes;
-/// every later shape shares the "other" series. The cap bounds registry
-/// growth under an adversarial shape stream — it does NOT track hotness,
-/// so a shape that becomes hot after the cap fills stays aggregated under
-/// "other" forever (which is why the online tuner ranks hot shapes from
-/// the serve engine's per-shape request accounting, never from these
-/// labels). The dtype-labeled twins
-/// (autogemm_gemm_seconds{shape=...,dtype=...}) draw from the same
-/// first-come-first-served label set, so the cap bounds the union of both
-/// families — a shape capped to "other" is "other" in every dtype series
-/// too. Initialized from AUTOGEMM_SHAPE_LABEL_CAP (default 128);
-/// raising the cap at runtime admits new labels, lowering it never evicts
-/// already-assigned ones. The unlabeled autogemm_gemm_seconds histogram
-/// always sees every call regardless of the cap.
+/// (autogemm_gemm_seconds{shape="MxNxK",dtype=...}): shape labels are
+/// assigned first-come-first-served to the first `cap` distinct shapes a
+/// process executes; every later shape shares the "other" label in every
+/// dtype series. The cap bounds registry growth under an adversarial shape
+/// stream — it does NOT track hotness, so a shape that becomes hot after
+/// the cap fills stays aggregated under "other" forever (which is why the
+/// online tuner ranks hot shapes from the serve engine's per-shape request
+/// accounting, never from these labels). Initialized from
+/// AUTOGEMM_SHAPE_LABEL_CAP (default 128); raising the cap at runtime
+/// admits new labels, lowering it never evicts already-assigned ones. The
+/// unlabeled autogemm_gemm_seconds histogram always sees every call
+/// regardless of the cap.
 void set_shape_label_cap(std::size_t cap);
 std::size_t shape_label_cap();
 

@@ -452,14 +452,14 @@ void gemm(const PackedA& packed_a, ConstMatrixView a_shape, ConstMatrixView b,
   execute(a_shape, b, &packed_a, nullptr, c, plan, pool);
 }
 
-void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
-  default_context().gemm(a, b, c);
+Status gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
+  return default_context().run(a, b, c);
 }
 
-void gemm_overwrite(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
+Status gemm_overwrite(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
   GemmExParams params;
   params.beta = 0.0f;  // overwrite == the BLAS beta = 0 case, defined once
-  default_context().gemm(a, b, c, params);
+  return default_context().run(a, b, c, params);
 }
 
 namespace detail {

@@ -113,13 +113,14 @@ void gemm(const PackedA& packed_a, common::ConstMatrixView a_shape,
           common::ThreadPool* pool = nullptr);
 
 /// Convenience: C += A * B through the process-default Context (cached
-/// per-shape plan, serial execution).
-void gemm(common::ConstMatrixView a, common::ConstMatrixView b,
-          common::MatrixView c);
+/// per-shape plan, serial execution); returns its run() Status.
+[[nodiscard]] Status gemm(common::ConstMatrixView a, common::ConstMatrixView b,
+                          common::MatrixView c);
 
 /// Convenience: C = A * B (beta = 0; see the semantics note above).
-void gemm_overwrite(common::ConstMatrixView a, common::ConstMatrixView b,
-                    common::MatrixView c);
+[[nodiscard]] Status gemm_overwrite(common::ConstMatrixView a,
+                                    common::ConstMatrixView b,
+                                    common::MatrixView c);
 
 namespace detail {
 

@@ -106,9 +106,9 @@ void gemm_ex(ConstMatrixView a, ConstMatrixView b, MatrixView c,
   }
 }
 
-void gemm_ex(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-             const GemmExParams& params) {
-  default_context().gemm(a, b, c, params);
+Status gemm_ex(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+               const GemmExParams& params) {
+  return default_context().run(a, b, c, params);
 }
 
 namespace {
@@ -125,9 +125,9 @@ Trans parse_trans(char t) {
 
 }  // namespace
 
-void sgemm(char transa, char transb, int m, int n, int k, float alpha,
-           const float* a, int lda, const float* b, int ldb, float beta,
-           float* c, int ldc) {
+Status sgemm(char transa, char transb, int m, int n, int k, float alpha,
+             const float* a, int lda, const float* b, int ldb, float beta,
+             float* c, int ldc) {
   GemmExParams params;
   params.trans_a = parse_trans(transa);
   params.trans_b = parse_trans(transb);
@@ -142,7 +142,7 @@ void sgemm(char transa, char transb, int m, int n, int k, float alpha,
   const ConstMatrixView av{a, a_rows, a_cols, lda};
   const ConstMatrixView bv{b, b_rows, b_cols, ldb};
   const MatrixView cv{c, m, n, ldc};
-  default_context().gemm(av, bv, cv, params);
+  return default_context().run(av, bv, cv, params);
 }
 
 namespace detail {

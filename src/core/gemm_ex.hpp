@@ -8,6 +8,7 @@
 #pragma once
 
 #include "common/matrix.hpp"
+#include "common/status.hpp"
 #include "common/threadpool.hpp"
 #include "core/plan.hpp"
 
@@ -33,9 +34,10 @@ void gemm_ex(common::ConstMatrixView a, common::ConstMatrixView b,
              const Plan& plan, common::ThreadPool* pool = nullptr);
 
 /// Convenience overload through the process-default Context (cached
-/// per-shape plan; see core/context.hpp).
-void gemm_ex(common::ConstMatrixView a, common::ConstMatrixView b,
-             common::MatrixView c, const GemmExParams& params = {});
+/// per-shape plan; see core/context.hpp); returns its run() Status.
+[[nodiscard]] Status gemm_ex(common::ConstMatrixView a,
+                             common::ConstMatrixView b, common::MatrixView c,
+                             const GemmExParams& params = {});
 
 /// Row-major BLAS-compatible shim over gemm_ex — the canonical signature
 /// baseline comparisons and external callers bind against:
@@ -47,10 +49,11 @@ void gemm_ex(common::ConstMatrixView a, common::ConstMatrixView b,
 /// k x n, C is m x n; lda/ldb/ldc are row-major leading dimensions of the
 /// *stored* operands (so with transa == 'T', a is k x m with lda >= m).
 /// Routed through the process-default Context, so repeated shapes reuse
-/// their cached Plan.
-void sgemm(char transa, char transb, int m, int n, int k, float alpha,
-           const float* a, int lda, const float* b, int ldb, float beta,
-           float* c, int ldc);
+/// their cached Plan; returns its run() Status.
+[[nodiscard]] Status sgemm(char transa, char transb, int m, int n, int k,
+                           float alpha, const float* a, int lda,
+                           const float* b, int ldb, float beta, float* c,
+                           int ldc);
 
 namespace detail {
 /// Applies beta to C (beta = 0 stores zeros without reading C — the

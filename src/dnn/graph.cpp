@@ -19,7 +19,8 @@ namespace autogemm::dnn {
 GemmBackend autogemm_backend() {
   return [](common::ConstMatrixView a, common::ConstMatrixView b,
             common::MatrixView c) {
-    autogemm::gemm_overwrite(a, b, c);
+    const Status s = autogemm::gemm_overwrite(a, b, c);
+    if (!s.ok()) throw std::runtime_error("autogemm backend: " + s.to_string());
   };
 }
 
@@ -40,7 +41,8 @@ GemmBackend context_backend(Context& ctx) {
     // weight matrix — constant across runs — so its packed form is cached.
     GemmExParams params;
     params.beta = 0.0f;
-    ctx.gemm_const_a(a, b, c, params);
+    const Status s = ctx.run_const_a(a, b, c, params);
+    if (!s.ok()) throw std::runtime_error("context backend: " + s.to_string());
   };
 }
 

@@ -56,6 +56,7 @@ GemmBackend naive_backend();
 /// cached in the context, so repeated inferences stop re-packing weights —
 /// the paper's ResNet-50 deployment mode. The context must outlive the
 /// backend, and its packed cache must be invalidated if weights mutate.
+/// Like autogemm_backend, it throws std::runtime_error on a non-OK Status.
 GemmBackend context_backend(Context& ctx);
 
 class Op {

@@ -22,26 +22,13 @@ namespace detail {
 /// codegen remains simulator-only (the sve_sim backend has no compiled
 /// host kernels at all; see backend/backend.hpp). The NeonBackend and
 /// run_tile consult this directly; kernels/ cannot depend on backend/ (the
-/// registry sits above this layer), which is why the deprecated shim below
-/// delegates here rather than through the registry.
+/// registry sits above this layer). Returns nullptr when no template
+/// instantiation exists (callers fall back to generic_microkernel).
+/// Backend-neutral callers resolve a backend and use
+/// KernelBackend::find_microkernel (backend/backend.hpp) instead.
 MicroKernelFn neon_table_lookup(int mr, int nr);
 
 }  // namespace detail
-
-/// Returns the specialized kernel for the tile, or nullptr when no template
-/// instantiation exists (callers fall back to generic_microkernel).
-///
-/// Deprecated: backend-neutral callers should resolve a backend and use
-/// KernelBackend::find_microkernel (backend/backend.hpp), which returns
-/// nullptr for simulator-only backends instead of silently handing out
-/// NEON kernels. This shim consults the NEON table and stays
-/// source-compatible for existing callers and tests.
-[[deprecated(
-    "use backend::get_backend(id).find_microkernel(mr, nr); this shim "
-    "always answers for the NEON backend")]]
-inline MicroKernelFn find_microkernel(int mr, int nr) {
-  return detail::neon_table_lookup(mr, nr);
-}
 
 /// Executes one (possibly clipped) tile: uses the specialized kernel when
 /// rows==mr and cols==nr match an instantiation, otherwise the generic one.

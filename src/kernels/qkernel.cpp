@@ -384,17 +384,4 @@ void requantize_block(common::MatrixView c, const std::int32_t* acc,
   }
 }
 
-float bf16_truncate(float x) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  bits &= 0xffff0000u;
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
-void bf16_truncate_buffer(const float* src, float* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = bf16_truncate(src[i]);
-}
-
 }  // namespace autogemm::kernels

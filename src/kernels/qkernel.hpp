@@ -106,12 +106,4 @@ void requantize_block(common::MatrixView c, const std::int32_t* acc,
                       long ldacc, const float* a_scales, const float* b_scales,
                       float alpha, float beta);
 
-/// bf16-style mantissa truncation: zeroes the low 16 bits of the IEEE-754
-/// encoding (round-toward-zero to 8 significand bits), keeping sign and
-/// exponent — the storage precision of bfloat16 with fp32 accumulate.
-float bf16_truncate(float x);
-
-/// Truncates n values from src into dst (src == dst allowed).
-void bf16_truncate_buffer(const float* src, float* dst, std::size_t n);
-
 }  // namespace autogemm::kernels

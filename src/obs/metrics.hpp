@@ -16,7 +16,8 @@
 //     aggregated offline.
 //
 // Metric names follow Prometheus conventions and may carry a label block
-// baked into the name ("autogemm_gemm_seconds{shape=\"64x64x64\"}");
+// baked into the name
+// ("autogemm_gemm_seconds{shape=\"64x64x64\",dtype=\"f32\"}");
 // exporters keep it intact. Handles returned by the registry are stable
 // for the registry's lifetime — resolve once, increment forever.
 #pragma once

@@ -4,7 +4,6 @@
 #include <new>
 #include <vector>
 
-#include "kernels/dispatch.hpp"
 #include "kernels/qkernel.hpp"
 #include "quant/quantize.hpp"
 
@@ -24,14 +23,6 @@ Status validate_triple(int m, int n, int k, const void* a_data, long a_ld,
   if (a_ld < a_cols || b_ld < b_cols || c.ld < c.cols)
     return InvalidArgumentError("qgemm: leading dimension < cols");
   return {};
-}
-
-void scale_c(common::MatrixView c, float beta) {
-  if (beta == 1.0f) return;
-  for (int r = 0; r < c.rows; ++r) {
-    for (int j = 0; j < c.cols; ++j)
-      c.at(r, j) = beta == 0.0f ? 0.0f : beta * c.at(r, j);
-  }
 }
 
 /// How many C rows each kernel invocation covers — bounds the int32
@@ -153,43 +144,6 @@ Status qgemm(const QPackedA& qa, const QPackedB& qb, common::MatrixView c,
                            qb.col_ld(), qb.scales(), qa.cols(), c, opts);
   return qgemm_packed_i16(qa.row16(0), qa.row_ld(), qa.scales(), qb.col16(0),
                           qb.col_ld(), qb.scales(), qa.cols(), c, opts);
-}
-
-Status gemm_bf16(common::ConstMatrixView a, common::ConstMatrixView b,
-                 common::MatrixView c, float alpha, float beta) {
-  if (Status s = validate_triple(a.rows, b.cols, a.cols, a.data, a.ld, a.cols,
-                                 b.data, b.ld, b.cols, c);
-      !s.ok())
-    return s;
-  if (a.cols != b.rows)
-    return InvalidArgumentError("gemm_bf16: inner dimensions disagree");
-  const int m = a.rows, n = b.cols, k = a.cols;
-  common::Matrix at(m, k), bt(k, n), tmp(m, n);
-  for (int r = 0; r < m; ++r)
-    kernels::bf16_truncate_buffer(a.data + static_cast<long>(r) * a.ld,
-                                  at.view().data + static_cast<long>(r) * k,
-                                  static_cast<std::size_t>(k));
-  for (int r = 0; r < k; ++r)
-    kernels::bf16_truncate_buffer(b.data + static_cast<long>(r) * b.ld,
-                                  bt.view().data + static_cast<long>(r) * n,
-                                  static_cast<std::size_t>(n));
-  // tmp starts zeroed (Matrix zero-fills); the host fp32 register tiles
-  // accumulate trunc(A) * trunc(B) into it in full fp32.
-  constexpr int kMr = 6, kNr = 16;
-  for (int j0 = 0; j0 < n; j0 += kNr) {
-    const int jn = std::min(kNr, n - j0);
-    for (int i0 = 0; i0 < m; i0 += kMr) {
-      const int in = std::min(kMr, m - i0);
-      kernels::run_tile(in, jn, at.view().data + static_cast<long>(i0) * k, k,
-                        bt.view().data + j0, n,
-                        tmp.view().data + static_cast<long>(i0) * n + j0, n,
-                        k);
-    }
-  }
-  scale_c(c, beta);
-  for (int r = 0; r < m; ++r)
-    for (int j = 0; j < n; ++j) c.at(r, j) += alpha * tmp.view().at(r, j);
-  return {};
 }
 
 }  // namespace autogemm::quant

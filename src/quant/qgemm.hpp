@@ -66,11 +66,4 @@ Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
 Status qgemm(const QPackedA& qa, const QPackedB& qb, common::MatrixView c,
              const QGemmOptions& opts = {});
 
-/// bf16-style mixed precision: operands are truncated to 8 significand
-/// bits (kernels::bf16_truncate) and the product accumulates in full fp32
-/// through the regular host micro-kernels — bfloat16 storage precision,
-/// fp32 compute, no integer path. C = alpha * trunc(A) * trunc(B) + beta * C.
-Status gemm_bf16(common::ConstMatrixView a, common::ConstMatrixView b,
-                 common::MatrixView c, float alpha = 1.0f, float beta = 1.0f);
-
 }  // namespace autogemm::quant

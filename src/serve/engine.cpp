@@ -118,7 +118,7 @@ ServeObs& serve_obs() {
 /// Dtype-labeled twin of the batch counter, alongside (never instead of)
 /// the unlabeled aggregate: autogemm_serve_batches_total{dtype=...} splits
 /// dispatch volume by execution tier, the serving-side mirror of the
-/// autogemm_gemm_seconds{shape=,dtype=} latency twins in core.
+/// autogemm_gemm_seconds{shape=,dtype=} latency series in core.
 /// Executes one request on its tier: fp32 through the tuned plan path,
 /// int8 through the cached-QPackedB quantized path (a serving stream
 /// repeats B data pointers per shape, so the quantized packing is built

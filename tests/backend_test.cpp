@@ -144,19 +144,10 @@ TEST(NeonBackend, MatchesLegacyKernelTableAndDeprecatedShim) {
   EXPECT_TRUE(neon.caps().host_executable);
   EXPECT_FALSE(neon.caps().vl_agnostic);
   EXPECT_EQ(neon.caps().vl_min, 4);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  for (int mr = 1; mr <= 10; ++mr) {
-    for (int nr = 1; nr <= 80; ++nr) {
+  for (int mr = 1; mr <= 10; ++mr)
+    for (int nr = 1; nr <= 80; ++nr)
       EXPECT_EQ(neon.find_microkernel(mr, nr),
                 kernels::detail::neon_table_lookup(mr, nr));
-      // Satellite shim: the deprecated free function answers exactly as
-      // the NEON backend, keeping legacy callers source-compatible.
-      EXPECT_EQ(kernels::find_microkernel(mr, nr),
-                neon.find_microkernel(mr, nr));
-    }
-  }
-#pragma GCC diagnostic pop
 }
 
 TEST(NeonBackend, GeneratesIdenticalProgramToLegacyGenerator) {

@@ -75,10 +75,9 @@ TEST(Batched, MixedShapesThroughContext) {
   for (auto& p : problems)
     items.push_back({p->a.view(), p->b.view(), p->c.view()});
   ContextOptions opts;
-  opts.threads = 1;  // plans from this context; threading from the pool arg
+  opts.threads = 1;
   Context ctx(opts);
-  common::ThreadPool pool(3);
-  gemm_batched(items, ctx, &pool);
+  ASSERT_TRUE(ctx.run_batched(items).ok());
   for (const auto& p : problems)
     EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
               testutil::gemm_tolerance(p->a.cols()));
@@ -95,9 +94,9 @@ TEST(Batched, ContextOverloadUsesOwnPool) {
   for (auto& p : problems)
     items.push_back({p->a.view(), p->b.view(), p->c.view()});
   ContextOptions opts;
-  opts.threads = 3;  // no explicit pool arg: the context's pool serves
+  opts.threads = 3;  // the context's own pool serves
   Context ctx(opts);
-  gemm_batched(items, ctx);
+  ASSERT_TRUE(ctx.run_batched(items).ok());
   for (const auto& p : problems)
     EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
               testutil::gemm_tolerance(p->a.cols()));
@@ -105,7 +104,6 @@ TEST(Batched, ContextOverloadUsesOwnPool) {
 
 TEST(Batched, EmptyBatchIsNoop) {
   Context ctx;
-  gemm_batched({}, ctx);
   Plan plan(4, 4, 4, default_config(4, 4, 4));
   gemm_batched({}, plan);
   EXPECT_TRUE(ctx.run_batched({}).ok());

@@ -2,9 +2,6 @@
 // invalidation, and concurrent use.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -44,9 +41,9 @@ TEST(Context, PlanCacheHitsOnRepeatedShape) {
   opts.threads = 1;
   Context ctx(opts);
   Problem p(48, 56, 40);
-  ctx.gemm(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
-  ctx.gemm(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
   const auto s = ctx.stats();
   EXPECT_EQ(s.plan_misses, 1u);
@@ -62,7 +59,8 @@ TEST(Context, DefaultParamsAccumulate) {
   for (int r = 0; r < 16; ++r)
     for (int j = 0; j < 16; ++j) p.c_ref.at(r, j) = p.c.at(r, j);
   common::reference_gemm(p.a.view(), p.b.view(), p.c_ref.view());
-  ctx.gemm(p.a.view(), p.b.view(), p.c.view());  // beta defaults to 1
+  // beta defaults to 1
+  ASSERT_TRUE(ctx.run(p.a.view(), p.b.view(), p.c.view()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
 }
 
@@ -83,7 +81,7 @@ TEST(Context, ExtendedParamsRouteThroughGemmEx) {
   params.trans_a = Trans::kYes;
   params.alpha = 2.5f;
   params.beta = 0.0f;
-  ctx.gemm(a.view(), b.view(), c.view(), params);
+  ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view(), params).ok());
   EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
             testutil::gemm_tolerance(k));
 }
@@ -142,7 +140,7 @@ TEST(Context, TunedRecordsResolveExactAndNearest) {
   EXPECT_EQ(ctx.stats().resolved_heuristic, 1u);
   // And the tuned plan actually executes correctly.
   Problem p(64, 64, 64);
-  ctx.gemm(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
 }
 
@@ -155,7 +153,8 @@ TEST(Context, ConstBCachesPackedAndInvalidates) {
   opts.threads = 1;
   Context ctx(opts);
   Problem p(32, 40, 24);
-  ctx.gemm_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(
+      ctx.run_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
   EXPECT_EQ(ctx.stats().packed_misses, 1u);
 
@@ -165,7 +164,8 @@ TEST(Context, ConstBCachesPackedAndInvalidates) {
   for (int r = 0; r < 24; ++r)
     for (int j = 0; j < 40; ++j) old_b.at(r, j) = p.b.at(r, j);
   common::fill_random(p.b.view(), 99);
-  ctx.gemm_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(
+      ctx.run_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_EQ(ctx.stats().packed_hits, 1u);
   Matrix stale_ref(32, 40);
   common::reference_gemm(p.a.view(), old_b.view(), stale_ref.view());
@@ -175,7 +175,8 @@ TEST(Context, ConstBCachesPackedAndInvalidates) {
   // After invalidate, the new contents are packed and used.
   EXPECT_EQ(ctx.invalidate(p.b.view().data), 1u);
   EXPECT_EQ(ctx.stats().packed_invalidations, 1u);
-  ctx.gemm_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(
+      ctx.run_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   Matrix fresh_ref(32, 40);
   common::reference_gemm(p.a.view(), p.b.view(), fresh_ref.view());
   EXPECT_LT(common::max_rel_error(p.c.view(), fresh_ref.view()),
@@ -189,7 +190,8 @@ TEST(Context, ConstACachesPackedWeights) {
   Context ctx(opts);
   Problem p(40, 56, 32);
   for (int i = 0; i < 3; ++i) {
-    ctx.gemm_const_a(p.a.view(), p.b.view(), p.c.view(), overwrite());
+    ASSERT_TRUE(
+        ctx.run_const_a(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
     EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
   }
   const auto s = ctx.stats();
@@ -204,8 +206,10 @@ TEST(Context, PackedLruEvicts) {
   opts.packed_capacity = 1;
   Context ctx(opts);
   Problem p1(16, 20, 12, 1), p2(24, 28, 16, 5);
-  ctx.gemm_const_b(p1.a.view(), p1.b.view(), p1.c.view(), overwrite());
-  ctx.gemm_const_b(p2.a.view(), p2.b.view(), p2.c.view(), overwrite());
+  ASSERT_TRUE(
+      ctx.run_const_b(p1.a.view(), p1.b.view(), p1.c.view(), overwrite()).ok());
+  ASSERT_TRUE(
+      ctx.run_const_b(p2.a.view(), p2.b.view(), p2.c.view(), overwrite()).ok());
   EXPECT_EQ(ctx.stats().packed_evictions, 1u);
   EXPECT_EQ(ctx.packed_cache_size(), 1u);
   EXPECT_LT(p1.error(), testutil::gemm_tolerance(p1.k_depth));
@@ -219,7 +223,7 @@ TEST(Context, NonCanonicalParamsBypassPackedCache) {
   Problem p(16, 16, 16);
   GemmExParams params = overwrite();
   params.alpha = 2.0f;  // cached packing requires alpha == 1
-  ctx.gemm_const_b(p.a.view(), p.b.view(), p.c.view(), params);
+  ASSERT_TRUE(ctx.run_const_b(p.a.view(), p.b.view(), p.c.view(), params).ok());
   EXPECT_EQ(ctx.packed_cache_size(), 0u);
   Matrix ref(16, 16);
   common::reference_gemm(p.a.view(), p.b.view(), ref.view());
@@ -237,12 +241,12 @@ TEST(Context, GemmBatchedSharesPlanCache) {
   std::vector<BatchItem> items{{p1.a.view(), p1.b.view(), p1.c.view()},
                                {p2.a.view(), p2.b.view(), p2.c.view()},
                                {p3.a.view(), p3.b.view(), p3.c.view()}};
-  ctx.gemm_batched(items);
+  ASSERT_TRUE(ctx.run_batched(items).ok());
   EXPECT_LT(p1.error(), testutil::gemm_tolerance(p1.k_depth));
   EXPECT_LT(p2.error(), testutil::gemm_tolerance(p2.k_depth));
   EXPECT_LT(p3.error(), testutil::gemm_tolerance(p3.k_depth));
   EXPECT_EQ(ctx.stats().plan_misses, 2u);  // two distinct shapes
-  ctx.gemm_batched(items);  // all plans cached now
+  ASSERT_TRUE(ctx.run_batched(items).ok());  // all plans cached now
   EXPECT_EQ(ctx.stats().plan_misses, 2u);
 }
 
@@ -251,7 +255,8 @@ TEST(Context, ClearDropsCaches) {
   opts.threads = 1;
   Context ctx(opts);
   Problem p(16, 16, 16);
-  ctx.gemm_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(
+      ctx.run_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_GT(ctx.plan_cache_size(), 0u);
   EXPECT_GT(ctx.packed_cache_size(), 0u);
   ctx.clear();
@@ -270,7 +275,8 @@ TEST(Context, ConcurrentCallersSameShape) {
     threads.emplace_back([&, t] {
       Problem p(40, 48, 32, static_cast<unsigned>(t + 1));
       for (int i = 0; i < kIters; ++i)
-        ctx.gemm(p.a.view(), p.b.view(), p.c.view(), overwrite());
+        EXPECT_TRUE(
+            ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
       errors[t] = p.error();
     });
   }
@@ -292,7 +298,9 @@ TEST(Context, ConcurrentCallersDistinctShapes) {
       Problem p(24 + 8 * t, 30 + 5 * t, 16 + 4 * t,
                 static_cast<unsigned>(t + 1));
       for (int i = 0; i < kIters; ++i)
-        ctx.gemm_const_b(p.a.view(), p.b.view(), p.c.view(), overwrite());
+        EXPECT_TRUE(ctx.run_const_b(p.a.view(), p.b.view(), p.c.view(),
+                                    overwrite())
+                        .ok());
       errors[t] = p.error();
     });
   }
@@ -304,42 +312,6 @@ TEST(Context, ConcurrentCallersDistinctShapes) {
   EXPECT_EQ(ctx.packed_cache_size(), kThreads);
 }
 
-TEST(Context, LastErrorIsPerThread) {
-  // last_error() is documented per-thread: a failing run() on one thread
-  // must never clobber the error another thread is about to read. Each
-  // thread alternates a thread-unique validation failure (inner dimension
-  // t+1 vs t+2 — the message embeds both) with a successful call on a
-  // shared shape, then checks it reads back its *own* message.
-  ContextOptions opts;
-  opts.threads = 1;
-  Context ctx(opts);
-  constexpr int kThreads = 8, kIters = 16;
-  std::vector<std::thread> threads;
-  std::vector<int> mismatches(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Problem good(32, 32, 24, static_cast<unsigned>(t + 1));
-      Matrix bad_a(4, t + 1), bad_b(t + 2, 4), bad_c(4, 4);
-      const std::string want = "op(A) is 4x" + std::to_string(t + 1);
-      for (int i = 0; i < kIters; ++i) {
-        ctx.gemm(bad_a.view(), bad_b.view(), bad_c.view());
-        // Interleave successful work from all threads through the same
-        // context so the error slots see maximum cross-thread traffic.
-        ctx.gemm(good.a.view(), good.b.view(), good.c.view(), overwrite());
-        const Status err = ctx.last_error();
-        if (err.ok() || err.message().find(want) == std::string::npos)
-          ++mismatches[t];
-        ctx.gemm(bad_a.view(), bad_b.view(), bad_c.view());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t)
-    EXPECT_EQ(mismatches[t], 0) << "thread " << t << " read a foreign error";
-  // The process-wide channel still reports *some* failure.
-  EXPECT_FALSE(ctx.health().last_error.ok());
-}
-
 TEST(Context, PublishRecordRepublishesIntoLivePlans) {
   // The stale-plan regression: before publish_record/invalidate_plan, a
   // record added after a shape's first use was invisible forever — the
@@ -349,7 +321,7 @@ TEST(Context, PublishRecordRepublishesIntoLivePlans) {
   opts.threads = 1;
   Context ctx(opts);
   Problem p(64, 48, 32);
-  ctx.gemm(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
   ASSERT_EQ(ctx.stats().resolved_heuristic, 1u);
   ASSERT_FALSE(ctx.has_exact_record(64, 48, 32));
@@ -362,7 +334,7 @@ TEST(Context, PublishRecordRepublishesIntoLivePlans) {
   EXPECT_EQ(ctx.stats().plan_invalidations, 1u);
 
   // Next call re-resolves exact and *executes* the tuned blocking.
-  ctx.gemm(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
   EXPECT_EQ(ctx.stats().resolved_exact, 1u);
   auto plan = ctx.plan_for(64, 48, 32);
@@ -414,73 +386,52 @@ TEST(Context, PublishRefreshesNearestNeighborViaGeneration) {
   EXPECT_EQ(ctx.stats().plan_invalidations, 0u);
 }
 
-TEST(Context, ThreadErrorSlotsSweptOnContextDestruction) {
-  // The last_error side-table leak: per-(thread, context) error slots
-  // must die with the context, not accrete for the thread's lifetime.
-  const std::size_t before = Context::thread_error_slots();
-  {
-    ContextOptions opts;
-    opts.threads = 1;
-    Context ctx(opts);
-    Matrix bad_a(4, 3), bad_b(5, 4), bad_c(4, 4);
-    ctx.gemm(bad_a.view(), bad_b.view(), bad_c.view());
-    EXPECT_FALSE(ctx.last_error().ok());
-    EXPECT_EQ(Context::thread_error_slots(), before + 1);
-  }
-  EXPECT_EQ(Context::thread_error_slots(), before);
-}
-
-TEST(Context, ContextChurnDoesNotLeakThreadErrorSlots) {
-  // 64 short-lived contexts on one long-lived thread (the serve/bench
-  // pattern): the thread's map must not grow by one dead slot each.
-  const std::size_t before = Context::thread_error_slots();
-  for (int i = 0; i < 64; ++i) {
-    ContextOptions opts;
-    opts.threads = 1;
-    Context ctx(opts);
-    Matrix bad_a(4, 3), bad_b(5, 4), bad_c(4, 4);
-    ctx.gemm(bad_a.view(), bad_b.view(), bad_c.view());
-    EXPECT_FALSE(ctx.last_error().ok());
-  }
-  EXPECT_EQ(Context::thread_error_slots(), before);
-}
-
-TEST(Context, ThreadErrorSlotsSweptAcrossLiveThreads) {
-  // Destroying a context on the main thread must erase the slot a
-  // *still-running* worker thread created — the sweep walks every
-  // registered thread map, not just the destroying thread's.
-  const std::size_t before = Context::thread_error_slots();
+TEST(Context, ConstBPackingFollowsEachPlansBlocking) {
+  // A packed B's layout depends on the (kc, nc) blocking it was built
+  // for; the packed cache must never hand it to a plan that blocks B
+  // differently.
   ContextOptions opts;
   opts.threads = 1;
-  auto ctx = std::make_unique<Context>(opts);
-  std::mutex mu;
-  std::condition_variable cv;
-  int stage = 0;
-  std::thread worker([&] {
-    Matrix bad_a(4, 3), bad_b(5, 4), bad_c(4, 4);
-    ctx->gemm(bad_a.view(), bad_b.view(), bad_c.view());
-    EXPECT_FALSE(ctx->last_error().ok());
-    {
-      std::lock_guard lock(mu);
-      stage = 1;
-    }
-    cv.notify_all();
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return stage == 2; });
-  });
+  const tune::Candidate tuned{16, 64, 96, LoopOrder::kNKM,
+                              kernels::Packing::kOffline};
+  const auto check = [](const Matrix& a, const Matrix& b, const Matrix& c) {
+    Matrix ref(c.rows(), c.cols());
+    common::reference_gemm(a.view(), b.view(), ref.view());
+    EXPECT_LT(common::max_rel_error(c.view(), ref.view()),
+              testutil::gemm_tolerance(a.cols()));
+  };
+  Matrix b(300, 200), a1(1, 300), c1(1, 200), a48(48, 300), c48(48, 200);
+  common::fill_random(b.view(), 1);
+  common::fill_random(a1.view(), 2);
+  common::fill_random(a48.view(), 3);
+
+  // One B shared by M=1 (published record) and M=48 (heuristic plan).
   {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return stage == 1; });
+    Context ctx(opts);
+    ASSERT_TRUE(ctx.publish_record(1, 200, 300, tuned, 1.0));
+    const GemmConfig small = ctx.plan_for(1, 200, 300)->config();
+    const GemmConfig large = ctx.plan_for(48, 200, 300)->config();
+    ASSERT_TRUE(small.kc != large.kc || small.nc != large.nc);
+    ASSERT_TRUE(ctx.run_const_b(a1.view(), b.view(), c1.view(), overwrite())
+                    .ok());
+    check(a1, b, c1);
+    ASSERT_TRUE(ctx.run_const_b(a48.view(), b.view(), c48.view(), overwrite())
+                    .ok());
+    check(a48, b, c48);
   }
-  EXPECT_EQ(Context::thread_error_slots(), before + 1);
-  ctx.reset();  // worker is alive and parked; its slot must still vanish
-  EXPECT_EQ(Context::thread_error_slots(), before);
+
+  // A record published after B was packed changes the shape's blocking.
   {
-    std::lock_guard lock(mu);
-    stage = 2;
+    Context ctx(opts);
+    ASSERT_TRUE(ctx.run_const_b(a48.view(), b.view(), c48.view(), overwrite())
+                    .ok());
+    check(a48, b, c48);
+    ASSERT_TRUE(ctx.publish_record(48, 200, 300, tuned, 1.0));
+    ASSERT_EQ(ctx.plan_for(48, 200, 300)->config().kc, 96);
+    ASSERT_TRUE(ctx.run_const_b(a48.view(), b.view(), c48.view(), overwrite())
+                    .ok());
+    check(a48, b, c48);
   }
-  cv.notify_all();
-  worker.join();
 }
 
 TEST(Context, ShapeLabelCapIsConfigurable) {
@@ -492,16 +443,16 @@ TEST(Context, ShapeLabelCapIsConfigurable) {
   EXPECT_EQ(shape_label_cap(), 0u);
   obs::Registry& reg = obs::default_registry();
   obs::Histogram& other =
-      reg.histogram("autogemm_gemm_seconds{shape=\"other\"}");
-  obs::Histogram& dedicated =
-      reg.histogram("autogemm_gemm_seconds{shape=\"991x7x3\"}");
+      reg.histogram("autogemm_gemm_seconds{shape=\"other\",dtype=\"f32\"}");
+  obs::Histogram& dedicated = reg.histogram(
+      "autogemm_gemm_seconds{shape=\"991x7x3\",dtype=\"f32\"}");
   const std::uint64_t other_before = other.snapshot().count;
   const std::uint64_t dedicated_before = dedicated.snapshot().count;
   ContextOptions opts;
   opts.threads = 1;
   Context ctx(opts);
   Problem p(991, 7, 3);
-  ctx.gemm(p.a.view(), p.b.view(), p.c.view(), overwrite());
+  ASSERT_TRUE(ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
   EXPECT_GT(other.snapshot().count, other_before);
   EXPECT_EQ(dedicated.snapshot().count, dedicated_before);
@@ -525,8 +476,9 @@ TEST(Sgemm, RowMajorBlasShim) {
         acc += static_cast<double>(a.at(r, p)) * b.at(p, j);
       c_ref.at(r, j) = static_cast<float>(1.5 * acc + 0.5 * c_ref.at(r, j));
     }
-  sgemm('N', 'N', m, n, k, 1.5f, a.data(), a.ld(), b.data(), b.ld(), 0.5f,
-        c.data(), c.ld());
+  ASSERT_TRUE(sgemm('N', 'N', m, n, k, 1.5f, a.data(), a.ld(), b.data(),
+                    b.ld(), 0.5f, c.data(), c.ld())
+                  .ok());
   EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
             testutil::gemm_tolerance(k));
 }
@@ -543,17 +495,18 @@ TEST(Sgemm, TransposedOperands) {
         acc += static_cast<double>(a.at(p, r)) * b.at(j, p);
       c_ref.at(r, j) = static_cast<float>(acc);
     }
-  sgemm('T', 'T', m, n, k, 1.0f, a.data(), a.ld(), b.data(), b.ld(), 0.0f,
-        c.data(), c.ld());
+  ASSERT_TRUE(sgemm('T', 'T', m, n, k, 1.0f, a.data(), a.ld(), b.data(),
+                    b.ld(), 0.0f, c.data(), c.ld())
+                  .ok());
   EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
             testutil::gemm_tolerance(k));
 }
 
 TEST(Sgemm, RejectsBadArguments) {
   float x = 0;
-  EXPECT_THROW(sgemm('q', 'N', 1, 1, 1, 1.0f, &x, 1, &x, 1, 0.0f, &x, 1),
+  EXPECT_THROW((void)sgemm('q', 'N', 1, 1, 1, 1.0f, &x, 1, &x, 1, 0.0f, &x, 1),
                std::invalid_argument);
-  EXPECT_THROW(sgemm('N', 'N', 2, 2, 2, 1.0f, &x, 1, &x, 2, 0.0f, &x, 2),
+  EXPECT_THROW((void)sgemm('N', 'N', 2, 2, 2, 1.0f, &x, 1, &x, 2, 0.0f, &x, 2),
                std::invalid_argument);  // lda < k
 }
 

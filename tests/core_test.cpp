@@ -34,7 +34,7 @@ struct Problem {
 
 TEST(Gemm, ConvenienceOverloadSmallSquare) {
   Problem p(64, 64, 64);
-  gemm(p.a.view(), p.b.view(), p.c.view());
+  ASSERT_TRUE(gemm(p.a.view(), p.b.view(), p.c.view()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
 }
 
@@ -44,7 +44,7 @@ TEST(Gemm, OverwriteZeroesFirst) {
   common::fill_random(b.view(), 2);
   common::fill_random(c.view(), 99);  // garbage that must be discarded
   common::reference_gemm(a.view(), b.view(), c_ref.view());
-  gemm_overwrite(a.view(), b.view(), c.view());
+  ASSERT_TRUE(gemm_overwrite(a.view(), b.view(), c.view()).ok());
   EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
             testutil::gemm_tolerance(8));
 }
@@ -113,7 +113,7 @@ TEST_P(GemmShapeSweep, MatchesReference) {
   SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
                std::to_string(s.k));
   Problem p(s.m, s.n, s.k);
-  gemm(p.a.view(), p.b.view(), p.c.view());
+  ASSERT_TRUE(gemm(p.a.view(), p.b.view(), p.c.view()).ok());
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
 }
 
@@ -174,7 +174,7 @@ TEST(Gemm, PaddedLeadingDimensions) {
   for (int r = 0; r < m; ++r)
     for (int j = 0; j < n; ++j) c_ref.at(r, j) = c.at(r, j);
   common::reference_gemm(a.view(), b.view(), c_ref.view());
-  gemm(a.view(), b.view(), c.view());
+  ASSERT_TRUE(gemm(a.view(), b.view(), c.view()).ok());
   EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
             testutil::gemm_tolerance(k));
 }

@@ -131,6 +131,20 @@ TEST(Graph, ShapeMismatchThrows) {
   EXPECT_THROW(net.run(wrong, naive_backend()), std::invalid_argument);
 }
 
+TEST(Graph, BackendsThrowOnRejectedGemm) {
+  // A GEMM the library rejects (here: C is 3x4, op(A)*op(B) is 4x4) must
+  // surface as an exception, as Conv/FC's batched path already does,
+  // never as a silently skipped layer.
+  common::Matrix a(4, 4), b(4, 4), c(3, 4);
+  ContextOptions opts;
+  opts.threads = 1;
+  Context ctx(opts);
+  EXPECT_THROW(context_backend(ctx)(a.view(), b.view(), c.view()),
+               std::runtime_error);
+  EXPECT_THROW(autogemm_backend()(a.view(), b.view(), c.view()),
+               std::runtime_error);
+}
+
 TEST(Graph, MaxPoolAndRelu) {
   Tensor t(1, 2, 2);
   t.at(0, 0, 0) = -1;

@@ -150,7 +150,7 @@ TEST_F(Failpoints, WorkerFaultRetiresPoolAndSubsequentCallsRunSerial) {
   // A worker died mid-region: C is unspecified for this call, the Status
   // says so, and the pool is retired.
   EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_EQ(ctx.last_error().code(), StatusCode::kInternal);
+  EXPECT_EQ(ctx.health().last_error.code(), StatusCode::kInternal);
   EXPECT_GE(failpoint::hits("threadpool.worker"), 1);
   EXPECT_TRUE(ctx.health().pool_degraded);
   EXPECT_EQ(ctx.pool(), nullptr);  // quarantined

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "backend/backend.hpp"
 #include "common/matrix.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
@@ -15,6 +16,11 @@ namespace autogemm::kernels {
 namespace {
 
 using common::Matrix;
+
+MicroKernelFn neon_kernel(int mr, int nr) {
+  return backend::get_backend(backend::BackendId::kNeon)
+      .find_microkernel(mr, nr);
+}
 
 void check_tile(int mr, int nr, int kc) {
   SCOPED_TRACE("tile " + std::to_string(mr) + "x" + std::to_string(nr) +
@@ -39,7 +45,7 @@ class DispatchSweep : public ::testing::TestWithParam<TileCase> {};
 
 TEST_P(DispatchSweep, SpecializedKernelMatchesReference) {
   const auto [mr, nr] = GetParam();
-  ASSERT_NE(find_microkernel(mr, nr), nullptr);
+  ASSERT_NE(neon_kernel(mr, nr), nullptr);
   for (int kc : {1, 5, 16, 33}) check_tile(mr, nr, kc);
 }
 
@@ -47,7 +53,7 @@ std::vector<TileCase> table_cases() {
   std::vector<TileCase> cases;
   for (int mr = 1; mr <= 8; ++mr)
     for (int nr = 4; nr <= 28; nr += 4)
-      if (find_microkernel(mr, nr) != nullptr) cases.push_back({mr, nr});
+      if (neon_kernel(mr, nr) != nullptr) cases.push_back({mr, nr});
   cases.push_back({5, 64});  // SVE-width shape
   cases.push_back({8, 32});
   return cases;
@@ -57,9 +63,9 @@ INSTANTIATE_TEST_SUITE_P(Table, DispatchSweep,
                          ::testing::ValuesIn(table_cases()));
 
 TEST(Dispatch, UnknownShapeReturnsNull) {
-  EXPECT_EQ(find_microkernel(5, 20), nullptr);  // infeasible in Table II
-  EXPECT_EQ(find_microkernel(0, 4), nullptr);
-  EXPECT_EQ(find_microkernel(3, 7), nullptr);
+  EXPECT_EQ(neon_kernel(5, 20), nullptr);  // infeasible in Table II
+  EXPECT_EQ(neon_kernel(0, 4), nullptr);
+  EXPECT_EQ(neon_kernel(3, 7), nullptr);
 }
 
 TEST(Dispatch, GenericFallbackForOddShapes) {
@@ -71,10 +77,10 @@ TEST(Dispatch, GenericFallbackForOddShapes) {
 }
 
 TEST(Dispatch, TableCoversPreferredTiles) {
-  EXPECT_NE(find_microkernel(8, 8), nullptr);
-  EXPECT_NE(find_microkernel(6, 12), nullptr);
-  EXPECT_NE(find_microkernel(5, 16), nullptr);
-  EXPECT_NE(find_microkernel(4, 20), nullptr);
+  EXPECT_NE(neon_kernel(8, 8), nullptr);
+  EXPECT_NE(neon_kernel(6, 12), nullptr);
+  EXPECT_NE(neon_kernel(5, 16), nullptr);
+  EXPECT_NE(neon_kernel(4, 20), nullptr);
 }
 
 TEST(Generic, StridedViews) {

@@ -306,8 +306,7 @@ TEST(ContextStrategy, CountersAndHealthReflectChoices) {
   Matrix a(m, k), b(k, n), c(m, n);
   common::fill_random(a.view(), 1);
   common::fill_random(b.view(), 2);
-  ctx.gemm(a.view(), b.view(), c.view());
-  EXPECT_TRUE(ctx.last_error().ok());
+  ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
   EXPECT_GE(ctx.stats().strategy_ksplit, 1u);
   EXPECT_EQ(ctx.health().last_parallel_strategy, "k-split");
 }
@@ -324,8 +323,7 @@ TEST(ContextStrategy, TunedRecordStrategySurvivesResolution) {
   Matrix a(128, 128), b(128, 128), c(128, 128);
   common::fill_random(a.view(), 5);
   common::fill_random(b.view(), 6);
-  ctx.gemm(a.view(), b.view(), c.view());
-  EXPECT_TRUE(ctx.last_error().ok());
+  ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
   EXPECT_GE(ctx.stats().strategy_blocks, 1u);
   EXPECT_EQ(ctx.health().last_parallel_strategy, "blocks-only");
 }
@@ -339,8 +337,7 @@ TEST(ContextStrategy, OptionOverrideForcesBlocksOnly) {
   Matrix a(m, k), b(k, n), c(m, n);
   common::fill_random(a.view(), 8);
   common::fill_random(b.view(), 9);
-  ctx.gemm(a.view(), b.view(), c.view());
-  EXPECT_TRUE(ctx.last_error().ok());
+  ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
   EXPECT_GE(ctx.stats().strategy_blocks, 1u);
   EXPECT_EQ(ctx.stats().strategy_ksplit, 0u);
   EXPECT_EQ(ctx.health().last_parallel_strategy, "blocks-only");
@@ -353,8 +350,7 @@ TEST(ContextStrategy, SerialContextCountsSerial) {
   Matrix a(16, 16), b(16, 16), c(16, 16);
   common::fill_random(a.view(), 11);
   common::fill_random(b.view(), 12);
-  ctx.gemm(a.view(), b.view(), c.view());
-  EXPECT_TRUE(ctx.last_error().ok());
+  ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
   EXPECT_GE(ctx.stats().strategy_serial, 1u);
   EXPECT_EQ(ctx.health().last_parallel_strategy, "serial");
 }

@@ -50,128 +50,186 @@ class Robustness : public ::testing::Test {
   void TearDown() override { failpoint::disarm_all(); }
 };
 
+/// The retained single-call entry points, so each validation and
+/// degenerate-shape test covers all of them. run_const_b_i8 takes only
+/// alpha and beta; its operands are always canonical.
+struct EntryPoint {
+  const char* name;
+  Status (*call)(Context&, ConstMatrixView, ConstMatrixView, MatrixView,
+                 const GemmExParams&);
+};
+
+const EntryPoint kEntryPoints[] = {
+    {"run",
+     [](Context& ctx, ConstMatrixView a, ConstMatrixView b, MatrixView c,
+        const GemmExParams& p) { return ctx.run(a, b, c, p); }},
+    {"run_const_a",
+     [](Context& ctx, ConstMatrixView a, ConstMatrixView b, MatrixView c,
+        const GemmExParams& p) { return ctx.run_const_a(a, b, c, p); }},
+    {"run_const_b",
+     [](Context& ctx, ConstMatrixView a, ConstMatrixView b, MatrixView c,
+        const GemmExParams& p) { return ctx.run_const_b(a, b, c, p); }},
+    {"run_const_b_i8",
+     [](Context& ctx, ConstMatrixView a, ConstMatrixView b, MatrixView c,
+        const GemmExParams& p) {
+       return ctx.run_const_b_i8(a, b, c, p.alpha, p.beta);
+     }},
+};
+
 // ---------------------------------------------------------------- validation
 
 TEST_F(Robustness, NonFiniteScalarsRejectedBeforeAnyWrite) {
-  Context ctx(serial_opts());
-  Matrix a(4, 4), b(4, 4), c(4, 4);
-  common::fill_random(a.view(), 1);
-  common::fill_random(b.view(), 2);
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 4; ++j) c.at(i, j) = 7.0f;
+  for (const EntryPoint& ep : kEntryPoints) {
+    SCOPED_TRACE(ep.name);
+    Context ctx(serial_opts());
+    Matrix a(4, 4), b(4, 4), c(4, 4);
+    common::fill_random(a.view(), 1);
+    common::fill_random(b.view(), 2);
+    for (int i = 0; i < 4; ++i)
+      for (int j = 0; j < 4; ++j) c.at(i, j) = 7.0f;
 
-  GemmExParams p;
-  p.alpha = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_EQ(ctx.run(a.view(), b.view(), c.view(), p).code(),
-            StatusCode::kInvalidArgument);
-  p.alpha = 1.0f;
-  p.beta = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(ctx.run(a.view(), b.view(), c.view(), p).code(),
-            StatusCode::kInvalidArgument);
-  // C must be untouched on a validation failure.
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 4; ++j) EXPECT_EQ(c.at(i, j), 7.0f);
+    GemmExParams p;
+    p.alpha = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(ep.call(ctx, a.view(), b.view(), c.view(), p).code(),
+              StatusCode::kInvalidArgument);
+    p.alpha = 1.0f;
+    p.beta = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(ep.call(ctx, a.view(), b.view(), c.view(), p).code(),
+              StatusCode::kInvalidArgument);
+    // C must be untouched on a validation failure.
+    for (int i = 0; i < 4; ++i)
+      for (int j = 0; j < 4; ++j) EXPECT_EQ(c.at(i, j), 7.0f);
+  }
 }
 
 TEST_F(Robustness, StructurallyBrokenViewsRejected) {
-  Context ctx(serial_opts());
-  Matrix a(4, 4), b(4, 4), c(4, 4);
-  common::fill_random(a.view(), 1);
-  common::fill_random(b.view(), 2);
+  for (const EntryPoint& ep : kEntryPoints) {
+    SCOPED_TRACE(ep.name);
+    Context ctx(serial_opts());
+    Matrix a(4, 4), b(4, 4), c(4, 4);
+    common::fill_random(a.view(), 1);
+    common::fill_random(b.view(), 2);
 
-  // Negative dimension.
-  EXPECT_EQ(ctx.run(ConstMatrixView{a.data(), -1, 4, 4}, b.view(), c.view())
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Null data with nonzero extent.
-  EXPECT_EQ(
-      ctx.run(ConstMatrixView{nullptr, 4, 4, 4}, b.view(), c.view()).code(),
-      StatusCode::kInvalidArgument);
-  // Leading dimension below the row width.
-  EXPECT_EQ(
-      ctx.run(ConstMatrixView{a.data(), 4, 4, 2}, b.view(), c.view()).code(),
-      StatusCode::kInvalidArgument);
+    // Negative dimension.
+    EXPECT_EQ(
+        ep.call(ctx, ConstMatrixView{a.data(), -1, 4, 4}, b.view(), c.view(),
+                {})
+            .code(),
+        StatusCode::kInvalidArgument);
+    // Null data with nonzero extent.
+    EXPECT_EQ(ep.call(ctx, ConstMatrixView{nullptr, 4, 4, 4}, b.view(),
+                      c.view(), {})
+                  .code(),
+              StatusCode::kInvalidArgument);
+    // Leading dimension below the row width.
+    EXPECT_EQ(ep.call(ctx, ConstMatrixView{a.data(), 4, 4, 2}, b.view(),
+                      c.view(), {})
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(Robustness, ShapeDisagreementsRejected) {
-  Context ctx(serial_opts());
-  Matrix a(4, 3), b(4, 4), c(4, 4);  // inner dims 3 vs 4
-  EXPECT_EQ(ctx.run(a.view(), b.view(), c.view()).code(),
-            StatusCode::kInvalidArgument);
-  Matrix a2(4, 4), c_bad(3, 4);  // op(A)*op(B) is 4x4, C is 3x4
-  EXPECT_EQ(ctx.run(a2.view(), b.view(), c_bad.view()).code(),
-            StatusCode::kInvalidArgument);
+  for (const EntryPoint& ep : kEntryPoints) {
+    SCOPED_TRACE(ep.name);
+    Context ctx(serial_opts());
+    Matrix a(4, 3), b(4, 4), c(4, 4);  // inner dims 3 vs 4
+    EXPECT_EQ(ep.call(ctx, a.view(), b.view(), c.view(), {}).code(),
+              StatusCode::kInvalidArgument);
+    Matrix a2(4, 4), c_bad(3, 4);  // op(A)*op(B) is 4x4, C is 3x4
+    EXPECT_EQ(ep.call(ctx, a2.view(), b.view(), c_bad.view(), {}).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(Robustness, AliasedOutputRejected) {
-  Context ctx(serial_opts());
-  Matrix a(4, 4), b(4, 4);
-  // C sharing A's storage is in-place GEMM; the executor would read
-  // partially overwritten operand data.
-  MatrixView c_alias{a.data(), 4, 4, 4};
-  EXPECT_EQ(ctx.run(a.view(), b.view(), c_alias).code(),
-            StatusCode::kInvalidArgument);
+  for (const EntryPoint& ep : kEntryPoints) {
+    SCOPED_TRACE(ep.name);
+    Context ctx(serial_opts());
+    Matrix a(4, 4), b(4, 4);
+    // C sharing A's storage is in-place GEMM; the executor would read
+    // partially overwritten operand data.
+    MatrixView c_alias{a.data(), 4, 4, 4};
+    EXPECT_EQ(ep.call(ctx, a.view(), b.view(), c_alias, {}).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
-TEST_F(Robustness, VoidApiRecordsQueryableLastError) {
-  Context ctx(serial_opts());
-  EXPECT_TRUE(ctx.last_error().ok());
+TEST_F(Robustness, FreeFunctionsReturnStatus) {
+  // The free functions forward default_context().run()'s Status: a
+  // rejected call reports why instead of failing silently.
   Matrix a(4, 4), b(4, 4);
   MatrixView c_alias{a.data(), 4, 4, 4};
-  ctx.gemm(a.view(), b.view(), c_alias);  // legacy API: no throw, no crash
-  EXPECT_EQ(ctx.last_error().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(ctx.last_error().message().empty());
+  const Status s = gemm(a.view(), b.view(), c_alias);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(s.message().empty());
+  EXPECT_EQ(gemm_overwrite(a.view(), b.view(), c_alias).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(gemm_ex(a.view(), b.view(), c_alias).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sgemm('N', 'N', 4, 4, 4, 1.0f, a.data(), 4, b.data(), 4, 1.0f,
+                  a.data(), 4)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------------------------- degenerate shapes
 
 TEST_F(Robustness, EmptyOutputIsAnOkNoop) {
-  Context ctx(serial_opts());
-  Matrix b(5, 7);
-  common::fill_random(b.view(), 3);
-  // M == 0: op(A) is 0x5, C is 0x7 — nothing to compute, nothing to write.
-  EXPECT_TRUE(ctx.run(ConstMatrixView{nullptr, 0, 5, 5}, b.view(),
-                      MatrixView{nullptr, 0, 7, 7})
-                  .ok());
-  // N == 0.
-  Matrix a(4, 5);
-  EXPECT_TRUE(ctx.run(a.view(), ConstMatrixView{nullptr, 5, 0, 0},
-                      MatrixView{nullptr, 4, 0, 0})
-                  .ok());
-  EXPECT_TRUE(ctx.last_error().ok());
+  for (const EntryPoint& ep : kEntryPoints) {
+    SCOPED_TRACE(ep.name);
+    Context ctx(serial_opts());
+    Matrix b(5, 7);
+    common::fill_random(b.view(), 3);
+    // M == 0: op(A) is 0x5, C is 0x7 — nothing to compute, nothing to
+    // write.
+    EXPECT_TRUE(ep.call(ctx, ConstMatrixView{nullptr, 0, 5, 5}, b.view(),
+                        MatrixView{nullptr, 0, 7, 7}, {})
+                    .ok());
+    // N == 0.
+    Matrix a(4, 5);
+    EXPECT_TRUE(ep.call(ctx, a.view(), ConstMatrixView{nullptr, 5, 0, 0},
+                        MatrixView{nullptr, 4, 0, 0}, {})
+                    .ok());
+    EXPECT_TRUE(ctx.health().last_error.ok());
+  }
 }
 
 TEST_F(Robustness, KZeroIsBetaScaleOfC) {
-  Context ctx(serial_opts());
-  Matrix c(3, 4);
-  for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 4; ++j) c.at(i, j) = 2.0f;
-  const ConstMatrixView a{nullptr, 3, 0, 0};
-  const ConstMatrixView b{nullptr, 0, 4, 4};
+  for (const EntryPoint& ep : kEntryPoints) {
+    SCOPED_TRACE(ep.name);
+    Context ctx(serial_opts());
+    Matrix c(3, 4);
+    for (int i = 0; i < 3; ++i)
+      for (int j = 0; j < 4; ++j) c.at(i, j) = 2.0f;
+    const ConstMatrixView a{nullptr, 3, 0, 0};
+    const ConstMatrixView b{nullptr, 0, 4, 4};
 
-  GemmExParams p;
-  p.beta = 0.5f;
-  EXPECT_TRUE(ctx.run(a, b, c.view(), p).ok());
-  for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 4; ++j) EXPECT_EQ(c.at(i, j), 1.0f);
+    GemmExParams p;
+    p.beta = 0.5f;
+    EXPECT_TRUE(ep.call(ctx, a, b, c.view(), p).ok());
+    for (int i = 0; i < 3; ++i)
+      for (int j = 0; j < 4; ++j) EXPECT_EQ(c.at(i, j), 1.0f);
 
-  // Default beta = 1: C untouched.
-  EXPECT_TRUE(ctx.run(a, b, c.view()).ok());
-  for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 4; ++j) EXPECT_EQ(c.at(i, j), 1.0f);
+    // Default beta = 1: C untouched.
+    EXPECT_TRUE(ep.call(ctx, a, b, c.view(), {}).ok());
+    for (int i = 0; i < 3; ++i)
+      for (int j = 0; j < 4; ++j) EXPECT_EQ(c.at(i, j), 1.0f);
 
-  // beta = 0 stores zeros (without reading C).
-  EXPECT_TRUE(ctx.run(a, b, c.view(), overwrite()).ok());
-  for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 4; ++j) EXPECT_EQ(c.at(i, j), 0.0f);
+    // beta = 0 stores zeros (without reading C).
+    EXPECT_TRUE(ep.call(ctx, a, b, c.view(), overwrite()).ok());
+    for (int i = 0; i < 3; ++i)
+      for (int j = 0; j < 4; ++j) EXPECT_EQ(c.at(i, j), 0.0f);
+  }
 }
 
 TEST_F(Robustness, SgemmShimHandlesKZero) {
   // The BLAS-compatible shim routes through Context::run, so a K = 0 call
   // beta-scales C instead of falling into plan construction.
   std::vector<float> c(4, 2.0f);
-  sgemm('N', 'N', 2, 2, /*k=*/0, 1.0f, nullptr, 0, nullptr, 2, 0.5f,
-        c.data(), 2);
+  EXPECT_TRUE(sgemm('N', 'N', 2, 2, /*k=*/0, 1.0f, nullptr, 0, nullptr, 2,
+                    0.5f, c.data(), 2)
+                  .ok());
   for (float v : c) EXPECT_EQ(v, 1.0f);
 }
 

@@ -37,6 +37,9 @@
 # resolve through the env, so every registered tier serves the whole test
 # load), followed by the NEON vs simulated-SVE vs reference_gemm
 # crosscheck over an irregular-tile sweep (tools/autogemm crosscheck).
+# Last, it runs every workload of the repository benchmark
+# (perfbench/run.py) for two seconds, which compiles the benchmark driver
+# against the public entry points and fails on any correctness check.
 #
 # Every ctest invocation carries a per-test timeout: a test that hangs (the
 # exact failure mode the sim watchdogs and thread-pool hardening exist to
@@ -246,6 +249,13 @@ for config in "${configs[@]}"; do
         | tee build/quant_serve_bench.txt
       grep -Eq 'quant serve acceptance.*PASS' build/quant_serve_bench.txt
       cp build/bench_quant_serve.json BENCH_quant_serve.json
+      echo "==== [release] repository benchmark smoke (perfbench) ===="
+      # Builds the benchmark driver against the library's public entry
+      # points and runs each workload briefly; any failed correctness
+      # check makes run.py exit non-zero.
+      for workload in resnet50 gpt2_block serve_mixed; do
+        python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2
+      done
       ;;
     asan)
       run_config asan build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
