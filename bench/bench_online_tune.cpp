@@ -6,13 +6,13 @@
 // degenerate — exactly the serve traffic the online tuner exists for),
 // three legs, each reporting per-request submit-to-completion latency:
 //
-//   baseline    — engine without a tuner: the heuristic config forever.
-//   concurrent  — engine with the tuner enabled; traffic keeps flowing
+//   baseline    — fleet without a tuner: the heuristic config forever.
+//   concurrent  — fleet with the tuner enabled; traffic keeps flowing
 //                 while the tuner discovers the hot shape and runs its
 //                 budgeted wall-clock search beside the dispatcher. The
 //                 p99 of this leg against baseline is the "tuning does
 //                 not block serving" number.
-//   tuned       — same engine after the tuner settled (promoted or
+//   tuned       — same fleet after the tuner settled (promoted or
 //                 demoted): the steady state the process serves from
 //                 then on. speedup_p50 vs baseline is the payoff when a
 //                 searched config won; ~1.0 when the heuristic held.
@@ -21,6 +21,8 @@
 // outcome is host-dependent; the JSON reports promotions/demotions so a
 // reader can tell which story the numbers tell. The CI smoke asserts a
 // deterministic promotion through the CLI's model-cost path instead.
+// Every leg serves through a one-shard serve::ShardedEngine, the tuner's
+// owner.
 //
 //   build/bench/bench_online_tune [requests] [budget_ms]
 //                                 [--json-out F] [--warmup W]
@@ -33,7 +35,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/context.hpp"
-#include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "tune/online_tuner.hpp"
 
 namespace {
@@ -71,7 +73,7 @@ double percentile(std::vector<double> xs, double q) {
 }
 
 /// One closed-loop request: submit, wait, return seconds.
-double timed_request(serve::Engine& engine, RequestSet& reqs) {
+double timed_request(serve::ShardedEngine& engine, RequestSet& reqs) {
   const std::uint64_t t0 = common::now_ns();
   const Status s = engine.submit(reqs.request()).get();
   const double sec = static_cast<double>(common::now_ns() - t0) * 1e-9;
@@ -102,30 +104,29 @@ int main(int argc, char** argv) {
   RequestSet reqs;
 
   // --- baseline: no tuner, heuristic config forever -----------------
-  ContextOptions copts;
-  copts.threads = 1;
+  serve::ShardedEngineOptions sopts;
+  sopts.shards = 1;
+  sopts.context.threads = 1;
   std::vector<double> baseline;
   {
-    Context ctx(copts);
-    serve::Engine engine(ctx);
-    for (int i = 0; i < args.warmup; ++i) (void)timed_request(engine, reqs);
+    const auto engine = serve::ShardedEngine::create(sopts).value();
+    for (int i = 0; i < args.warmup; ++i) (void)timed_request(*engine, reqs);
     for (int i = 0; i < requests; ++i)
-      baseline.push_back(timed_request(engine, reqs));
-    engine.shutdown();
+      baseline.push_back(timed_request(*engine, reqs));
+    engine->shutdown();
   }
   subheader("baseline (heuristic)");
   std::printf("p50 %.2f us  p99 %.2f us\n", percentile(baseline, 0.5) * 1e6,
               percentile(baseline, 0.99) * 1e6);
 
   // --- concurrent: traffic while the tuner searches beside it -------
-  Context ctx(copts);
-  serve::EngineOptions eopts;
-  eopts.enable_online_tuner = true;
-  eopts.tuner.cycle_interval_ns = 10'000'000;  // 10 ms
-  eopts.tuner.min_requests = 8;
-  eopts.tuner.search_budget_ns =
+  sopts.enable_online_tuner = true;
+  sopts.tuner.cycle_interval_ns = 10'000'000;  // 10 ms
+  sopts.tuner.min_requests = 8;
+  sopts.tuner.search_budget_ns =
       static_cast<std::uint64_t>(budget_ms) * 1'000'000ull;
-  serve::Engine engine(ctx, eopts);
+  const auto fleet = serve::ShardedEngine::create(sopts).value();
+  serve::ShardedEngine& engine = *fleet;
   std::vector<double> concurrent;
   const std::uint64_t settle_deadline = common::now_ns() + 30'000'000'000ull;
   int sent = 0;

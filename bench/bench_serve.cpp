@@ -206,13 +206,9 @@ OpenResult run_open_loop(Context& ctx, RequestSet& reqs, double rate_rps) {
   opts.max_batch_delay_ns = 100'000;
   serve::Engine engine(ctx, opts);
 
-  obs::Registry& reg = obs::default_registry();
-  obs::Histogram& h_inter =
-      reg.histogram("autogemm_serve_queue_seconds{lane=\"interactive\"}");
-  obs::Histogram& h_bulk =
-      reg.histogram("autogemm_serve_queue_seconds{lane=\"bulk\"}");
-  const auto inter0 = h_inter.snapshot();
-  const auto bulk0 = h_bulk.snapshot();
+  // Queue latency over both lanes: the family total, before and after.
+  const obs::Registry& reg = obs::default_registry();
+  const auto queue0 = reg.histogram_total("autogemm_serve_queue_seconds");
 
   const double ns_per_req = 1e9 / rate_rps;
   std::vector<std::future<Status>> futures;
@@ -248,8 +244,8 @@ OpenResult run_open_loop(Context& ctx, RequestSet& reqs, double rate_rps) {
       default: ++r.errors; break;
     }
   }
-  obs::Histogram::Snapshot merged = diff(h_inter.snapshot(), inter0);
-  merged.merge(diff(h_bulk.snapshot(), bulk0));
+  const obs::Histogram::Snapshot merged =
+      diff(reg.histogram_total("autogemm_serve_queue_seconds"), queue0);
   r.queue_p50_us = merged.quantile(0.50) * 1e6;
   r.queue_p99_us = merged.quantile(0.99) * 1e6;
   r.accounting_clean = engine.stats().accounting_clean();

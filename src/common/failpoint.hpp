@@ -33,6 +33,8 @@
 //   verify.portable          Context's portable-kernel probe miscompares
 //   serve.queue_full         serve::Engine admission sees a full queue
 //   serve.spawn              serve::Engine dispatcher thread creation fails
+//   serve.monitor_spawn      serve::Engine supervision monitor thread
+//                            creation fails (unsupervised engine)
 //   serve.dispatcher_crash   serve::Engine dispatcher thread dies mid-loop
 //   serve.dispatcher_stall   serve::Engine dispatcher wedges (stops beating)
 //   serve.execute            serve::Engine dispatch fails a request before

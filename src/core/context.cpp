@@ -287,12 +287,7 @@ struct ObsHandles {
   obs::Counter* resolved_exact;
   obs::Counter* resolved_nearest;
   obs::Counter* resolved_heuristic;
-  obs::Counter* strategy_serial;
-  obs::Counter* strategy_blocks;
-  obs::Counter* strategy_ksplit;
-  obs::Counter* probes;
   obs::Counter* probe_failures;
-  obs::Histogram* gemm_seconds;
 };
 
 ObsHandles& obs_handles() {
@@ -318,25 +313,17 @@ ObsHandles& obs_handles() {
         &r.counter("autogemm_plan_resolved_total{source=\"nearest\"}");
     x.resolved_heuristic =
         &r.counter("autogemm_plan_resolved_total{source=\"heuristic\"}");
-    x.strategy_serial =
-        &r.counter("autogemm_strategy_total{strategy=\"serial\"}");
-    x.strategy_blocks =
-        &r.counter("autogemm_strategy_total{strategy=\"blocks\"}");
-    x.strategy_ksplit =
-        &r.counter("autogemm_strategy_total{strategy=\"ksplit\"}");
-    x.probes = &r.counter("autogemm_verify_probes_total");
     x.probe_failures = &r.counter("autogemm_verify_probe_failures_total");
-    x.gemm_seconds = &r.histogram("autogemm_gemm_seconds");
     return x;
   }();
   return h;
 }
 
-/// Backend-labeled series, alongside (never instead of) the unlabeled
-/// legacy counters above: autogemm_backend_dispatch_total{backend=...}
+/// Backend-labeled series: autogemm_backend_dispatch_total{backend=...}
 /// counts every plan-driven execution a context dispatches under a
-/// backend, and the strategy/probe counters gain backend-labeled twins so
-/// NEON and simulated-SVE traffic is separable in one process.
+/// backend, and the strategy/probe families carry the backend label so
+/// NEON and simulated-SVE traffic is separable in one process (read a
+/// family's total with obs::Registry::counter_total).
 struct BackendObs {
   obs::Counter* dispatch;
   obs::Counter* probes;
@@ -385,8 +372,8 @@ const char* health_kind_name(HealthEvent::Kind kind) {
 /// set_shape_label_cap contract in context.hpp): labels go to the first
 /// `cap` distinct shapes, first-come-first-served; later shapes share
 /// "other" so an adversarial shape stream cannot grow the registry without
-/// bound. The unlabeled autogemm_gemm_seconds histogram always sees every
-/// call. AUTOGEMM_SHAPE_LABEL_CAP overrides the default of 128.
+/// bound, and every call still lands in exactly one series of the family.
+/// AUTOGEMM_SHAPE_LABEL_CAP overrides the default of 128.
 std::atomic<std::size_t>& shape_label_cap_storage() {
   static std::atomic<std::size_t> cap{[]() -> std::size_t {
     if (const char* env = std::getenv("AUTOGEMM_SHAPE_LABEL_CAP")) {
@@ -502,7 +489,6 @@ Status Context::verify_config(const Plan& plan) {
   obs::SpanScope span("verify.probe",
                       static_cast<std::uint64_t>(plan.m()),
                       static_cast<std::uint64_t>(plan.n()));
-  obs_handles().probes->add(1);
   const GemmConfig& cfg = plan.config();
   backend_obs(cfg.backend).probes->add(1);
   {
@@ -714,24 +700,17 @@ std::shared_ptr<const Plan> Context::plan_for(int m, int n, int k) {
 
 void Context::note_strategy(bool serial, ParallelStrategy chosen) {
   const BackendObs& bo = backend_obs(backend_);
-  if (serial) {
-    obs_handles().strategy_serial->add(1);
-    bo.strategy_serial->add(1);
-  } else if (chosen == ParallelStrategy::kKSplit) {
-    obs_handles().strategy_ksplit->add(1);
-    bo.strategy_ksplit->add(1);
-  } else {
-    obs_handles().strategy_blocks->add(1);
-    bo.strategy_blocks->add(1);
-  }
   std::lock_guard lock(mu_);
   if (serial) {
+    bo.strategy_serial->add(1);
     ++stats_.strategy_serial;
     health_.last_parallel_strategy = "serial";
   } else if (chosen == ParallelStrategy::kKSplit) {
+    bo.strategy_ksplit->add(1);
     ++stats_.strategy_ksplit;
     health_.last_parallel_strategy = "k-split";
   } else {
+    bo.strategy_blocks->add(1);
     ++stats_.strategy_blocks;
     health_.last_parallel_strategy = "blocks-only";
   }
@@ -841,7 +820,6 @@ Status Context::execute(const Call& call) {
   if (f32) backend_obs(backend_).dispatch->add(1);
   h.calls->add(1);
   h.flops->add(flops);
-  h.gemm_seconds->observe(seconds);
   latency.observe(seconds);
   return record_error(s);
 }

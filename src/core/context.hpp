@@ -510,9 +510,10 @@ Context& default_context();
 /// online tuner ranks hot shapes from the serve engine's per-shape request
 /// accounting, never from these labels). Initialized from
 /// AUTOGEMM_SHAPE_LABEL_CAP (default 128); raising the cap at runtime
-/// admits new labels, lowering it never evicts already-assigned ones. The
-/// unlabeled autogemm_gemm_seconds histogram always sees every call
-/// regardless of the cap.
+/// admits new labels, lowering it never evicts already-assigned ones. Every
+/// call lands in exactly one series of the family, so the family total
+/// (obs::Registry::histogram_total) counts every call regardless of the
+/// cap.
 void set_shape_label_cap(std::size_t cap);
 std::size_t shape_label_cap();
 

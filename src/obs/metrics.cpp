@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace autogemm::obs {
@@ -129,6 +130,30 @@ std::string format_double(double v) {
   return buf;
 }
 
+/// Calls fn(metric) for every series of `family` carrying each whole
+/// `k="v"` label of `filter`. Series of one family are contiguous in the
+/// sorted map.
+template <typename Map, typename Fn>
+void for_each_series(const Map& series, const std::string& family,
+                     const std::string& filter, Fn fn) {
+  std::string base, labels;
+  for (auto it = series.lower_bound(family); it != series.end(); ++it) {
+    if (it->first.compare(0, family.size(), family) != 0) break;
+    split_labels(it->first, base, labels);
+    if (base != family) continue;  // a longer family sharing the prefix
+    const std::string have = "," + labels + ",";
+    bool match = true;
+    // Each filter label ends at a closing quote followed by ',' or the end.
+    for (std::size_t b = 0, e; match && b < filter.size(); b = e + 2) {
+      e = filter.find("\",", b);
+      if (e == std::string::npos) e = filter.size() - 1;
+      match = have.find("," + filter.substr(b, e + 1 - b) + ",") !=
+              std::string::npos;
+    }
+    if (match) fn(*it->second);
+  }
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -140,6 +165,35 @@ std::string json_escape(const std::string& s) {
 }
 
 }  // namespace
+
+std::uint64_t Registry::counter_total(const std::string& family,
+                                      const std::string& filter) const {
+  std::lock_guard lock(mu_);
+  std::uint64_t total = 0;
+  for_each_series(counters_, family, filter,
+                  [&](const Counter& c) { total += c.value(); });
+  return total;
+}
+
+double Registry::gauge_total(const std::string& family,
+                             const std::string& filter) const {
+  std::lock_guard lock(mu_);
+  double total = 0;
+  for_each_series(gauges_, family, filter,
+                  [&](const Gauge& g) { total += g.value(); });
+  return total;
+}
+
+Histogram::Snapshot Registry::histogram_total(const std::string& family,
+                                              const std::string& filter) const {
+  std::lock_guard lock(mu_);
+  std::optional<Histogram::Snapshot> total;
+  for_each_series(histograms_, family, filter, [&](const Histogram& h) {
+    if (total) total->merge(h.snapshot());
+    else total = h.snapshot();
+  });
+  return total.value_or(Histogram::Snapshot{});
+}
 
 std::string Registry::prometheus_text() const {
   std::lock_guard lock(mu_);

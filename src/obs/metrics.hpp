@@ -20,6 +20,11 @@
 // ("autogemm_gemm_seconds{shape=\"64x64x64\",dtype=\"f32\"}");
 // exporters keep it intact. Handles returned by the registry are stable
 // for the registry's lifetime — resolve once, increment forever.
+//
+// One family per metric: every instrumentation site increments exactly
+// one series, the most-labeled one. Totals are aggregated on read — by
+// the scraper from the exported series, or in-process by
+// Registry::*_total with an optional label filter.
 #pragma once
 
 #include <array>
@@ -124,6 +129,19 @@ class Registry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, double scale = 1e-6);
+
+  /// Family totals, aggregated on read: the sum over every series of
+  /// `family` (the name before any label block) whose labels include each
+  /// `k="v"` of `filter` — "" matches every series; several labels are
+  /// comma-separated in any order and match whole labels only (shard="1"
+  /// never matches shard="10" or xshard="1"). An absent family reads 0 (an
+  /// empty snapshot for histograms). Reads never create a series.
+  std::uint64_t counter_total(const std::string& family,
+                              const std::string& filter = "") const;
+  double gauge_total(const std::string& family,
+                     const std::string& filter = "") const;
+  Histogram::Snapshot histogram_total(const std::string& family,
+                                      const std::string& filter = "") const;
 
   std::size_t counter_count() const;
   std::size_t histogram_count() const;

@@ -175,17 +175,20 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
     }
   }
 
-  // --- engine + context, options drawn from the seed ---
-  ContextOptions copts;
-  copts.threads = 1;  // serial: the chaos is in the serving layer
+  // --- fleet + contexts, options drawn from the seed ---
+  // One front door for every fleet size: each worker gets the drawn
+  // EngineOptions (stealing at the router defaults), so a sharded seed
+  // stresses the same failure schedule through the router.
+  ShardedEngineOptions sopts;
+  sopts.shards = static_cast<std::size_t>(std::max(1, opts.shards));
+  sopts.context.threads = 1;  // serial: the chaos is in the serving layer
   if (rng.chance(0.3)) {
     // Starve the verification probes' interpreter budget: every generated
     // config trips the watchdog, quarantines, and the ladder lands on a
     // lower tier — correctness must survive that too.
-    copts.watchdog.probe_max_steps = 64;
+    sopts.context.watchdog.probe_max_steps = 64;
   }
-
-  EngineOptions eopts;
+  EngineOptions& eopts = sopts.worker;
   const std::size_t caps[] = {8, 16, 32};
   eopts.queue_capacity = caps[rng.below(3)];
   eopts.max_batch = rng.chance(0.5) ? 4 : 8;
@@ -202,40 +205,14 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
   eopts.breaker_cooldown_ns = 2'000'000;
   const double retry_buckets[] = {0.0, 16.0, 64.0};
   eopts.retry_budget_tokens = retry_buckets[rng.below(3)];
-
-  // Single-engine runs build a bare Engine; --shards N > 1 builds a
-  // ShardedEngine from the *same* seeded option draws (each worker gets
-  // the drawn EngineOptions, stealing at the router defaults), so a
-  // sharded seed stresses the same failure schedule through the router.
-  const int shard_count = std::max(1, opts.shards);
-  rep.shards = shard_count;
-  std::unique_ptr<Context> ctx;
-  std::unique_ptr<Engine> single;
-  std::unique_ptr<ShardedEngine> fleet;
-  if (shard_count > 1) {
-    ShardedEngineOptions sopts;
-    sopts.shards = static_cast<std::size_t>(shard_count);
-    sopts.context = copts;
-    sopts.worker = eopts;
-    auto made = ShardedEngine::create(sopts);
-    if (!made.ok()) {
-      rep.violations.push_back("sharded engine construction failed: " +
-                               made.status().to_string());
-      return rep;
-    }
-    fleet = std::move(made).value();
-  } else {
-    ctx = std::make_unique<Context>(copts);
-    single = std::make_unique<Engine>(*ctx, eopts);
+  rep.shards = static_cast<int>(sopts.shards);
+  auto made = ShardedEngine::create(sopts);
+  if (!made.ok()) {
+    rep.violations.push_back("engine construction failed: " +
+                             made.status().to_string());
+    return rep;
   }
-  const auto submit_future = [&](const GemmRequest& g) {
-    return fleet != nullptr ? fleet->submit(g) : single->submit(g);
-  };
-  const auto submit_retry = [&](const GemmRequest& g,
-                                const RetryPolicy& policy) {
-    return fleet != nullptr ? fleet->submit_with_retry(g, policy)
-                            : single->submit_with_retry(g, policy);
-  };
+  const std::unique_ptr<ShardedEngine> fleet = std::move(made).value();
 
   // --- controller: seeded failpoint schedule until the workload ends ---
   std::atomic<bool> workload_done{false};
@@ -288,10 +265,10 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
           policy.initial_backoff_ns = 50'000;
           policy.max_backoff_ns = 1'000'000;
           policy.seed = prng.next();
-          r.result = submit_retry(g, policy);
+          r.result = fleet->submit_with_retry(g, policy);
           r.resolved = true;
         } else {
-          futures.emplace_back(i, submit_future(g));
+          futures.emplace_back(i, fleet->submit(g));
         }
       }
       for (auto& [idx, fut] : futures) {
@@ -311,43 +288,30 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
   rep.failpoint_hits = hits_total;
 
   // --- drain: the engine must reach Stopped whatever happened above ---
-  const Status drained = fleet != nullptr
-                             ? fleet->drain(/*timeout_ns=*/10'000'000'000ull)
-                             : single->drain(/*timeout_ns=*/10'000'000'000ull);
+  const Status drained = fleet->drain(/*timeout_ns=*/10'000'000'000ull);
   if (!drained.ok())
     rep.violations.push_back("drain(10s) did not complete: " +
                              drained.to_string());
-  if (fleet != nullptr) {
-    rep.degraded_inline = fleet->inline_shards() > 0;
-    const ShardedStats ss = fleet->stats();
-    rep.stats = ss.aggregate;
-    rep.steals = ss.steals;
-    for (std::size_t i = 0; i < ss.shards.size(); ++i)
-      if (!ss.shards[i].accounting_clean())
-        rep.violations.push_back(
-            "shard " + std::to_string(i) +
-            " accounting not clean after drain: submitted=" +
-            std::to_string(ss.shards[i].submitted) +
-            " admitted=" + std::to_string(ss.shards[i].admitted) +
-            " ok=" + std::to_string(ss.shards[i].completed_ok) +
-            " err=" + std::to_string(ss.shards[i].completed_error) +
-            " shed=" + std::to_string(ss.shards[i].shed) +
-            " expired=" + std::to_string(ss.shards[i].expired));
-  } else {
-    rep.degraded_inline = single->inline_mode();
-    rep.stats = single->stats();
+  rep.degraded_inline = fleet->inline_shards() > 0;
+  const ShardedStats ss = fleet->stats();
+  rep.stats = ss.aggregate;
+  rep.steals = ss.steals;
+  // Per shard: the aggregate sums the shards, so it is clean iff they are.
+  for (std::size_t i = 0; i < ss.shards.size(); ++i) {
+    const ServerStats& st = ss.shards[i];
+    if (!st.accounting_clean())
+      rep.violations.push_back(
+          "shard " + std::to_string(i) +
+          " accounting not clean after drain: submitted=" +
+          std::to_string(st.submitted) +
+          " admitted=" + std::to_string(st.admitted) +
+          " rejected=" + std::to_string(st.rejected) +
+          " invalid=" + std::to_string(st.invalid) +
+          " ok=" + std::to_string(st.completed_ok) +
+          " err=" + std::to_string(st.completed_error) +
+          " shed=" + std::to_string(st.shed) +
+          " expired=" + std::to_string(st.expired));
   }
-  if (!rep.stats.accounting_clean())
-    rep.violations.push_back(
-        "accounting not clean after drain: submitted=" +
-        std::to_string(rep.stats.submitted) +
-        " admitted=" + std::to_string(rep.stats.admitted) +
-        " rejected=" + std::to_string(rep.stats.rejected) +
-        " invalid=" + std::to_string(rep.stats.invalid) +
-        " ok=" + std::to_string(rep.stats.completed_ok) +
-        " err=" + std::to_string(rep.stats.completed_error) +
-        " shed=" + std::to_string(rep.stats.shed) +
-        " expired=" + std::to_string(rep.stats.expired));
 
   // --- per-request verdicts ---
   for (auto& reqs : work) {

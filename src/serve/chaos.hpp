@@ -2,7 +2,7 @@
 //
 // One run_chaos() call is one reproducible experiment: a multi-threaded
 // mixed workload (both lanes, deadlines, retries, several shape buckets)
-// hammers an Engine while a controller thread arms and disarms seeded
+// hammers a ShardedEngine while a controller thread arms and disarms seeded
 // combinations of the library's failpoints — allocation failure, dispatcher
 // crash/stall, queue-full injection, execution failure, verification
 // miscompare, worker-spawn failure. The schedule is a pure function of the
@@ -43,10 +43,10 @@ struct ChaosOptions {
   int submitters = 3;
   /// Requests issued by each submitter.
   int requests_per_submitter = 60;
-  /// Fleet size. 1 (default) hammers a bare Engine; > 1 hammers a
-  /// ShardedEngine (same seeded option draws per worker, stealing at the
-  /// router defaults) and additionally asserts the per-shard AND aggregate
-  /// accounting invariants after the drain.
+  /// Fleet size of the ShardedEngine under test (same seeded option draws
+  /// per worker, stealing at the router defaults). The accounting
+  /// invariant is asserted per shard after the drain (the aggregate is
+  /// their sum, so it holds too).
   int shards = 1;
   /// Print a per-run summary line to stdout.
   bool verbose = false;
@@ -74,7 +74,7 @@ struct ChaosReport {
   std::string summary() const;
 };
 
-/// Runs one seeded chaos experiment (builds its own Context + Engine;
+/// Runs one seeded chaos experiment (builds its own ShardedEngine;
 /// arms/disarms failpoints process-globally, restoring a fully disarmed
 /// state before returning — do not run concurrently with other failpoint
 /// users).

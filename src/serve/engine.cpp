@@ -15,181 +15,88 @@
 
 namespace autogemm::serve {
 
-namespace {
-
-/// Process-wide registry handles, resolved once (handles are stable for
-/// the registry's lifetime — same pattern as core/context.cpp).
-struct ServeObs {
-  obs::Counter* submitted_interactive;
-  obs::Counter* submitted_bulk;
-  obs::Counter* admitted;
-  obs::Counter* rejected_full;
-  obs::Counter* rejected_stopped;
-  obs::Counter* rejected_draining;
-  obs::Counter* rejected_breaker;
-  obs::Counter* invalid;
-  obs::Counter* shed;
-  obs::Counter* expired;
-  obs::Counter* completed_ok;
-  obs::Counter* completed_error;
-  obs::Counter* batches;
-  obs::Counter* dispatched_batched;
-  obs::Counter* dispatched_single;
-  obs::Counter* breaker_open;
-  obs::Counter* breaker_half_open;
-  obs::Counter* breaker_closed;
-  obs::Counter* dispatcher_crash;
-  obs::Counter* dispatcher_stall;
-  obs::Counter* dispatcher_restart;
-  obs::Counter* inline_fallback;
-  obs::Counter* retries;
-  obs::Counter* retry_budget_exhausted;
-  obs::Gauge* queue_depth;
-  obs::Gauge* breakers_open;
-  obs::Gauge* state;
-  obs::Histogram* queue_seconds_interactive;
-  obs::Histogram* queue_seconds_bulk;
-  obs::Histogram* batch_size;
-  obs::Histogram* drain_seconds;
-};
-
-ServeObs& serve_obs() {
-  static ServeObs h = [] {
-    obs::Registry& r = obs::default_registry();
-    ServeObs x;
-    x.submitted_interactive =
-        &r.counter("autogemm_serve_submitted_total{lane=\"interactive\"}");
-    x.submitted_bulk =
-        &r.counter("autogemm_serve_submitted_total{lane=\"bulk\"}");
-    x.admitted = &r.counter("autogemm_serve_admitted_total");
-    x.rejected_full =
-        &r.counter("autogemm_serve_rejected_total{reason=\"queue_full\"}");
-    x.rejected_stopped =
-        &r.counter("autogemm_serve_rejected_total{reason=\"stopped\"}");
-    x.rejected_draining =
-        &r.counter("autogemm_serve_rejected_total{reason=\"draining\"}");
-    x.rejected_breaker =
-        &r.counter("autogemm_serve_rejected_total{reason=\"breaker\"}");
-    x.invalid = &r.counter("autogemm_serve_rejected_total{reason=\"invalid\"}");
-    x.shed = &r.counter("autogemm_serve_shed_total");
-    x.expired = &r.counter("autogemm_serve_expired_total");
-    x.completed_ok =
-        &r.counter("autogemm_serve_completed_total{result=\"ok\"}");
-    x.completed_error =
-        &r.counter("autogemm_serve_completed_total{result=\"error\"}");
-    x.batches = &r.counter("autogemm_serve_batches_total");
-    x.dispatched_batched =
-        &r.counter("autogemm_serve_dispatched_total{mode=\"batched\"}");
-    x.dispatched_single =
-        &r.counter("autogemm_serve_dispatched_total{mode=\"single\"}");
-    x.breaker_open =
-        &r.counter("autogemm_serve_breaker_transitions_total{to=\"open\"}");
-    x.breaker_half_open = &r.counter(
-        "autogemm_serve_breaker_transitions_total{to=\"half_open\"}");
-    x.breaker_closed =
-        &r.counter("autogemm_serve_breaker_transitions_total{to=\"closed\"}");
-    x.dispatcher_crash =
-        &r.counter("autogemm_serve_dispatcher_events_total{event=\"crash\"}");
-    x.dispatcher_stall =
-        &r.counter("autogemm_serve_dispatcher_events_total{event=\"stall\"}");
-    x.dispatcher_restart =
-        &r.counter("autogemm_serve_dispatcher_events_total{event=\"restart\"}");
-    x.inline_fallback = &r.counter("autogemm_serve_inline_fallback_total");
-    x.retries = &r.counter("autogemm_serve_retries_total");
-    x.retry_budget_exhausted =
-        &r.counter("autogemm_serve_retry_budget_exhausted_total");
-    x.queue_depth = &r.gauge("autogemm_serve_queue_depth");
-    x.breakers_open = &r.gauge("autogemm_serve_breakers_open");
-    // 0 = running, 1 = draining, 2 = stopped (EngineState order).
-    x.state = &r.gauge("autogemm_serve_state");
-    x.queue_seconds_interactive =
-        &r.histogram("autogemm_serve_queue_seconds{lane=\"interactive\"}");
-    x.queue_seconds_bulk =
-        &r.histogram("autogemm_serve_queue_seconds{lane=\"bulk\"}");
-    // Batch sizes are small integers; scale 1 keeps the log2 buckets
-    // aligned on request counts instead of microseconds.
-    x.batch_size = &r.histogram("autogemm_serve_batch_size", /*scale=*/1.0);
-    x.drain_seconds = &r.histogram("autogemm_serve_drain_seconds");
-    return x;
-  }();
-  return h;
-}
-
-/// Dtype-labeled twin of the batch counter, alongside (never instead of)
-/// the unlabeled aggregate: autogemm_serve_batches_total{dtype=...} splits
-/// dispatch volume by execution tier, the serving-side mirror of the
-/// autogemm_gemm_seconds{shape=,dtype=} latency series in core.
-/// Executes one request on its tier: fp32 through the tuned plan path,
-/// int8 through the cached-QPackedB quantized path (a serving stream
-/// repeats B data pointers per shape, so the quantized packing is built
-/// once and hits the packed LRU on every later request).
-Status run_request(Context& ctx, const serve::GemmRequest& req) {
-  if (req.dtype == common::DType::kI8)
-    return ctx.run_const_b_i8(req.a, req.b, req.c);
-  return ctx.run(req.a, req.b, req.c);
-}
-
-obs::Counter& dtype_batches_counter(common::DType dtype) {
-  static std::mutex mu;
-  static std::map<common::DType, obs::Counter*>& cache =
-      *new std::map<common::DType, obs::Counter*>;
-  std::lock_guard lock(mu);
-  auto it = cache.find(dtype);
-  if (it == cache.end()) {
-    obs::Counter& c = obs::default_registry().counter(
-        "autogemm_serve_batches_total{dtype=\"" +
-        std::string(common::dtype_name(dtype)) + "\"}");
-    it = cache.emplace(dtype, &c).first;
-  }
-  return *it->second;
-}
-
-}  // namespace
-
-/// Shard-labeled twins of the key serve metrics. Resolved once per shard
-/// index and cached process-wide: two engines serving the same shard label
-/// (one fleet torn down, another built) share handles, mirroring how the
-/// registry itself deduplicates by name.
-struct ShardObs {
-  obs::Counter* submitted;
-  obs::Counter* admitted;
-  obs::Counter* rejected;
-  obs::Counter* shed;
-  obs::Counter* displaced;
-  obs::Counter* expired;
-  obs::Counter* completed_ok;
-  obs::Counter* completed_error;
-  obs::Gauge* queue_depth;
+/// The engine's obs handles: one series per event and metric. An engine
+/// with EngineOptions::shard >= 0 carries shard="i" after its other labels;
+/// a standalone engine carries none. Resolved once per shard label and
+/// cached process-wide, so engines that serve one label (one fleet torn
+/// down, another built) share handles — the registry's own lifetime.
+struct EngineMetrics {
+  // Lane-indexed arrays: [0] interactive, [1] bulk.
+  obs::Counter *submitted[2], *admitted, *rejected_full, *rejected_stopped,
+      *rejected_draining, *rejected_breaker, *invalid, *shed, *displaced,
+      *expired, *completed_ok, *completed_error, *batches_f32, *batches_i8,
+      *dispatched_batched, *dispatched_single, *breaker_open,
+      *breaker_half_open, *breaker_closed, *dispatcher_crash,
+      *dispatcher_stall, *dispatcher_restart, *inline_fallback, *retries,
+      *retry_budget_exhausted;
+  /// Delta-maintained (Gauge::add), so each family's sum is exact for any
+  /// number of live engines.
+  obs::Gauge *queue_depth, *breakers_open, *engines[3];
+  obs::Histogram *queue_seconds[2], *batch_size, *drain_seconds;
 };
 
 namespace {
 
-ShardObs* shard_obs_for(int shard) {
-  if (shard < 0) return nullptr;
+const EngineMetrics* engine_metrics(int shard) {
   static std::mutex mu;
-  // Map nodes are stable, so &value survives later insertions; entries
-  // live for the process (one per shard label ever seen, bounded).
-  static std::map<int, ShardObs> table;
+  static std::map<int, EngineMetrics>& table = *new std::map<int, EngineMetrics>;
   std::lock_guard lock(mu);
-  auto it = table.find(shard);
-  if (it != table.end()) return &it->second;
+  auto [it, fresh] = table.try_emplace(std::max(-1, shard));
+  EngineMetrics& x = it->second;
+  if (!fresh) return &x;
   obs::Registry& r = obs::default_registry();
-  const std::string label = "{shard=\"" + std::to_string(shard) + "\"}";
-  ShardObs x;
-  x.submitted = &r.counter("autogemm_serve_submitted_total" + label);
-  x.admitted = &r.counter("autogemm_serve_admitted_total" + label);
-  x.rejected = &r.counter("autogemm_serve_rejected_total" + label);
-  x.shed = &r.counter("autogemm_serve_shed_total" + label);
-  x.displaced = &r.counter("autogemm_serve_displaced_total" + label);
-  x.expired = &r.counter("autogemm_serve_expired_total" + label);
-  x.completed_ok =
-      &r.counter("autogemm_serve_completed_total{result=\"ok\",shard=\"" +
-                 std::to_string(shard) + "\"}");
-  x.completed_error =
-      &r.counter("autogemm_serve_completed_total{result=\"error\",shard=\"" +
-                 std::to_string(shard) + "\"}");
-  x.queue_depth = &r.gauge("autogemm_serve_queue_depth" + label);
-  return &table.emplace(shard, x).first->second;
+  const std::string sh =
+      shard < 0 ? "" : "shard=\"" + std::to_string(shard) + "\"";
+  // autogemm_serve_<metric>{<k>="<v>",shard="i"}, either label optional.
+  const auto name = [&](const char* metric, const char* k = "",
+                        const char* v = "") {
+    std::string l = *k ? k + ("=\"" + std::string(v) + "\"") : "";
+    l += l.empty() || sh.empty() ? sh : "," + sh;
+    if (!l.empty()) l = "{" + l + "}";
+    return "autogemm_serve_" + std::string(metric) + l;
+  };
+  const auto c = [&](auto... a) { return &r.counter(name(a...)); };
+  const auto g = [&](auto... a) { return &r.gauge(name(a...)); };
+  const auto h = [&](auto... a) { return &r.histogram(name(a...)); };
+  x.submitted[0] = c("submitted_total", "lane", "interactive");
+  x.submitted[1] = c("submitted_total", "lane", "bulk");
+  x.admitted = c("admitted_total");
+  x.rejected_full = c("rejected_total", "reason", "queue_full");
+  x.rejected_stopped = c("rejected_total", "reason", "stopped");
+  x.rejected_draining = c("rejected_total", "reason", "draining");
+  x.rejected_breaker = c("rejected_total", "reason", "breaker");
+  x.invalid = c("rejected_total", "reason", "invalid");
+  x.shed = c("shed_total");
+  x.displaced = c("displaced_total");
+  x.expired = c("expired_total");
+  x.completed_ok = c("completed_total", "result", "ok");
+  x.completed_error = c("completed_total", "result", "error");
+  x.batches_f32 = c("batches_total", "dtype", "f32");
+  x.batches_i8 = c("batches_total", "dtype", "i8");
+  x.dispatched_batched = c("dispatched_total", "mode", "batched");
+  x.dispatched_single = c("dispatched_total", "mode", "single");
+  x.breaker_open = c("breaker_transitions_total", "to", "open");
+  x.breaker_half_open = c("breaker_transitions_total", "to", "half_open");
+  x.breaker_closed = c("breaker_transitions_total", "to", "closed");
+  x.dispatcher_crash = c("dispatcher_events_total", "event", "crash");
+  x.dispatcher_stall = c("dispatcher_events_total", "event", "stall");
+  x.dispatcher_restart = c("dispatcher_events_total", "event", "restart");
+  x.inline_fallback = c("inline_fallback_total");
+  x.retries = c("retries_total");
+  x.retry_budget_exhausted = c("retry_budget_exhausted_total");
+  x.queue_depth = g("queue_depth");
+  x.breakers_open = g("breakers_open");
+  // Indexed by EngineState: live engines per lifecycle state.
+  x.engines[0] = g("engines", "state", "running");
+  x.engines[1] = g("engines", "state", "draining");
+  x.engines[2] = g("engines", "state", "stopped");
+  x.queue_seconds[0] = h("queue_seconds", "lane", "interactive");
+  x.queue_seconds[1] = h("queue_seconds", "lane", "bulk");
+  // Batch sizes are small integers; scale 1 keeps the log2 buckets
+  // aligned on request counts instead of microseconds.
+  x.batch_size = &r.histogram(name("batch_size"), /*scale=*/1.0);
+  x.drain_seconds = h("drain_seconds");
+  return &x;
 }
 
 std::chrono::steady_clock::time_point to_time_point(std::uint64_t ns) {
@@ -226,7 +133,9 @@ std::string shape_text(int m, int n, int k) {
 
 }  // namespace
 
-std::uint64_t Engine::common_now() { return common::now_ns(); }
+void Engine::beat() {
+  last_beat_ns_.store(common::now_ns(), std::memory_order_relaxed);
+}
 
 Engine::Engine(Context& ctx, const EngineOptions& opts)
     : ctx_(ctx),
@@ -240,8 +149,9 @@ Engine::Engine(Context& ctx, const EngineOptions& opts)
                           ? opts_.shed_watermark
                           : std::max<std::size_t>(
                                 1, opts_.queue_capacity * 3 / 4)),
+      metrics_(engine_metrics(opts_.shard)),
       paused_(opts_.start_paused) {
-  shard_obs_ = shard_obs_for(opts_.shard);
+  metrics_->engines[static_cast<int>(EngineState::kRunning)]->add(1);
   retry_tokens_ = opts_.retry_budget_tokens;
   last_beat_ns_.store(common::now_ns(), std::memory_order_relaxed);
   try {
@@ -258,57 +168,40 @@ Engine::Engine(Context& ctx, const EngineOptions& opts)
     inline_.store(true, std::memory_order_relaxed);
     drained_ = true;  // nothing will ever queue
   }
-  if (!inline_mode() && opts_.supervision_interval_ns > 0) {
+  if (!inline_mode()) {
     try {
+      if (failpoint::should_fail("serve.monitor_spawn"))
+        throw std::system_error(std::make_error_code(
+            std::errc::resource_unavailable_try_again));
       monitor_ = std::thread([this] { monitor_loop(); });
+      monitor_started_ = true;
     } catch (const std::system_error&) {
-      // Unsupervised but serving: a dispatcher crash now strands its
-      // queue exactly as before supervision existed. drain() still
-      // recovers (it detects the dead dispatcher itself).
+      // Unsupervised but serving: a dispatcher crash strands its queue
+      // until drain(), which then serves the backlog on its own thread.
     }
-  }
-  {
-    std::lock_guard lock(mu_);
-    publish_state_locked();
-  }
-  if (opts_.enable_online_tuner) {
-    // Constructed last so the tuner's background thread never observes a
-    // half-built engine. The feed reads shape_requests_ under mu_; the
-    // tuner applies its own top_k, so the feed hands over the full
-    // ranking.
-    tune::OnlineTunerOptions topts = opts_.tuner;
-    topts.start_paused = topts.start_paused || opts_.start_paused;
-    tuner_ = std::make_unique<tune::OnlineTuner>(
-        ctx_, [this] { return hot_shapes(); }, topts);
   }
 }
 
-Engine::~Engine() { shutdown(); }
+Engine::~Engine() {
+  shutdown();
+  // Hand back this engine's share of the delta-maintained gauges.
+  std::lock_guard lock(mu_);
+  metrics_->queue_depth->add(-published_depth_);
+  metrics_->breakers_open->add(-static_cast<double>(breakers_open_));
+  metrics_->engines[static_cast<int>(state_)]->add(-1);
+}
 
 std::vector<tune::HotShape> Engine::hot_shapes(std::size_t limit) const {
-  std::vector<tune::HotShape> out;
+  std::vector<tune::HotShape> feed;
   {
     std::lock_guard lock(mu_);
-    // Buckets key on (m, n, k, dtype); the tuner prices *shapes*, so a
-    // shape's fp32 and int8 traffic counts as one bucket here. The map is
-    // ordered, so all dtypes of one shape are adjacent.
-    out.reserve(shape_requests_.size());
+    feed.reserve(shape_requests_.size());
     for (const auto& [key, count] : shape_requests_) {
-      if (!out.empty() && out.back().m == std::get<0>(key) &&
-          out.back().n == std::get<1>(key) && out.back().k == std::get<2>(key)) {
-        out.back().requests += count;
-      } else {
-        out.push_back(tune::HotShape{std::get<0>(key), std::get<1>(key),
-                                     std::get<2>(key), count});
-      }
+      const auto [m, n, k] = key;
+      feed.push_back(tune::HotShape{m, n, k, count});
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const tune::HotShape& a, const tune::HotShape& b) {
-                     return a.requests > b.requests;
-                   });
-  if (limit != 0 && out.size() > limit) out.resize(limit);
-  return out;
+  return tune::merge_hot_shapes({std::move(feed)}, limit);  // rank + cap
 }
 
 std::future<Status> Engine::submit(const GemmRequest& req) {
@@ -335,13 +228,11 @@ void Engine::finish(Pending& p, const Status& s) {
 
 std::future<Status> Engine::submit_internal(const GemmRequest& req,
                                             std::function<void(Status)> done) {
-  ServeObs& o = serve_obs();
+  const EngineMetrics& o = *metrics_;
   obs::SpanScope span("serve.submit",
                       static_cast<std::uint64_t>(std::max(0, req.c.rows)),
                       static_cast<std::uint64_t>(std::max(0, req.c.cols)));
-  (req.lane == Lane::kInteractive ? o.submitted_interactive : o.submitted_bulk)
-      ->add(1);
-  if (shard_obs_ != nullptr) shard_obs_->submitted->add(1);
+  o.submitted[req.lane == Lane::kInteractive ? 0 : 1]->add(1);
 
   Pending p;
   p.req = req;
@@ -403,17 +294,12 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
       ++stats_.breaker_rejected;
       reject = *braked;
       reject_counter = o.rejected_breaker;
-    } else if (inline_mode()) {
-      ++stats_.admitted;
-      ++shape_requests_[shape];
-      o.admitted->add(1);
-      if (shard_obs_ != nullptr) shard_obs_->admitted->add(1);
-      p.breaker_probe = probe;
-      run_inline = true;
     } else {
       p.breaker_probe = probe;
-      bool full = depth_locked() >= opts_.queue_capacity;
-      if (!full && failpoint::should_fail("serve.queue_full")) full = true;
+      // Inline mode has no queue to fill: the request runs right here.
+      bool full = !inline_mode() &&
+                  (depth_locked() >= opts_.queue_capacity ||
+                   failpoint::should_fail("serve.queue_full"));
       if (full && req.lane == Lane::kInteractive && !bulk_.empty()) {
         // Backpressure with priority: an interactive arrival displaces
         // the oldest bulk request instead of being turned away.
@@ -435,70 +321,43 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
         reject_counter = o.rejected_full;
       } else {
         ++stats_.admitted;
-        ++shape_requests_[shape];
+        ++shape_requests_[{req.c.rows, req.c.cols, req.a.cols}];
         o.admitted->add(1);
-        if (shard_obs_ != nullptr) shard_obs_->admitted->add(1);
         p.enqueue_ns = common::now_ns();
-        (req.lane == Lane::kInteractive ? interactive_ : bulk_)
-            .push_back(std::move(p));
-        stats_.max_queue_depth =
-            std::max<std::uint64_t>(stats_.max_queue_depth, depth_locked());
-        publish_depth_locked();
+        run_inline = inline_mode();
+        if (!run_inline) {
+          (req.lane == Lane::kInteractive ? interactive_ : bulk_)
+              .push_back(std::move(p));
+          stats_.max_queue_depth =
+              std::max<std::uint64_t>(stats_.max_queue_depth, depth_locked());
+          publish_depth_locked();
+        }
       }
     }
   }
   if (have_victim) {
     o.shed->add(1);
-    if (shard_obs_ != nullptr) {
-      shard_obs_->shed->add(1);
-      shard_obs_->displaced->add(1);
-    }
+    o.displaced->add(1);
     finish(victim, shed_status());
   }
   if (reject_counter != nullptr) {
     reject_counter->add(1);
-    if (shard_obs_ != nullptr) shard_obs_->rejected->add(1);
     finish(p, reject);
-    return fut;
+  } else if (run_inline) {
+    // Inline mode: a one-member group through the dispatcher's own path
+    // (deadline check, failpoint, execution, stats, breaker).
+    std::vector<Pending> one;
+    one.push_back(std::move(p));
+    dispatch(std::move(one));
+  } else {
+    cv_.notify_one();
   }
-  if (run_inline) {
-    const std::uint64_t now = common::now_ns();
-    Status s;
-    if (past_deadline(req, now)) {
-      s = deadline_status(req, now);
-      o.expired->add(1);
-      if (shard_obs_ != nullptr) shard_obs_->expired->add(1);
-      std::lock_guard lock(mu_);
-      ++stats_.expired;
-      release_probe_locked(p);
-    } else {
-      if (failpoint::should_fail("serve.execute")) {
-        s = exec_failpoint_status();
-      } else {
-        s = run_request(ctx_, req);
-      }
-      o.dispatched_single->add(1);
-      (s.ok() ? o.completed_ok : o.completed_error)->add(1);
-      if (shard_obs_ != nullptr)
-        (s.ok() ? shard_obs_->completed_ok : shard_obs_->completed_error)
-            ->add(1);
-      std::lock_guard lock(mu_);
-      ++stats_.single_dispatches;
-      ++(s.ok() ? stats_.completed_ok : stats_.completed_error);
-      breaker_outcome_locked(shape, s.ok(), p.breaker_probe,
-                             common::now_ns());
-      if (s.ok()) refill_retry_tokens_locked(1);
-    }
-    finish(p, s);
-    return fut;
-  }
-  cv_.notify_one();
   return fut;
 }
 
 Status Engine::submit_with_retry(const GemmRequest& req,
                                  const RetryPolicy& policy) {
-  ServeObs& o = serve_obs();
+  const EngineMetrics& o = *metrics_;
   const int attempts = std::max(1, policy.max_attempts);
   std::uint64_t rng = policy.seed;
   std::uint64_t backoff =
@@ -523,16 +382,8 @@ Status Engine::submit_with_retry(const GemmRequest& req,
     if (req.deadline_ns != 0 && common::now_ns() + delay >= req.deadline_ns)
       return last;  // the retried attempt would expire anyway
     if (!try_spend_retry_token()) {
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.retry_budget_exhausted;
-      }
       o.retry_budget_exhausted->add(1);
       return last;
-    }
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.retries;
     }
     o.retries->add(1);
     if (delay > 0)
@@ -545,10 +396,15 @@ Status Engine::submit_with_retry(const GemmRequest& req,
 }
 
 bool Engine::try_spend_retry_token() {
-  if (opts_.retry_budget_tokens <= 0) return true;  // budget disabled
   std::lock_guard lock(mu_);
-  if (retry_tokens_ < 1.0) return false;
-  retry_tokens_ -= 1.0;
+  if (opts_.retry_budget_tokens > 0) {  // 0 = budget disabled
+    if (retry_tokens_ < 1.0) {
+      ++stats_.retry_budget_exhausted;
+      return false;
+    }
+    retry_tokens_ -= 1.0;
+  }
+  ++stats_.retries;
   return true;
 }
 
@@ -620,28 +476,29 @@ void Engine::breaker_outcome_locked(const ShapeKey& key, bool ok,
 void Engine::set_breaker_state_locked(Breaker& b, Breaker::St to,
                                       std::uint64_t now) {
   if (b.st == to) return;
-  ServeObs& o = serve_obs();
-  if (b.st == Breaker::St::kOpen && breakers_open_ > 0) --breakers_open_;
+  const EngineMetrics& o = *metrics_;
+  if (b.st == Breaker::St::kOpen) {
+    --breakers_open_;
+    o.breakers_open->add(-1);
+  }
   b.st = to;
+  b.probe_in_flight = false;
   switch (to) {
     case Breaker::St::kOpen:
       ++breakers_open_;
+      o.breakers_open->add(1);
       b.opened_ns = now;
-      b.probe_in_flight = false;
       ++stats_.breaker_opens;
       o.breaker_open->add(1);
       break;
     case Breaker::St::kHalfOpen:
-      b.probe_in_flight = false;
       o.breaker_half_open->add(1);
       break;
     case Breaker::St::kClosed:
       b.consecutive_failures = 0;
-      b.probe_in_flight = false;
       o.breaker_closed->add(1);
       break;
   }
-  o.breakers_open->set(static_cast<double>(breakers_open_));
 }
 
 void Engine::release_probe_locked(const Pending& p) {
@@ -670,14 +527,36 @@ void Engine::take_same_shape_locked(int m, int n, int k, common::DType dtype,
   }
 }
 
-void Engine::publish_depth_locked() {
-  const double depth = static_cast<double>(depth_locked());
-  serve_obs().queue_depth->set(depth);
-  if (shard_obs_ != nullptr) shard_obs_->queue_depth->set(depth);
+std::vector<Engine::Pending> Engine::take_next_group_locked() {
+  // Lane pick: interactive first, unless the bulk head has aged past the
+  // starvation bound (bulk_aging_ns == 0 means bulk never waits behind
+  // interactive).
+  std::deque<Pending>* lane = &interactive_;
+  if (interactive_.empty()) {
+    lane = &bulk_;
+  } else if (!bulk_.empty()) {
+    const std::uint64_t age = common::now_ns() - bulk_.front().enqueue_ns;
+    if (age >= opts_.bulk_aging_ns) lane = &bulk_;
+  }
+  std::vector<Pending> batch;
+  batch.push_back(std::move(lane->front()));
+  lane->pop_front();
+  const GemmRequest& seed = batch.front().req;
+  take_same_shape_locked(seed.c.rows, seed.c.cols, seed.a.cols, seed.dtype,
+                         &batch);
+  return batch;
 }
 
-void Engine::publish_state_locked() {
-  serve_obs().state->set(static_cast<double>(static_cast<int>(state_)));
+void Engine::publish_depth_locked() {
+  const double depth = static_cast<double>(depth_locked());
+  metrics_->queue_depth->add(depth - published_depth_);
+  published_depth_ = depth;
+}
+
+void Engine::set_state_locked(EngineState to) {
+  metrics_->engines[static_cast<int>(state_)]->add(-1);
+  metrics_->engines[static_cast<int>(to)]->add(1);
+  state_ = to;
 }
 
 void Engine::dispatcher_loop(std::uint64_t gen) {
@@ -703,8 +582,9 @@ void Engine::dispatcher_loop(std::uint64_t gen) {
   if (crashed) {
     dispatcher_dead_ = true;
     ++stats_.dispatcher_crashes;
-    serve_obs().dispatcher_crash->add(1);
+    metrics_->dispatcher_crash->add(1);
     monitor_cv_.notify_all();
+    drain_cv_.notify_all();  // an unsupervised drain() serves the backlog
   } else if (state_ != EngineState::kRunning && depth_locked() == 0) {
     drained_ = true;
     drain_cv_.notify_all();
@@ -761,32 +641,17 @@ void Engine::dispatcher_run(std::unique_lock<std::mutex>& lock,
       if (!victims.empty()) {
         publish_depth_locked();
         lock.unlock();
-        serve_obs().shed->add(victims.size());
-        if (shard_obs_ != nullptr) shard_obs_->shed->add(victims.size());
+        metrics_->shed->add(victims.size());
         for (auto& v : victims) finish(v, shed_status());
         lock.lock();
         continue;
       }
     }
 
-    // Lane pick: interactive first, unless the bulk head has aged past
-    // the starvation bound (bulk_aging_ns == 0 means bulk never waits
-    // behind interactive).
-    std::deque<Pending>* lane = &interactive_;
-    if (interactive_.empty()) {
-      lane = &bulk_;
-    } else if (!bulk_.empty()) {
-      const std::uint64_t age = common::now_ns() - bulk_.front().enqueue_ns;
-      if (age >= opts_.bulk_aging_ns) lane = &bulk_;
-    }
-    std::vector<Pending> batch;
-    batch.push_back(std::move(lane->front()));
-    lane->pop_front();
-
+    std::vector<Pending> batch = take_next_group_locked();
     const GemmRequest& seed = batch.front().req;
     const int m = seed.c.rows, n = seed.c.cols, k = seed.a.cols;
     const common::DType dt = seed.dtype;
-    take_same_shape_locked(m, n, k, dt, &batch);
 
     if (!draining && opts_.max_batch_delay_ns > 0 &&
         batch.size() < opts_.max_batch) {
@@ -810,19 +675,9 @@ void Engine::dispatcher_run(std::unique_lock<std::mutex>& lock,
         take_same_shape_locked(m, n, k, dt, &batch);
       }
     }
-    publish_depth_locked();
     dispatch_active_ = true;  // the monitor must not abandon us mid-GEMM
     beat();
-    lock.unlock();
-    try {
-      dispatch(std::move(batch));
-    } catch (...) {
-      // dispatch() completes each member as it goes; nothing to repair
-      // here beyond not letting an exception kill the dispatcher. (The
-      // Context entry points return Status rather than throwing; this
-      // guards allocation failure in the dispatch bookkeeping itself.)
-    }
-    lock.lock();
+    dispatch_unlocked(lock, std::move(batch));
     dispatch_active_ = false;
     beat();
     if (gen != dispatcher_gen_) return;  // superseded while dispatching
@@ -854,17 +709,11 @@ void Engine::monitor_loop() {
         stall = true;
     }
     if (!crash && !stall) continue;
-    ServeObs& o = serve_obs();
+    const EngineMetrics& o = *metrics_;
     if (stall) {
       ++stats_.dispatcher_stalls;
       o.dispatcher_stall->add(1);
-      // Supersede the wedged thread: it observes the generation bump at
-      // its next lock acquisition and exits; the handle parks in
-      // abandoned_ and is joined at shutdown — never detached.
-      ++dispatcher_gen_;
-      dispatcher_alive_ = false;
-      if (dispatcher_.joinable()) abandoned_.push_back(std::move(dispatcher_));
-      cv_.notify_all();
+      retire_dispatcher_locked();
     }
     dispatcher_dead_ = false;
     if (restarts_used_ >= opts_.max_dispatcher_restarts) {
@@ -904,50 +753,51 @@ void Engine::monitor_loop() {
   }
 }
 
+void Engine::retire_dispatcher_locked() {
+  ++dispatcher_gen_;
+  dispatcher_alive_ = false;
+  if (dispatcher_.joinable()) abandoned_.push_back(std::move(dispatcher_));
+  cv_.notify_all();
+}
+
+void Engine::dispatch_unlocked(std::unique_lock<std::mutex>& lock,
+                               std::vector<Pending> batch) {
+  publish_depth_locked();
+  lock.unlock();
+  try {
+    dispatch(std::move(batch));
+  } catch (...) {
+    // dispatch() completes each member as it goes; nothing to repair
+    // beyond not letting an exception kill the calling thread. (The
+    // Context entry points return Status rather than throwing; this
+    // guards allocation failure in the dispatch bookkeeping itself.)
+  }
+  lock.lock();
+}
+
 void Engine::degrade_to_inline_locked(std::unique_lock<std::mutex>& lock) {
-  ServeObs& o = serve_obs();
   // Restart budget exhausted (or respawn impossible): from here on every
   // submission executes synchronously on its caller's thread. inline_ is
   // set under mu_, so no request can slip into the queue afterwards.
   inline_.store(true, std::memory_order_relaxed);
-  o.inline_fallback->add(1);
-  ++dispatcher_gen_;  // no dispatcher owns the queue anymore
-  dispatcher_alive_ = false;
+  metrics_->inline_fallback->add(1);
+  retire_dispatcher_locked();  // no dispatcher owns the queue anymore
   dispatcher_dead_ = false;
-  if (dispatcher_.joinable()) abandoned_.push_back(std::move(dispatcher_));
-  cv_.notify_all();
   // Drain the backlog on this thread, batch by shape like the dispatcher
   // would — no admitted request is stranded by the degradation.
-  while (!interactive_.empty() || !bulk_.empty()) {
-    std::deque<Pending>& lane = !interactive_.empty() ? interactive_ : bulk_;
-    std::vector<Pending> batch;
-    batch.push_back(std::move(lane.front()));
-    lane.pop_front();
-    const GemmRequest& seed = batch.front().req;
-    take_same_shape_locked(seed.c.rows, seed.c.cols, seed.a.cols, seed.dtype,
-                           &batch);
-    publish_depth_locked();
-    lock.unlock();
-    try {
-      dispatch(std::move(batch));
-    } catch (...) {
-    }
-    lock.lock();
-  }
+  while (!interactive_.empty() || !bulk_.empty())
+    dispatch_unlocked(lock, take_next_group_locked());
   publish_depth_locked();
   drained_ = true;  // queue empty and no dispatcher will ever serve again
   drain_cv_.notify_all();
 }
 
 void Engine::dispatch(std::vector<Pending> batch) {
-  ServeObs& o = serve_obs();
+  const EngineMetrics& o = *metrics_;
   const std::uint64_t now = common::now_ns();
-  for (const auto& p : batch) {
-    obs::Histogram* h = p.req.lane == Lane::kInteractive
-                            ? o.queue_seconds_interactive
-                            : o.queue_seconds_bulk;
-    h->observe(static_cast<double>(now - p.enqueue_ns) * 1e-9);
-  }
+  for (const auto& p : batch)
+    o.queue_seconds[p.req.lane == Lane::kInteractive ? 0 : 1]->observe(
+        static_cast<double>(now - p.enqueue_ns) * 1e-9);
 
   // Deadline pass: expire before execution, C untouched. Stats land
   // before any future resolves, so a caller that saw every future of a
@@ -960,7 +810,6 @@ void Engine::dispatch(std::vector<Pending> batch) {
   }
   if (!expired.empty()) {
     o.expired->add(expired.size());
-    if (shard_obs_ != nullptr) shard_obs_->expired->add(expired.size());
     {
       std::lock_guard lock(mu_);
       stats_.expired += expired.size();
@@ -1007,28 +856,30 @@ void Engine::dispatch(std::vector<Pending> batch) {
   // Execute everything, then publish stats, then resolve futures — same
   // ordering rationale as the deadline pass above.
   std::vector<Status> statuses(live.size());
-  std::uint64_t ok = 0, failed = 0;
+  std::uint64_t ok = 0;
+  // One member on its own tier: fp32 through the tuned plan path, int8
+  // through the cached-QPackedB quantized path.
+  const auto run_member = [&](std::size_t i) {
+    const GemmRequest& r = live[i].req;
+    if (failpoint::should_fail("serve.execute")) {
+      statuses[i] = exec_failpoint_status();
+    } else {
+      statuses[i] = r.dtype == common::DType::kI8
+                        ? ctx_.run_const_b_i8(r.a, r.b, r.c)
+                        : ctx_.run(r.a, r.b, r.c);
+    }
+    if (statuses[i].ok()) ++ok;
+  };
   if (!grouped.empty()) {
     if (dt == common::DType::kI8) {
       // Quantized group: there is no run_batched for the int8 tier, but
       // the group still amortizes — every member hits the same cached
       // QPackedB (packed on the first request of this B pointer), so the
       // per-member cost is quantize-A plus the widening kernel.
-      for (std::size_t i : grouped) {
-        if (failpoint::should_fail("serve.execute")) {
-          statuses[i] = exec_failpoint_status();
-        } else {
-          statuses[i] =
-              ctx_.run_const_b_i8(live[i].req.a, live[i].req.b, live[i].req.c);
-        }
-        (statuses[i].ok() ? o.completed_ok : o.completed_error)->add(1);
-        ++(statuses[i].ok() ? ok : failed);
-      }
+      for (std::size_t i : grouped) run_member(i);
     } else {
-      if (singles.empty()) {
-        // The common path: the whole dispatch is one group; `items` is
-        // already exactly it.
-      } else {
+      if (!singles.empty()) {
+        // `items` holds every live member; the group is a subset.
         items.clear();
         for (std::size_t i : grouped)
           items.push_back(
@@ -1036,35 +887,21 @@ void Engine::dispatch(std::vector<Pending> batch) {
       }
       // Prevalidated: every member passed validate_batch_item at admission
       // and conflict-swept members were demoted to singles above.
-      Status s;
-      if (failpoint::should_fail("serve.execute")) {
-        s = exec_failpoint_status();
-      } else {
-        s = ctx_.run_batched_prevalidated(items);
-      }
-      (s.ok() ? o.completed_ok : o.completed_error)->add(grouped.size());
-      (s.ok() ? ok : failed) += grouped.size();
+      const Status s = failpoint::should_fail("serve.execute")
+                           ? exec_failpoint_status()
+                           : ctx_.run_batched_prevalidated(items);
+      if (s.ok()) ok += grouped.size();
       for (std::size_t i : grouped) statuses[i] = s;
     }
-    o.batches->add(1);
-    dtype_batches_counter(dt).add(1);
+    (dt == common::DType::kI8 ? o.batches_i8 : o.batches_f32)->add(1);
     o.dispatched_batched->add(grouped.size());
     o.batch_size->observe(static_cast<double>(grouped.size()));
   }
-  for (std::size_t i : singles) {
-    if (failpoint::should_fail("serve.execute")) {
-      statuses[i] = exec_failpoint_status();
-    } else {
-      statuses[i] = run_request(ctx_, live[i].req);
-    }
-    o.dispatched_single->add(1);
-    (statuses[i].ok() ? o.completed_ok : o.completed_error)->add(1);
-    ++(statuses[i].ok() ? ok : failed);
-  }
-  if (shard_obs_ != nullptr) {
-    if (ok > 0) shard_obs_->completed_ok->add(ok);
-    if (failed > 0) shard_obs_->completed_error->add(failed);
-  }
+  for (std::size_t i : singles) run_member(i);
+  if (!singles.empty()) o.dispatched_single->add(singles.size());
+  const std::uint64_t failed = live.size() - ok;
+  if (ok > 0) o.completed_ok->add(ok);
+  if (failed > 0) o.completed_error->add(failed);
   {
     std::lock_guard lock(mu_);
     stats_.completed_ok += ok;
@@ -1102,31 +939,22 @@ EngineState Engine::state() const {
 }
 
 Status Engine::drain(std::uint64_t timeout_ns) {
-  ServeObs& o = serve_obs();
-  // Tuner first, and without mu_ held: pause() blocks until any in-flight
-  // tuning cycle parks, and that cycle's hot-shape feed takes mu_ itself.
-  // A parked tuner cannot publish mid-drain, preserving the lifecycle
-  // invariant that nothing mutates plan resolution while the backlog
-  // finishes.
-  if (tuner_ != nullptr) tuner_->pause();
   std::unique_lock<std::mutex> lock(mu_);
   if (state_ == EngineState::kStopped) return Status::OK();
   if (state_ == EngineState::kRunning) {
-    state_ = EngineState::kDraining;
+    set_state_locked(EngineState::kDraining);
     drain_start_ns_ = common::now_ns();
-    publish_state_locked();
     if (inline_mode() && depth_locked() == 0) drained_ = true;
     cv_.notify_all();
-  }
-  if (dispatcher_dead_ && !drained_ && opts_.supervision_interval_ns == 0) {
-    // Supervision is disabled (the A/B hook) and the dispatcher died:
-    // nobody else will serve the backlog, so this caller does.
-    degrade_to_inline_locked(lock);
   }
   const std::uint64_t wait_deadline =
       timeout_ns == 0 ? 0 : common::now_ns() + timeout_ns;
   while (!drained_) {
-    if (wait_deadline == 0) {
+    if (dispatcher_dead_ && !monitor_started_) {
+      // No monitor will ever respawn the crashed dispatcher: this caller
+      // serves the backlog (the dispatcher's crash path wakes us).
+      degrade_to_inline_locked(lock);
+    } else if (wait_deadline == 0) {
       drain_cv_.wait(lock);
     } else if (drain_cv_.wait_until(lock, to_time_point(wait_deadline)) ==
                    std::cv_status::timeout &&
@@ -1137,9 +965,8 @@ Status Engine::drain(std::uint64_t timeout_ns) {
     }
   }
   if (state_ != EngineState::kStopped) {
-    state_ = EngineState::kStopped;
-    publish_state_locked();
-    o.drain_seconds->observe(
+    set_state_locked(EngineState::kStopped);
+    metrics_->drain_seconds->observe(
         static_cast<double>(common::now_ns() - drain_start_ns_) * 1e-9);
     drain_cv_.notify_all();
   }
@@ -1159,10 +986,6 @@ void Engine::shutdown() {
 
 void Engine::join_threads() {
   std::lock_guard jl(join_mu_);
-  // Stop (join) the tuner before the engine's own threads: its thread is
-  // the only one that can still reach ctx_ through the engine. The object
-  // survives so online_tuner()->stats() stays valid after shutdown.
-  if (tuner_ != nullptr) tuner_->stop();
   {
     std::lock_guard lock(mu_);
     monitor_stop_ = true;

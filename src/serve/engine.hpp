@@ -30,27 +30,26 @@
 //     Status, ServerStats and the obs registry.
 //
 // Every admission decision and dispatch mirrors onto
-// obs::default_registry() (queue-depth gauge, admission/shed/expiry
-// counters, per-lane queue-latency and batch-size histograms) with
-// serve.submit / serve.batch / serve.dispatch trace spans.
+// obs::default_registry() — one series per event: queue-depth gauge,
+// admission/shed/expiry counters, per-lane queue-latency and batch-size
+// histograms — with serve.submit / serve.batch / serve.dispatch trace
+// spans. A shard engine's series carry shard="i"; read totals with
+// obs::Registry::*_total.
 //
 // Layering: serve depends on core (Context, batched), tune (the online
-// tuner it can own — see below) and obs/common; nothing below depends
-// back on serve (see DESIGN.md). The OnlineTuner itself lives in tune/
-// and sees the engine only through an injected hot-shape callback.
+// tuner the router owns) and obs/common; nothing below depends back on
+// serve (see DESIGN.md). The OnlineTuner itself lives in tune/ and sees
+// the serving layer only through an injected hot-shape callback.
 //
 // ## Online tuning
 //
-// With EngineOptions::enable_online_tuner the engine owns a
-// tune::OnlineTuner fed by its per-shape *request accounting* (every
-// admitted request increments its exact (m, n, k) bucket — deliberately
-// not the obs shape labels, whose FCFS cap makes late-hot shapes
-// invisible). The tuner runs beside the dispatcher at low priority,
-// searches the hottest not-yet-exactly-tuned shapes, and publishes
-// winners into the live Context so subsequent requests execute the
-// searched config. drain() pauses the tuner before draining;
-// join_threads() stops it — the lifecycle invariants above are
-// unchanged.
+// An Engine never tunes. It keeps per-shape *request accounting* (every
+// admitted request increments its exact (m, n, k) bucket, any dtype —
+// deliberately not the obs shape labels, whose FCFS cap makes late-hot
+// shapes invisible) and exposes it as hot_shapes(). The online tuner's
+// single owner is serve::ShardedEngine (router.hpp), which merges the
+// feeds of its workers; standalone tuning is a ShardedEngine with
+// shards = 1.
 //
 // ## Resilience
 //
@@ -71,7 +70,9 @@
 //     engine degrades to inline mode — every submission executes
 //     synchronously on the caller's thread, and whatever was queued is
 //     drained by the monitor before it exits; no admitted request is
-//     ever stranded.
+//     ever stranded. If the monitor thread cannot be spawned
+//     (`serve.monitor_spawn`), a crashed dispatcher's queue waits for
+//     drain(), which serves it on the draining thread.
 //   * **Retry policy.** submit_with_retry(req, RetryPolicy) blocks on
 //     the future and resubmits transient outcomes (is_transient in
 //     common/status.hpp: kResourceExhausted, kUnavailable) with
@@ -102,7 +103,10 @@
 //
 // Every resilience event mirrors to obs: breaker transition counters and
 // an open-breaker gauge, dispatcher crash/stall/restart counters, retry
-// counters, a drain-duration histogram and an engine-state gauge.
+// counters, a drain-duration histogram and live engines per lifecycle
+// state (autogemm_serve_engines{state=...}). The gauges move by deltas,
+// and an engine hands its share back when destroyed, so a family's sum is
+// exact however many engines are live.
 //
 // ## Lifecycle (mechanics)
 //
@@ -135,8 +139,6 @@
 #include <tuple>
 #include <vector>
 
-#include <memory>
-
 #include "common/dtype.hpp"
 #include "common/matrix.hpp"
 #include "common/status.hpp"
@@ -147,10 +149,9 @@
 
 namespace autogemm::serve {
 
-/// Shard-labeled obs twin handles (engine.cpp internal; one set per shard
-/// index, resolved once and shared by every engine that serves that
-/// shard's label over the process lifetime).
-struct ShardObs;
+/// The engine's obs handles (engine.cpp internal; one set per shard
+/// label, resolved once and shared by every engine that serves it).
+struct EngineMetrics;
 
 /// Priority lane. Interactive requests are served first; bulk requests
 /// age into priority (see EngineOptions::bulk_aging_ns) and are the
@@ -201,11 +202,10 @@ struct EngineOptions {
   /// backlogs, then resume()).
   bool start_paused = false;
   /// Shard index when this engine is one worker of a serve::ShardedEngine
-  /// (-1 = standalone). A shard-aware engine mirrors its admission and
-  /// completion accounting onto shard-labeled obs twins
-  /// (autogemm_serve_*{shard="i"}) and a per-shard queue-depth gauge, so
-  /// fleet dashboards can tell a hot shard from a degraded one. The
-  /// unlabeled aggregate metrics are unchanged.
+  /// (-1 = standalone). A shard engine's obs series carry shard="i"
+  /// (autogemm_serve_*{...,shard="i"}), so fleet dashboards can tell a hot
+  /// shard from a degraded one; a standalone engine's carry no shard
+  /// label.
   int shard = -1;
   /// Best-effort CPU affinity for the dispatcher thread (and any respawn
   /// of it); empty = unpinned. The router fills this from
@@ -215,9 +215,7 @@ struct EngineOptions {
 
   // --- dispatcher supervision (see the Resilience section above) ---
 
-  /// Monitor poll interval. 0 disables supervision entirely (no monitor
-  /// thread; a dead dispatcher strands its queue exactly as before PR 7
-  /// — only useful as an A/B hook).
+  /// Monitor poll interval.
   std::uint64_t supervision_interval_ns = 5'000'000;
   /// No heartbeat for this long while unserved work is pending (and the
   /// engine is neither paused nor mid-dispatch) declares the dispatcher
@@ -253,17 +251,6 @@ struct EngineOptions {
   /// retry_budget_tokens. The classic ratio form: 0.1 sustains one
   /// retry per ten successes.
   double retry_token_ratio = 0.1;
-
-  // --- online tuning (see the Online tuning section above) ---
-
-  /// Owns a tune::OnlineTuner fed from the engine's per-shape request
-  /// accounting. Off by default: tuning spends CPU the dispatcher could
-  /// use, so the embedder opts in.
-  bool enable_online_tuner = false;
-  /// Tuner knobs (interval, budgets, records persistence path, ...). The
-  /// engine forces start_paused when its own start_paused is set, and
-  /// always pauses the tuner on drain.
-  tune::OnlineTunerOptions tuner;
 };
 
 /// Client-side retry schedule for Engine::submit_with_retry. Only
@@ -429,11 +416,6 @@ class Engine {
   /// — not the obs shape labels — is the online tuner's ranking feed.
   std::vector<tune::HotShape> hot_shapes(std::size_t limit = 0) const;
 
-  /// The owned online tuner; nullptr unless enable_online_tuner was set.
-  /// Valid for the engine's lifetime (it is stopped, not destroyed, at
-  /// shutdown, so stats() stays queryable after drain).
-  tune::OnlineTuner* online_tuner() { return tuner_.get(); }
-
  private:
   struct Pending {
     GemmRequest req;
@@ -470,12 +452,20 @@ class Engine {
   void dispatcher_loop(std::uint64_t gen);
   void dispatcher_run(std::unique_lock<std::mutex>& lock, std::uint64_t gen);
   void monitor_loop();
-  /// Restart budget exhausted (or respawn impossible): flips to inline
-  /// mode and drains the queue on the calling thread. Lock held on entry
-  /// and exit.
+  /// Restart budget exhausted, respawn impossible, or an unsupervised
+  /// drain found the dispatcher dead: flips to inline mode and drains the
+  /// queue on the calling thread. Lock held on entry and exit.
   void degrade_to_inline_locked(std::unique_lock<std::mutex>& lock);
-  /// Executes (or expires) a dequeued same-shape group. Runs unlocked.
+  /// Supersedes the current dispatcher thread: the generation bump makes
+  /// a still-running one exit at its next lock acquisition, and its handle
+  /// parks in abandoned_ to be joined at shutdown — never detached.
+  void retire_dispatcher_locked();
+  /// Executes (or expires) a dequeued same-shape group — the one
+  /// execution path, inline-mode submissions included. Runs unlocked.
   void dispatch(std::vector<Pending> batch);
+  /// Publishes the depth, then dispatch()es `batch` with mu_ released.
+  void dispatch_unlocked(std::unique_lock<std::mutex>& lock,
+                         std::vector<Pending> batch);
   /// Completes the promise + callback exactly once (stats are counted at
   /// the call sites, which know the outcome category).
   static void finish(Pending& p, const Status& s);
@@ -484,6 +474,10 @@ class Engine {
   /// the match: an int8 request never joins an fp32 group.
   void take_same_shape_locked(int m, int n, int k, common::DType dtype,
                               std::vector<Pending>* batch);
+  /// Pops the head of the lane due next (interactive first, unless the
+  /// bulk head aged past bulk_aging_ns) plus its queued same-shape group.
+  /// The queue must be non-empty.
+  std::vector<Pending> take_next_group_locked();
   /// Breaker admission decision for `key`: nullopt admits (marking
   /// *probe when this admission is the half-open probe), a Status
   /// fast-fails.
@@ -497,27 +491,27 @@ class Engine {
   /// half-open probe, free the probe slot so the next arrival probes.
   void release_probe_locked(const Pending& p);
   void set_breaker_state_locked(Breaker& b, Breaker::St to, std::uint64_t now);
+  /// Spends one retry token, counting the retry (true) or the budget
+  /// denial (false) in stats_.
   bool try_spend_retry_token();
   void refill_retry_tokens_locked(std::uint64_t completions);
-  void beat() {
-    last_beat_ns_.store(common_now(), std::memory_order_relaxed);
-  }
-  static std::uint64_t common_now();
+  void beat();  ///< publishes the dispatcher heartbeat
   /// Joins monitor, dispatcher and abandoned threads (idempotent).
   void join_threads();
   std::size_t depth_locked() const {
     return interactive_.size() + bulk_.size();
   }
+  /// Moves the depth gauge by this engine's change since its last publish.
   void publish_depth_locked();
-  void publish_state_locked();
+  /// Lifecycle transition; moves one engine between engines{state=} series.
+  void set_state_locked(EngineState to);
 
   Context& ctx_;
   const EngineOptions opts_;
   const std::size_t shed_watermark_;
-  /// Shard-labeled obs twins; nullptr when opts_.shard < 0 (standalone).
-  /// Points into a process-wide per-shard table, never freed (same
+  /// Points into a process-wide per-shard-label table, never freed (same
   /// lifetime contract as the registry handles themselves).
-  ShardObs* shard_obs_ = nullptr;
+  const EngineMetrics* const metrics_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;        // dispatcher wakeups
@@ -540,6 +534,7 @@ class Engine {
   bool dispatcher_dead_ = false;      ///< crashed, awaiting the monitor
   bool dispatch_active_ = false;      ///< executing a batch (unlocked)
   bool monitor_stop_ = false;
+  bool monitor_started_ = false;  ///< set once by the constructor
   std::uint32_t restarts_used_ = 0;
   std::atomic<std::uint64_t> last_beat_ns_{0};
   std::vector<std::thread> abandoned_;  ///< superseded stalled dispatchers
@@ -547,16 +542,15 @@ class Engine {
   // Breakers + retry budget (guarded by mu_).
   std::map<ShapeKey, Breaker> breakers_;
   std::size_t breakers_open_ = 0;
+  double published_depth_ = 0;  ///< this engine's share of the depth gauge
   double retry_tokens_ = 0;
 
-  /// Admitted requests per exact shape (guarded by mu_): the hot-shape
-  /// feed for the online tuner. Unbounded in distinct shapes by design —
-  /// one uint64 per shape is cheap next to the plan cache, and capping it
-  /// would reintroduce the FCFS-label blindness this exists to fix.
-  std::map<ShapeKey, std::uint64_t> shape_requests_;
-  /// Constructed last (after the threads), stopped by join_threads(),
-  /// never reset — online_tuner() stays valid after shutdown.
-  std::unique_ptr<tune::OnlineTuner> tuner_;
+  /// Admitted requests per exact (m, n, k), every dtype counted together
+  /// (guarded by mu_): the hot-shape feed for the online tuner. Unbounded
+  /// in distinct shapes by design — one uint64 per shape is cheap next to
+  /// the plan cache, and capping it would reintroduce the FCFS-label
+  /// blindness this exists to fix.
+  std::map<std::tuple<int, int, int>, std::uint64_t> shape_requests_;
 
   std::atomic<bool> inline_{false};
   std::mutex join_mu_;

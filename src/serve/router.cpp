@@ -10,39 +10,8 @@
 
 namespace autogemm::serve {
 
-namespace {
-
-/// Router-level registry handles, resolved once.
-struct RouterObs {
-  obs::Counter* steals;
-  obs::Counter* routed;
-};
-
-RouterObs& router_obs() {
-  static RouterObs h = [] {
-    obs::Registry& r = obs::default_registry();
-    RouterObs x;
-    x.steals = &r.counter("autogemm_serve_steals_total");
-    x.routed = &r.counter("autogemm_serve_routed_total");
-    return x;
-  }();
-  return h;
-}
-
-}  // namespace
-
 StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::create(
     const ShardedEngineOptions& opts) {
-  if (opts.worker.enable_online_tuner) {
-    return Status(
-        StatusCode::kFailedPrecondition,
-        "sharded serve: worker engines must not own an online tuner "
-        "(enable_online_tuner on EngineOptions) — a per-worker tuner would "
-        "tune from one shard's traffic and race a second merge-on-save "
-        "writer onto the shared records path. Set "
-        "ShardedEngineOptions::enable_online_tuner instead: the router owns "
-        "the single tuner over the merged fleet accounting");
-  }
   std::unique_ptr<ShardedEngine> se(new ShardedEngine());
   se->opts_ = opts;
   const std::size_t shards = std::max<std::size_t>(1, opts.shards);
@@ -57,18 +26,15 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::create(
 
   se->contexts_.reserve(shards);
   se->engines_.reserve(shards);
-  se->shard_cpus_.resize(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     ContextOptions copts = opts.context;
     EngineOptions eopts = opts.worker;
-    eopts.enable_online_tuner = false;
     eopts.shard = static_cast<int>(i);
     eopts.affinity_cpus.clear();
     if (opts.core_affinity) {
-      se->shard_cpus_[i] = hw::shard_core_assignment(
+      copts.pool_pin_cpus = hw::shard_core_assignment(
           topo, static_cast<int>(shards), static_cast<int>(i));
-      copts.pool_pin_cpus = se->shard_cpus_[i];
-      eopts.affinity_cpus = se->shard_cpus_[i];
+      eopts.affinity_cpus = copts.pool_pin_cpus;
     }
     try {
       se->contexts_.push_back(std::make_unique<Context>(copts));
@@ -130,9 +96,12 @@ std::size_t ShardedEngine::shard_for(int m, int n, int k) const {
 }
 
 std::size_t ShardedEngine::route(const GemmRequest& req) {
-  RouterObs& o = router_obs();
+  static obs::Counter& routed =
+      obs::default_registry().counter("autogemm_serve_routed_total");
+  static obs::Counter& steals =
+      obs::default_registry().counter("autogemm_serve_steals_total");
   routed_.fetch_add(1, std::memory_order_relaxed);
-  o.routed->add(1);
+  routed.add(1);
   const std::size_t home = shard_for(req.c.rows, req.c.cols, req.a.cols);
   if (engines_.size() < 2 || opts_.steal_imbalance_ratio <= 0) return home;
   const std::size_t home_depth = engines_[home]->queue_depth();
@@ -155,7 +124,7 @@ std::size_t ShardedEngine::route(const GemmRequest& req) {
       opts_.steal_imbalance_ratio * static_cast<double>(best_depth + 1))
     return home;
   steals_.fetch_add(1, std::memory_order_relaxed);
-  o.steals->add(1);
+  steals.add(1);
   return best;
 }
 
@@ -182,8 +151,9 @@ void ShardedEngine::resume() {
 }
 
 Status ShardedEngine::drain(std::uint64_t timeout_ns) {
-  // Tuner first (same rationale as Engine::drain): a parked tuner cannot
-  // publish mid-drain into any shard.
+  // Tuner first, and before any shard lock is taken: pause() blocks until
+  // an in-flight cycle parks, and that cycle's hot-shape feed takes every
+  // shard's lock. A parked tuner cannot publish mid-drain into any shard.
   if (tuner_ != nullptr) tuner_->pause();
   std::vector<Status> results(engines_.size(), Status::OK());
   std::vector<std::thread> drainers;

@@ -29,15 +29,16 @@
 //     slices, snapped to whole NUMA/CMG groups when shards <= groups, so
 //     a shard's packing traffic never crosses the domain boundary the
 //     scaling model penalizes.
-//   * **One tuner, fleet-wide view.** enable_online_tuner owns a single
-//     tune::OnlineTuner bound to shard 0's Context, fed by the *merged*
-//     per-shard hot-shape accounting (tune::merge_hot_shapes) — a shape
-//     lukewarm on every shard can still be hot fleet-wide. Promotions are
-//     fanned out to every shard's Context via the tuner's on_promote
-//     hook, and exactly one merge-on-save writer touches the records
-//     file. Workers must NOT run their own tuner: create() rejects
-//     worker.enable_online_tuner with kFailedPrecondition (two tuners
-//     persisting one records path was the bug this guards).
+//   * **One tuner, fleet-wide view.** The router is the online tuner's
+//     only owner (an Engine never tunes). enable_online_tuner builds a
+//     single tune::OnlineTuner bound to shard 0's Context, fed by the
+//     *merged* per-shard hot-shape accounting (tune::merge_hot_shapes) —
+//     a shape lukewarm on every shard can still be hot fleet-wide.
+//     Promotions are fanned out to every shard's Context via the tuner's
+//     on_promote hook, and exactly one merge-on-save writer touches the
+//     records file. drain() pauses the tuner first; a fleet built with
+//     worker.start_paused starts it paused. Standalone tuning is the
+//     degenerate fleet, shards = 1.
 //   * **Lifecycle fan-out, failure isolation.** pause/resume/drain/
 //     shutdown propagate to every shard (drains run concurrently — one
 //     slow shard does not serialize the fleet's deadline). Supervision
@@ -75,10 +76,8 @@ struct ShardedEngineOptions {
   /// every shard; the single tuner is the only records writer).
   ContextOptions context;
   /// Per-shard Engine configuration. queue_capacity etc. are *per shard*:
-  /// N shards admit N * queue_capacity in aggregate.
-  /// worker.enable_online_tuner must be false (see enable_online_tuner
-  /// below); worker.shard and worker.affinity_cpus are overwritten per
-  /// shard by create().
+  /// N shards admit N * queue_capacity in aggregate. worker.shard and
+  /// worker.affinity_cpus are overwritten per shard by create().
   EngineOptions worker;
   /// Steal when home_depth + 1 >= ratio * (min_depth + 1) (the +1 keeps
   /// the test meaningful at empty queues). 0 disables stealing.
@@ -93,7 +92,8 @@ struct ShardedEngineOptions {
   /// host's hardware_concurrency (one flat group).
   hw::Topology topology;
   /// Single router-owned online tuner over the merged fleet traffic (see
-  /// the header comment). Off by default, like the per-engine flag.
+  /// the header comment). Off by default: tuning spends CPU the
+  /// dispatchers could use, so the embedder opts in.
   bool enable_online_tuner = false;
   tune::OnlineTunerOptions tuner;
 };
@@ -117,10 +117,7 @@ struct ShardedStats {
 class ShardedEngine {
  public:
   /// Builds contexts + engines + (optionally) the router-owned tuner.
-  /// Fails with kFailedPrecondition if opts.worker.enable_online_tuner is
-  /// set — a worker-owned tuner under a sharded engine would race a
-  /// second persister onto the shared records path and tune from a
-  /// per-shard (not fleet-wide) traffic view.
+  /// Fails with kInvalidArgument if a shard's Context cannot be built.
   static StatusOr<std::unique_ptr<ShardedEngine>> create(
       const ShardedEngineOptions& opts = {});
 
@@ -149,8 +146,8 @@ class ShardedEngine {
   void pause();   ///< fan-out to every shard
   void resume();
 
-  /// Drains every shard concurrently (each sees the full timeout_ns; 0 =
-  /// unbounded). OK when all shards stopped; the first non-OK shard
+  /// Pauses the tuner, then drains every shard concurrently (each sees the
+  /// full timeout_ns; 0 = unbounded). OK when all shards stopped; the first non-OK shard
   /// status otherwise (timed-out shards keep draining in the background,
   /// exactly like Engine::drain).
   Status drain(std::uint64_t timeout_ns = 0);
@@ -160,11 +157,9 @@ class ShardedEngine {
 
   std::size_t shards() const { return engines_.size(); }
   Engine& shard_engine(std::size_t i) { return *engines_[i]; }
+  /// Shard i's Context; its options().pool_pin_cpus is the shard's core
+  /// slice (empty when core_affinity is off).
   Context& shard_context(std::size_t i) { return *contexts_[i]; }
-  /// Core slice assigned to shard i (empty when core_affinity is off).
-  const std::vector<int>& shard_cpus(std::size_t i) const {
-    return shard_cpus_[i];
-  }
 
   /// Aggregate + per-shard accounting snapshot.
   ShardedStats stats() const;
@@ -196,7 +191,6 @@ class ShardedEngine {
   /// engines_, then the contexts they reference.
   std::vector<std::unique_ptr<Context>> contexts_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<std::vector<int>> shard_cpus_;
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> routed_{0};
   std::unique_ptr<tune::OnlineTuner> tuner_;

@@ -272,21 +272,27 @@ TEST(BackendObs, DispatchAndStrategyCountersLabeledByBackend) {
   ContextOptions opts;
   opts.threads = 1;
   Context ctx(opts);
-  const std::string bn(backend::backend_name(ctx.backend_id()));
-  obs::Counter& dispatch = obs::default_registry().counter(
-      "autogemm_backend_dispatch_total{backend=\"" + bn + "\"}");
-  obs::Counter& serial = obs::default_registry().counter(
-      "autogemm_strategy_total{strategy=\"serial\",backend=\"" + bn + "\"}");
+  const std::string backend =
+      "backend=\"" + std::string(backend::backend_name(ctx.backend_id())) +
+      "\"";
+  const obs::Registry& reg = obs::default_registry();
+  const auto dispatch = [&] {
+    return reg.counter_total("autogemm_backend_dispatch_total", backend);
+  };
+  const auto serial = [&] {
+    return reg.counter_total("autogemm_strategy_total",
+                             "strategy=\"serial\"," + backend);
+  };
 
   common::Matrix a(8, 8), b(8, 8), c(8, 8);
   common::fill_random(a.view(), 41);
   common::fill_random(b.view(), 42);
 
-  const std::uint64_t dispatch_before = dispatch.value();
-  const std::uint64_t serial_before = serial.value();
+  const std::uint64_t dispatch_before = dispatch();
+  const std::uint64_t serial_before = serial();
   ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
-  EXPECT_EQ(dispatch.value(), dispatch_before + 1);
-  EXPECT_EQ(serial.value(), serial_before + 1);
+  EXPECT_EQ(dispatch(), dispatch_before + 1);
+  EXPECT_EQ(serial(), serial_before + 1);
 }
 
 TEST(TuneBackendAxis, DefaultSpaceStaysNeonOnly) {

@@ -5,6 +5,7 @@
 // additionally runs the FailpointEnv suite with AUTOGEMM_FAILPOINTS set.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -347,6 +348,35 @@ TEST_F(Failpoints, ServeDispatcherCrashIsRecoveredBySupervision) {
   engine.shutdown();
   const serve::ServerStats st = engine.stats();
   EXPECT_EQ(st.dispatcher_crashes, 1u);
+  EXPECT_TRUE(st.accounting_clean());
+}
+
+TEST_F(Failpoints, UnsupervisedDrainServesCrashedDispatchersBacklog) {
+  // The monitor thread fails to spawn, so nobody respawns a crashed
+  // dispatcher: its queue waits for drain(), which must serve the backlog
+  // itself instead of waiting forever.
+  failpoint::arm("serve.monitor_spawn", /*budget=*/1);
+  serve::Engine engine(serve_fp::serve_ctx());
+  EXPECT_EQ(failpoint::hits("serve.monitor_spawn"), 1);
+  Matrix a(8, 8), b(8, 8), c(8, 8), c_ref(8, 8);
+  common::fill_random(a.view(), 3);
+  common::fill_random(b.view(), 4);
+  common::reference_gemm(a.view(), b.view(), c_ref.view());
+  serve::GemmRequest r;
+  r.a = a.view();
+  r.b = b.view();
+  r.c = c.view();
+  failpoint::arm("serve.dispatcher_crash", /*budget=*/1);
+  std::future<Status> f = engine.submit(r);
+  const Status drained = engine.drain(/*timeout_ns=*/2'000'000'000ull);
+  EXPECT_TRUE(drained.ok()) << drained.to_string();
+  ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_TRUE(f.get().ok());
+  EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
+            testutil::gemm_tolerance(8));
+  const serve::ServerStats st = engine.stats();
+  EXPECT_EQ(st.dispatcher_crashes, 1u);
+  EXPECT_TRUE(engine.inline_mode());
   EXPECT_TRUE(st.accounting_clean());
 }
 

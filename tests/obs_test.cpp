@@ -128,6 +128,63 @@ TEST(ObsRegistry, PrometheusTextExposition) {
   EXPECT_NE(text.find("le=\"+Inf\"} 1"), std::string::npos);
 }
 
+TEST(ObsRegistry, FamilyTotalsSumEverySeries) {
+  obs::Registry r;
+  r.counter("req_total{lane=\"a\",shard=\"0\"}").add(2);
+  r.counter("req_total{lane=\"b\",shard=\"0\"}").add(3);
+  r.counter("req_total{lane=\"a\",shard=\"1\"}").add(5);
+  r.counter("req_total_other").add(100);  // a longer family, not a series
+  EXPECT_EQ(r.counter_total("req_total"), 10u);
+  EXPECT_EQ(r.counter_total("req_total", "lane=\"a\""), 7u);
+
+  r.gauge("depth{shard=\"0\"}").add(3);
+  r.gauge("depth{shard=\"1\"}").add(1);
+  r.gauge("depth{shard=\"1\"}").add(-0.5);
+  EXPECT_DOUBLE_EQ(r.gauge_total("depth"), 3.5);
+
+  r.histogram("lat_seconds{lane=\"a\"}").observe(1e-6);
+  r.histogram("lat_seconds{lane=\"b\"}").observe(8e-6);
+  r.histogram("lat_seconds{lane=\"b\"}").observe(8e-6);
+  const obs::Histogram::Snapshot h = r.histogram_total("lat_seconds");
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_DOUBLE_EQ(h.sum, 17e-6);
+  EXPECT_EQ(h.buckets[0], 1u);
+  EXPECT_EQ(h.buckets[3], 2u);
+  EXPECT_EQ(r.histogram_total("lat_seconds", "lane=\"b\"").count, 2u);
+}
+
+TEST(ObsRegistry, FamilyFilterMatchesWholeLabelsOnly) {
+  obs::Registry r;
+  r.counter("f_total{shard=\"1\"}").add(1);
+  r.counter("f_total{shard=\"10\"}").add(10);
+  r.counter("f_total{xshard=\"1\"}").add(100);
+  r.counter("f_total{shard=\"1x\"}").add(1000);
+  EXPECT_EQ(r.counter_total("f_total", "shard=\"1\""), 1u);
+  EXPECT_EQ(r.counter_total("f_total", "shard=\"10\""), 10u);
+  EXPECT_EQ(r.counter_total("f_total", "hard=\"1\""), 0u);
+}
+
+TEST(ObsRegistry, FamilyFilterTakesSeveralLabelsInAnyOrder) {
+  obs::Registry r;
+  r.counter("m_total{result=\"ok\",shard=\"0\"}").add(1);
+  r.counter("m_total{result=\"ok\",shard=\"1\"}").add(2);
+  r.counter("m_total{result=\"error\",shard=\"1\"}").add(4);
+  EXPECT_EQ(r.counter_total("m_total", "result=\"ok\",shard=\"1\""), 2u);
+  EXPECT_EQ(r.counter_total("m_total", "shard=\"1\",result=\"ok\""), 2u);
+  EXPECT_EQ(r.counter_total("m_total", "shard=\"1\""), 6u);
+  EXPECT_EQ(r.counter_total("m_total", "result=\"ok\",shard=\"2\""), 0u);
+}
+
+TEST(ObsRegistry, AbsentFamilyReadsZeroWithoutCreatingIt) {
+  obs::Registry r;
+  EXPECT_EQ(r.counter_total("none_total"), 0u);
+  EXPECT_EQ(r.gauge_total("none"), 0.0);
+  EXPECT_EQ(r.histogram_total("none_seconds").count, 0u);
+  EXPECT_EQ(r.counter_count(), 0u);
+  EXPECT_EQ(r.histogram_count(), 0u);
+  EXPECT_TRUE(r.prometheus_text().empty());
+}
+
 TEST(ObsRegistry, JsonSnapshotHasAllSections) {
   obs::Registry r;
   r.counter("j_total").add(7);
@@ -244,11 +301,16 @@ TEST_F(ObsTrace, WorkerLaneNaming) {
 // ----------------------------------------------------------- integration
 
 TEST_F(ObsTrace, ContextRunFeedsDefaultRegistry) {
-  obs::Registry& reg = obs::default_registry();
-  const std::uint64_t calls0 = reg.counter("autogemm_gemm_calls_total").value();
-  const std::uint64_t serial0 =
-      reg.counter("autogemm_strategy_total{strategy=\"serial\"}").value();
-  const std::uint64_t flops0 = reg.counter("autogemm_gemm_flops_total").value();
+  const obs::Registry& reg = obs::default_registry();
+  const auto serial = [&] {
+    return reg.counter_total("autogemm_strategy_total",
+                             "strategy=\"serial\"");
+  };
+  const std::uint64_t calls0 = reg.counter_total("autogemm_gemm_calls_total");
+  const std::uint64_t serial0 = serial();
+  const std::uint64_t flops0 = reg.counter_total("autogemm_gemm_flops_total");
+  const std::uint64_t seconds0 =
+      reg.histogram_total("autogemm_gemm_seconds").count;
 
   ContextOptions opts;
   opts.threads = 1;
@@ -260,15 +322,15 @@ TEST_F(ObsTrace, ContextRunFeedsDefaultRegistry) {
   ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
   ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
 
-  EXPECT_EQ(reg.counter("autogemm_gemm_calls_total").value(), calls0 + 2);
-  EXPECT_EQ(
-      reg.counter("autogemm_strategy_total{strategy=\"serial\"}").value(),
-      serial0 + 2);
-  EXPECT_EQ(reg.counter("autogemm_gemm_flops_total").value(),
+  EXPECT_EQ(reg.counter_total("autogemm_gemm_calls_total"), calls0 + 2);
+  EXPECT_EQ(serial(), serial0 + 2);
+  EXPECT_EQ(reg.counter_total("autogemm_gemm_flops_total"),
             flops0 + 2ull * 2 * m * n * k);
-  // The per-shape latency histogram materialised and saw both calls.
+  // One latency observation per call, on the {shape,dtype} series only.
+  EXPECT_EQ(reg.histogram_total("autogemm_gemm_seconds").count, seconds0 + 2);
   const std::string prom = reg.prometheus_text();
   EXPECT_NE(prom.find("shape=\"24x20x16\""), std::string::npos);
+  EXPECT_EQ(prom.find("autogemm_gemm_seconds_count "), std::string::npos);
 }
 
 TEST_F(ObsTrace, TracedContextRunEmitsPhaseSpans) {

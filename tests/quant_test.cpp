@@ -364,7 +364,7 @@ TEST(ServeQuant, HotShapesAggregateAcrossDTypes) {
 }
 
 // ---------------------------------------------------------------------
-// Obs: dtype label twins
+// Obs: dtype labels
 
 TEST(ObsQuant, GemmSecondsDtypeTwinsObserveOnMatchingTier) {
   // A process-unique shape so this test owns its label (the FCFS cap set
@@ -392,12 +392,15 @@ TEST(ObsQuant, GemmSecondsDtypeTwinsObserveOnMatchingTier) {
   EXPECT_EQ(reg.histogram(i8_name).snapshot().count, i8_before + 2);
 }
 
-TEST(ObsQuant, ServeBatchCounterDtypeTwinSplitsByTier) {
-  auto& reg = obs::default_registry();
-  const std::uint64_t i8_before =
-      reg.counter("autogemm_serve_batches_total{dtype=\"i8\"}").value();
+TEST(ObsQuant, ServeBatchCounterSplitsByDtype) {
+  const auto& reg = obs::default_registry();
+  const auto i8_batches = [&] {
+    return reg.counter_total("autogemm_serve_batches_total",
+                             "dtype=\"i8\"");
+  };
+  const std::uint64_t i8_before = i8_batches();
   const std::uint64_t all_before =
-      reg.counter("autogemm_serve_batches_total").value();
+      reg.counter_total("autogemm_serve_batches_total");
 
   Context ctx(ContextOptions{});
   serve::EngineOptions opts;
@@ -422,9 +425,8 @@ TEST(ObsQuant, ServeBatchCounterDtypeTwinSplitsByTier) {
   for (auto& f : fs) EXPECT_TRUE(f.get().ok());
   engine.shutdown();
 
-  EXPECT_EQ(reg.counter("autogemm_serve_batches_total{dtype=\"i8\"}").value(),
-            i8_before + 1);
-  EXPECT_EQ(reg.counter("autogemm_serve_batches_total").value(),
+  EXPECT_EQ(i8_batches(), i8_before + 1);
+  EXPECT_EQ(reg.counter_total("autogemm_serve_batches_total"),
             all_before + 1);
 }
 

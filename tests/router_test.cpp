@@ -1,7 +1,7 @@
 // serve::ShardedEngine: routing determinism, bounded stealing, the
-// single-tuner ownership rule, per-shard failure isolation, merged
-// hot-shape accounting, shard-labeled obs twins, the hw core-slice
-// assignment, and the open-loop load generator.
+// router-owned tuner, per-shard failure isolation, merged hot-shape
+// accounting, shard-labeled obs series and their family sums, the hw
+// core-slice assignment, and the open-loop load generator.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -152,14 +152,6 @@ TEST(Router, StealsUnderDispatcherStallAndStaysClean) {
   for (const ServerStats& s : ss.shards) EXPECT_TRUE(s.accounting_clean());
 }
 
-TEST(Router, WorkerOwnedTunerIsRejectedAtBuildTime) {
-  ShardedEngineOptions o = base_opts(2);
-  o.worker.enable_online_tuner = true;
-  auto made = ShardedEngine::create(o);
-  ASSERT_FALSE(made.ok());
-  EXPECT_EQ(made.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(Router, HotShapeCountsSumAcrossShards) {
   auto se = ShardedEngine::create(base_opts(2)).value();
   Problem pa(8, 8, 8, 1), pb(16, 12, 20, 2);
@@ -274,15 +266,15 @@ TEST(Router, ShardDegradeStaysIsolated) {
 }
 
 TEST(Router, ShardLabeledMetricsMirrorStats) {
-  obs::Registry& r = obs::default_registry();
-  const std::uint64_t sub0 =
-      r.counter("autogemm_serve_submitted_total{shard=\"0\"}").value();
-  const std::uint64_t sub1 =
-      r.counter("autogemm_serve_submitted_total{shard=\"1\"}").value();
-  const std::uint64_t routed0 =
-      r.counter("autogemm_serve_routed_total").value();
-  const std::uint64_t steals0 =
-      r.counter("autogemm_serve_steals_total").value();
+  const obs::Registry& r = obs::default_registry();
+  const auto submitted = [&](const char* shard) {
+    return r.counter_total("autogemm_serve_submitted_total",
+                           std::string("shard=\"") + shard + "\"");
+  };
+  const std::uint64_t sub0 = submitted("0");
+  const std::uint64_t sub1 = submitted("1");
+  const std::uint64_t routed0 = r.counter_total("autogemm_serve_routed_total");
+  const std::uint64_t steals0 = r.counter_total("autogemm_serve_steals_total");
   auto se = ShardedEngine::create(base_opts(2)).value();
   std::vector<std::unique_ptr<Problem>> ps;
   std::vector<std::future<Status>> fs;
@@ -294,20 +286,50 @@ TEST(Router, ShardLabeledMetricsMirrorStats) {
   for (auto& f : fs) EXPECT_TRUE(f.get().ok());
   EXPECT_TRUE(se->drain().ok());
   const ShardedStats ss = se->stats();
-  // Twin counters advanced by exactly what the per-shard stats report.
-  EXPECT_EQ(
-      r.counter("autogemm_serve_submitted_total{shard=\"0\"}").value() - sub0,
-      ss.shards[0].submitted);
-  EXPECT_EQ(
-      r.counter("autogemm_serve_submitted_total{shard=\"1\"}").value() - sub1,
-      ss.shards[1].submitted);
-  EXPECT_EQ(r.counter("autogemm_serve_routed_total").value() - routed0,
+  // Each shard's series (summed over lanes) advanced by exactly what the
+  // per-shard stats report.
+  EXPECT_EQ(submitted("0") - sub0, ss.shards[0].submitted);
+  EXPECT_EQ(submitted("1") - sub1, ss.shards[1].submitted);
+  EXPECT_EQ(r.counter_total("autogemm_serve_routed_total") - routed0,
             ss.routed);
-  EXPECT_EQ(r.counter("autogemm_serve_steals_total").value() - steals0,
+  EXPECT_EQ(r.counter_total("autogemm_serve_steals_total") - steals0,
             ss.steals);
-  // The per-shard depth gauges exist and read empty after the drain.
-  EXPECT_EQ(r.gauge("autogemm_serve_queue_depth{shard=\"0\"}").value(), 0.0);
-  EXPECT_EQ(r.gauge("autogemm_serve_queue_depth{shard=\"1\"}").value(), 0.0);
+  // The per-shard depth series read empty after the drain.
+  EXPECT_EQ(r.gauge_total("autogemm_serve_queue_depth", "shard=\"0\""), 0.0);
+  EXPECT_EQ(r.gauge_total("autogemm_serve_queue_depth", "shard=\"1\""), 0.0);
+}
+
+TEST(Router, QueueDepthGaugeSumsAcrossShards) {
+  // Every engine moves the depth family by its own deltas, so the family
+  // sum is the fleet's total depth, not the last writer's.
+  const obs::Registry& r = obs::default_registry();
+  const double depth0 = r.gauge_total("autogemm_serve_queue_depth");
+  ShardedEngineOptions o = base_opts(2);
+  o.worker.start_paused = true;
+  auto se = ShardedEngine::create(o).value();
+  // One shape homed on each shard (the stream is deterministic, so this
+  // search is too).
+  std::array<std::array<int, 3>, 2> homed{};
+  std::array<bool, 2> found{};
+  for (const auto& s : shape_stream()) {
+    const std::size_t home = se->shard_for(s[0], s[1], s[2]);
+    if (!found[home]) homed[home] = s;
+    found[home] = true;
+  }
+  ASSERT_TRUE(found[0] && found[1]);
+  std::vector<std::unique_ptr<Problem>> ps;
+  std::vector<std::future<Status>> fs;
+  for (int i = 0; i < 4; ++i) {
+    const std::array<int, 3>& s = homed[i < 3 ? 0 : 1];
+    ps.push_back(std::make_unique<Problem>(s[0], s[1], s[2], 40 + i));
+    fs.push_back(se->submit(ps.back()->request()));
+  }
+  EXPECT_EQ(se->shard_engine(0).queue_depth(), 3u);
+  EXPECT_EQ(se->shard_engine(1).queue_depth(), 1u);
+  EXPECT_EQ(r.gauge_total("autogemm_serve_queue_depth") - depth0, 4.0);
+  se->shutdown();
+  for (auto& f : fs) EXPECT_TRUE(f.get().ok());
+  EXPECT_EQ(r.gauge_total("autogemm_serve_queue_depth") - depth0, 0.0);
 }
 
 TEST(Hw, ShardCoreAssignmentSnapsToGroups) {

@@ -20,6 +20,7 @@
 #include "core/context.hpp"
 #include "obs/metrics.hpp"
 #include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "test_util.hpp"
 
 namespace autogemm::serve {
@@ -419,15 +420,17 @@ TEST(Serve, CallbackFlavorCompletesExactlyOnce) {
 }
 
 TEST(Serve, MetricsMirrorEngineActivity) {
-  obs::Registry& reg = obs::default_registry();
-  obs::Counter& admitted = reg.counter("autogemm_serve_admitted_total");
-  obs::Counter& batches = reg.counter("autogemm_serve_batches_total");
-  obs::Histogram& qlat =
-      reg.histogram("autogemm_serve_queue_seconds{lane=\"bulk\"}");
-  obs::Gauge& depth = reg.gauge("autogemm_serve_queue_depth");
-  const std::uint64_t admitted0 = admitted.value();
-  const std::uint64_t batches0 = batches.value();
-  const std::uint64_t qlat0 = qlat.snapshot().count;
+  const obs::Registry& reg = obs::default_registry();
+  const auto bulk_qlat = [&] {
+    return reg.histogram_total("autogemm_serve_queue_seconds",
+                               "lane=\"bulk\"").count;
+  };
+  const std::uint64_t admitted0 =
+      reg.counter_total("autogemm_serve_admitted_total");
+  const std::uint64_t batches0 =
+      reg.counter_total("autogemm_serve_batches_total");
+  const std::uint64_t qlat0 = bulk_qlat();
+  const double depth0 = reg.gauge_total("autogemm_serve_queue_depth");
 
   std::vector<std::unique_ptr<Problem>> ps;
   EngineOptions opts;
@@ -443,10 +446,10 @@ TEST(Serve, MetricsMirrorEngineActivity) {
   for (auto& f : fs) EXPECT_TRUE(f.get().ok());
   engine.shutdown();
 
-  EXPECT_EQ(admitted.value(), admitted0 + 4);
-  EXPECT_GE(batches.value(), batches0 + 1);
-  EXPECT_EQ(qlat.snapshot().count, qlat0 + 4);
-  EXPECT_EQ(depth.value(), 0.0);  // drained
+  EXPECT_EQ(reg.counter_total("autogemm_serve_admitted_total"), admitted0 + 4);
+  EXPECT_GE(reg.counter_total("autogemm_serve_batches_total"), batches0 + 1);
+  EXPECT_EQ(bulk_qlat(), qlat0 + 4);
+  EXPECT_EQ(reg.gauge_total("autogemm_serve_queue_depth"), depth0);  // drained
 }
 
 TEST(Serve, HammerMixedLoadAllFuturesResolve) {
@@ -841,18 +844,26 @@ TEST(Serve, RestartBudgetExhaustionDegradesToInline) {
   EXPECT_TRUE(st.accounting_clean());
 }
 
-/// Rigged deterministic tuner cost for serve-level tests: the shape's
-/// current (incumbent) config prices 2.0, everything else 1.0, so a
-/// search always promotes, independent of host noise.
-std::function<double(const tune::Candidate&, int, int, int)> rig_promote(
-    Context& ctx, int m, int n, int k) {
-  const GemmConfig inc = ctx.plan_for(m, n, k)->config();
-  return [inc](const tune::Candidate& c, int, int, int) {
-    const bool is_inc = c.mc == inc.mc && c.nc == inc.nc && c.kc == inc.kc &&
-                        c.loop_order == inc.loop_order &&
-                        c.packing == inc.packing;
+/// A one-shard fleet — the online tuner's owner — whose tuner prices with
+/// a rigged deterministic cost: the shape's incumbent config prices 2.0,
+/// everything else 1.0, so a search always promotes, independent of host
+/// noise. The incumbent is only known once the shard's Context exists,
+/// hence the indirection.
+std::unique_ptr<ShardedEngine> tuned_fleet(ShardedEngineOptions o, int m,
+                                           int n, int k) {
+  o.shards = 1;
+  o.context.threads = 1;
+  o.enable_online_tuner = true;
+  auto inc = std::make_shared<GemmConfig>();
+  o.tuner.cost_override = [inc](const tune::Candidate& c, int, int, int) {
+    const bool is_inc = c.mc == inc->mc && c.nc == inc->nc &&
+                        c.kc == inc->kc && c.loop_order == inc->loop_order &&
+                        c.packing == inc->packing;
     return is_inc ? 2.0 : 1.0;
   };
+  auto fleet = ShardedEngine::create(o).value();
+  *inc = fleet->shard_context(0).plan_for(m, n, k)->config();
+  return fleet;
 }
 
 TEST(Serve, HotShapesRankByAdmittedRequests) {
@@ -880,63 +891,54 @@ TEST(Serve, HotShapesRankByAdmittedRequests) {
 }
 
 TEST(Serve, TunerManualCyclePromotesFromRequestAccounting) {
-  // End-to-end through the engine's own feed: admitted-request accounting
+  // End-to-end through the fleet's own feed: admitted-request accounting
   // ranks the hot shape, a manual tuner cycle searches it, and the
   // promoted record serves the *next* request through the exact rung —
   // all deterministic (tuner thread parked, rigged cost).
-  ContextOptions copts;
-  copts.threads = 1;
-  Context ctx(copts);
   const int m = 40, n = 36, k = 28;
-  EngineOptions opts;
-  opts.enable_online_tuner = true;
+  ShardedEngineOptions opts;
   opts.tuner.start_paused = true;
   opts.tuner.min_requests = 4;
-  opts.tuner.cost_override = rig_promote(ctx, m, n, k);
-  Engine engine(ctx, opts);
-  ASSERT_NE(engine.online_tuner(), nullptr);
+  const auto fleet = tuned_fleet(opts, m, n, k);
+  ASSERT_NE(fleet->online_tuner(), nullptr);
+  Context& ctx = fleet->shard_context(0);
 
   std::vector<std::unique_ptr<Problem>> ps;
   std::vector<std::future<Status>> fs;
   for (int i = 0; i < 8; ++i) {
     ps.push_back(std::make_unique<Problem>(m, n, k, 600 + i));
-    fs.push_back(engine.submit(ps.back()->request()));
+    fs.push_back(fleet->submit(ps.back()->request()));
   }
   for (auto& f : fs) EXPECT_TRUE(f.get().ok());
   for (auto& p : ps) EXPECT_TRUE(p->c_matches_ref());
 
-  EXPECT_TRUE(engine.online_tuner()->run_cycle());
-  EXPECT_EQ(engine.online_tuner()->stats().promotions, 1u);
+  EXPECT_TRUE(fleet->online_tuner()->run_cycle());
+  EXPECT_EQ(fleet->online_tuner()->stats().promotions, 1u);
   EXPECT_TRUE(ctx.has_exact_record(m, n, k));
 
   // Traffic after the promotion executes the searched config, correctly.
   const std::uint64_t exact_before = ctx.stats().resolved_exact;
   Problem after(m, n, k, 700);
-  EXPECT_TRUE(engine.submit(after.request()).get().ok());
+  EXPECT_TRUE(fleet->submit(after.request()).get().ok());
   EXPECT_TRUE(after.c_matches_ref());
   EXPECT_EQ(ctx.stats().resolved_exact, exact_before + 1);
 
   // A second cycle is a no-op: the shape now resolves exact.
-  EXPECT_FALSE(engine.online_tuner()->run_cycle());
-  EXPECT_EQ(engine.online_tuner()->stats().promotions, 1u);
+  EXPECT_FALSE(fleet->online_tuner()->run_cycle());
+  EXPECT_EQ(fleet->online_tuner()->stats().promotions, 1u);
 
-  engine.shutdown();
-  EXPECT_TRUE(engine.stats().accounting_clean());
+  fleet->shutdown();
+  EXPECT_TRUE(fleet->stats().accounting_clean());
 }
 
 TEST(Serve, BackgroundTunerPromotesWhileServing) {
   // The live loop: the tuner thread discovers the hot shape and promotes
   // on its own while requests keep flowing and resolving.
-  ContextOptions copts;
-  copts.threads = 1;
-  Context ctx(copts);
   const int m = 44, n = 28, k = 20;
-  EngineOptions opts;
-  opts.enable_online_tuner = true;
+  ShardedEngineOptions opts;
   opts.tuner.cycle_interval_ns = 1'000'000;  // 1 ms
   opts.tuner.min_requests = 4;
-  opts.tuner.cost_override = rig_promote(ctx, m, n, k);
-  Engine engine(ctx, opts);
+  const auto fleet = tuned_fleet(opts, m, n, k);
 
   const std::uint64_t deadline = common::now_ns() + 10'000'000'000ull;
   std::uint64_t promotions = 0;
@@ -946,33 +948,29 @@ TEST(Serve, BackgroundTunerPromotesWhileServing) {
     std::vector<std::future<Status>> fs;
     for (int i = 0; i < 4; ++i) {
       ps.push_back(std::make_unique<Problem>(m, n, k, 800 + 4 * batch + i));
-      fs.push_back(engine.submit(ps.back()->request()));
+      fs.push_back(fleet->submit(ps.back()->request()));
     }
     ++batch;
     for (auto& f : fs) EXPECT_TRUE(f.get().ok());
     for (auto& p : ps) EXPECT_TRUE(p->c_matches_ref());
-    promotions = engine.online_tuner()->stats().promotions;
+    promotions = fleet->online_tuner()->stats().promotions;
   }
   EXPECT_GE(promotions, 1u) << "background tuner never promoted";
-  EXPECT_TRUE(ctx.has_exact_record(m, n, k));
-  engine.shutdown();
-  EXPECT_TRUE(engine.stats().accounting_clean());
+  EXPECT_TRUE(fleet->shard_context(0).has_exact_record(m, n, k));
+  fleet->shutdown();
+  EXPECT_TRUE(fleet->stats().accounting_clean());
 }
 
 TEST(Serve, DrainPausesOnlineTuner) {
-  ContextOptions copts;
-  copts.threads = 1;
-  Context ctx(copts);
-  EngineOptions opts;
-  opts.enable_online_tuner = true;
+  ShardedEngineOptions opts;
   opts.tuner.cycle_interval_ns = 1'000'000;
-  Engine engine(ctx, opts);
+  const auto fleet = tuned_fleet(opts, 16, 12, 8);
   Problem p(16, 12, 8, 900);
-  EXPECT_TRUE(engine.submit(p.request()).get().ok());
-  const Status drained = engine.drain();
+  EXPECT_TRUE(fleet->submit(p.request()).get().ok());
+  const Status drained = fleet->drain();
   EXPECT_TRUE(drained.ok()) << drained.message();
-  EXPECT_TRUE(engine.online_tuner()->paused());
-  EXPECT_TRUE(engine.stats().accounting_clean());
+  EXPECT_TRUE(fleet->online_tuner()->paused());
+  EXPECT_TRUE(fleet->stats().accounting_clean());
 }
 
 TEST(Serve, TunerPromotionUnderFailpointsKeepsFuturesResolving) {
@@ -982,17 +980,12 @@ TEST(Serve, TunerPromotionUnderFailpointsKeepsFuturesResolving) {
   // the persist failure must be counted, not fatal.
   const std::string path = "/tmp/autogemm_serve_tuner_failpoint_test.txt";
   std::remove(path.c_str());
-  ContextOptions copts;
-  copts.threads = 1;
-  Context ctx(copts);
   const int m = 36, n = 44, k = 24;
-  EngineOptions opts;
-  opts.enable_online_tuner = true;
+  ShardedEngineOptions opts;
   opts.tuner.start_paused = true;
   opts.tuner.min_requests = 4;
   opts.tuner.records_path = path;
-  opts.tuner.cost_override = rig_promote(ctx, m, n, k);
-  Engine engine(ctx, opts);
+  const auto fleet = tuned_fleet(opts, m, n, k);
 
   // Operands are built *before* arming: the failpoints target the serving
   // and tuning paths, not the test fixture's own matrix allocations.
@@ -1002,20 +995,20 @@ TEST(Serve, TunerPromotionUnderFailpointsKeepsFuturesResolving) {
   failpoint::arm("records.save_fail", 1);
   failpoint::arm("alloc.aligned_buffer", 3);
   std::vector<std::future<Status>> fs;
-  for (auto& p : ps) fs.push_back(engine.submit(p->request()));
+  for (auto& p : ps) fs.push_back(fleet->submit(p->request()));
   // Every future reaches a terminal state — ok or a clean error, never a
   // hang — whatever the failpoints did to the allocation path.
   for (auto& f : fs) (void)f.get();
 
-  EXPECT_TRUE(engine.online_tuner()->run_cycle());
+  EXPECT_TRUE(fleet->online_tuner()->run_cycle());
   failpoint::disarm_all();
-  const tune::OnlineTunerStats ts = engine.online_tuner()->stats();
+  const tune::OnlineTunerStats ts = fleet->online_tuner()->stats();
   EXPECT_EQ(ts.promotions, 1u);
   EXPECT_EQ(ts.persist_failures, 1u);
-  EXPECT_TRUE(ctx.has_exact_record(m, n, k));
+  EXPECT_TRUE(fleet->shard_context(0).has_exact_record(m, n, k));
 
-  engine.shutdown();
-  EXPECT_TRUE(engine.stats().accounting_clean());
+  fleet->shutdown();
+  EXPECT_TRUE(fleet->stats().accounting_clean());
   std::remove(path.c_str());
 }
 

@@ -96,8 +96,8 @@ int usage() {
       "                                          --records FILE loads prior\n"
       "                                          promotions and persists new\n"
       "                                          ones (merge-on-save);\n"
-      "                                          --shards N replays through a\n"
-      "                                          sharded multi-engine fleet\n"
+      "                                          --shards N (default 1) sizes\n"
+      "                                          the serving fleet\n"
       "  chaos [--seed S] [--seeds N] [--submitters T] [--requests R]\n"
       "        [--shards N]\n"
       "                                          seeded fault-injection runs\n"
@@ -418,53 +418,38 @@ int cmd_serve_replay(int argc, char** argv) {
     copts.records_path = records_file;
     records_loaded = true;
   }
-  serve::EngineOptions eopts;
-  eopts.queue_capacity = capacity;
-  eopts.max_batch = max_batch;
-  eopts.max_batch_delay_ns = static_cast<std::uint64_t>(window_us) * 1000;
-  tune::OnlineTunerOptions topts;
+  // One front door: a ShardedEngine of --shards workers (default 1) with
+  // shape-affine routing + stealing; --tune enables its router-owned
+  // tuner over the merged fleet traffic.
+  serve::ShardedEngineOptions sopts;
+  sopts.shards = static_cast<std::size_t>(shards);
+  sopts.context = copts;
+  sopts.worker.queue_capacity = capacity;
+  sopts.worker.max_batch = max_batch;
+  sopts.worker.max_batch_delay_ns = static_cast<std::uint64_t>(window_us) * 1000;
+  sopts.enable_online_tuner = tune_enabled;
   if (tune_enabled) {
     // Deterministic for CI: promotion decided by the analytic model, not
     // host wall-clock — the same trace promotes the same configs
     // everywhere. The tuner thread stays parked; a manual cycle below
     // runs after the replay was submitted (publication races live
     // traffic, which is the point).
-    topts.start_paused = true;
-    topts.min_requests = 2;
-    topts.top_k = 8;
-    topts.records_path = records_file;
-    topts.cost_override = [](const tune::Candidate& c, int m, int n, int k) {
+    sopts.tuner.start_paused = true;
+    sopts.tuner.min_requests = 2;
+    sopts.tuner.top_k = 8;
+    sopts.tuner.records_path = records_file;
+    sopts.tuner.cost_override = [](const tune::Candidate& c, int m, int n,
+                                   int k) {
       return tune::model_cost_seconds(c, m, n, k);
     };
   }
-  // --shards 1 (the default) drives a bare Engine; --shards N > 1 drives
-  // a ShardedEngine (shape-affine routing + stealing), where --tune means
-  // the router-owned fleet-wide tuner, never a per-worker one.
-  std::unique_ptr<Context> ctx;
-  std::unique_ptr<serve::Engine> engine;
-  std::unique_ptr<serve::ShardedEngine> fleet;
-  if (shards > 1) {
-    serve::ShardedEngineOptions sopts;
-    sopts.shards = static_cast<std::size_t>(shards);
-    sopts.context = copts;
-    sopts.worker = eopts;
-    sopts.enable_online_tuner = tune_enabled;
-    sopts.tuner = topts;
-    auto made = serve::ShardedEngine::create(sopts);
-    if (!made.ok()) {
-      std::fprintf(stderr, "cannot build sharded engine: %s\n",
-                   made.status().to_string().c_str());
-      return 1;
-    }
-    fleet = std::move(made).value();
-  } else {
-    if (tune_enabled) {
-      eopts.enable_online_tuner = true;
-      eopts.tuner = topts;
-    }
-    ctx = std::make_unique<Context>(copts);
-    engine = std::make_unique<serve::Engine>(*ctx, eopts);
+  auto made = serve::ShardedEngine::create(sopts);
+  if (!made.ok()) {
+    std::fprintf(stderr, "cannot build sharded engine: %s\n",
+                 made.status().to_string().c_str());
+    return 1;
   }
+  std::unique_ptr<serve::ShardedEngine> fleet = std::move(made).value();
 
   struct Submitted {
     std::future<Status> future;
@@ -494,17 +479,14 @@ int cmd_serve_replay(int argc, char** argv) {
           g.deadline_ns = common::now_ns() +
                           static_cast<std::uint64_t>(deadline_us) * 1000;
         (line.lane == serve::Lane::kInteractive ? interactive : bulk) += 1;
-        req.future =
-            fleet != nullptr ? fleet->submit(g) : engine->submit(g);
+        req.future = fleet->submit(g);
       }
     }
   }
   // With tuning on, run one cycle now — while the replay's futures are
   // still in flight, so promotion demonstrably does not block traffic.
   tune::OnlineTunerStats tuner_stats;
-  tune::OnlineTuner* tuner =
-      fleet != nullptr ? fleet->online_tuner() : engine->online_tuner();
-  if (tune_enabled && tuner != nullptr) {
+  if (tune::OnlineTuner* tuner = fleet->online_tuner()) {
     tuner->run_cycle();
     tuner_stats = tuner->stats();
   }
@@ -516,16 +498,14 @@ int cmd_serve_replay(int argc, char** argv) {
   if (drain_timeout_us > 0) {
     const std::uint64_t bound =
         static_cast<std::uint64_t>(drain_timeout_us) * 1000;
-    const Status drained =
-        fleet != nullptr ? fleet->drain(bound) : engine->drain(bound);
+    const Status drained = fleet->drain(bound);
     if (!drained.ok()) {
       ++drain_timeouts;
       std::printf("drain: timeout after %ldus (%s); finishing via shutdown\n",
                   drain_timeout_us, drained.to_string().c_str());
     }
   }
-  if (fleet != nullptr) fleet->shutdown();
-  else engine->shutdown();
+  fleet->shutdown();
 
   std::size_t unready = 0, ok = 0, failed = 0, rejected = 0, shed = 0,
               expired = 0, invalid = 0, mismatches = 0;
@@ -560,21 +540,16 @@ int cmd_serve_replay(int argc, char** argv) {
     }
   }
 
-  serve::ShardedStats fleet_stats;
-  serve::ServerStats st;
-  if (fleet != nullptr) {
-    fleet_stats = fleet->stats();
-    st = fleet_stats.aggregate;
-  } else {
-    st = engine->stats();
-  }
-  const auto q_us = [](const char* name) {
-    const auto snap = obs::default_registry().histogram(name).snapshot();
+  const serve::ShardedStats fleet_stats = fleet->stats();
+  const serve::ServerStats& st = fleet_stats.aggregate;
+  // Per-lane queue latency: the lane's series summed over every shard.
+  const auto q_us = [](const char* lane) {
+    const auto snap = obs::default_registry().histogram_total(
+        "autogemm_serve_queue_seconds", std::string("lane=\"") + lane + "\"");
     return std::make_pair(snap.quantile(0.5) * 1e6, snap.quantile(0.99) * 1e6);
   };
-  const auto [p50_i, p99_i] =
-      q_us("autogemm_serve_queue_seconds{lane=\"interactive\"}");
-  const auto [p50_b, p99_b] = q_us("autogemm_serve_queue_seconds{lane=\"bulk\"}");
+  const auto [p50_i, p99_i] = q_us("interactive");
+  const auto [p50_b, p99_b] = q_us("bulk");
 
   std::printf("serve-replay: trace=%s requests=%zu capacity=%zu max_batch=%zu "
               "window_us=%ld repeat=%d\n",
@@ -590,23 +565,18 @@ int cmd_serve_replay(int argc, char** argv) {
               static_cast<unsigned long long>(st.batched_requests),
               static_cast<unsigned long long>(st.single_dispatches),
               static_cast<unsigned long long>(st.max_queue_depth));
-  if (fleet != nullptr)
-    std::printf("shards: n=%zu steals=%llu routed=%llu inline=%zu\n",
-                fleet->shards(),
-                static_cast<unsigned long long>(fleet_stats.steals),
-                static_cast<unsigned long long>(fleet_stats.routed),
-                fleet->inline_shards());
+  std::printf("shards: n=%zu steals=%llu routed=%llu inline=%zu\n",
+              fleet->shards(),
+              static_cast<unsigned long long>(fleet_stats.steals),
+              static_cast<unsigned long long>(fleet_stats.routed),
+              fleet->inline_shards());
   std::printf("queue_latency_us: interactive_p50=%.1f interactive_p99=%.1f "
               "bulk_p50=%.1f bulk_p99=%.1f\n",
               p50_i, p99_i, p50_b, p99_b);
   if (tune_enabled) {
     std::uint64_t resolved_exact = 0;
-    if (fleet != nullptr) {
-      for (std::size_t i = 0; i < fleet->shards(); ++i)
-        resolved_exact += fleet->shard_context(i).stats().resolved_exact;
-    } else {
-      resolved_exact = ctx->stats().resolved_exact;
-    }
+    for (std::size_t i = 0; i < fleet->shards(); ++i)
+      resolved_exact += fleet->shard_context(i).stats().resolved_exact;
     std::printf("tuning: searches=%llu promotions=%llu demotions=%llu "
                 "records_loaded=%d resolved_exact=%llu persisted=%llu\n",
                 static_cast<unsigned long long>(tuner_stats.searches),
@@ -616,9 +586,8 @@ int cmd_serve_replay(int argc, char** argv) {
                 static_cast<unsigned long long>(resolved_exact),
                 static_cast<unsigned long long>(tuner_stats.persisted));
   }
-  const bool clean = st.accounting_clean() && unready == 0 &&
-                     st.submitted == requests.size() &&
-                     (fleet == nullptr || fleet_stats.accounting_clean());
+  const bool clean = fleet_stats.accounting_clean() && unready == 0 &&
+                     st.submitted == requests.size();
   std::printf("overload_events=%llu accounting=%s\n",
               static_cast<unsigned long long>(st.rejected + st.shed),
               clean ? "clean" : "BROKEN");

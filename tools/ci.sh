@@ -97,7 +97,8 @@ for config in "${configs[@]}"; do
       echo "==== [release] obs smoke (trace + metrics + report) ===="
       # Traced parallel k-split GEMM: the export must be valid JSON, carry
       # the pack/kernel/reduce phase spans on distinct worker lanes, and
-      # the Prometheus text must expose the core counter families.
+      # the Prometheus text must expose the core counter families — with
+      # GEMM latency as one {shape,dtype} family and no unlabeled twin.
       ./build/tools/autogemm trace 8 8 8192 --threads 4 --strategy ksplit \
         --out build/obs_smoke_trace.json --metrics build/obs_smoke_metrics.prom
       python3 -m json.tool build/obs_smoke_trace.json > /dev/null
@@ -105,6 +106,11 @@ for config in "${configs[@]}"; do
         --require pack_a,kernel,reduce
       grep -q 'autogemm_gemm_calls_total' build/obs_smoke_metrics.prom
       grep -q 'autogemm_gemm_seconds_bucket' build/obs_smoke_metrics.prom
+      grep -q 'autogemm_gemm_seconds_count{shape=' build/obs_smoke_metrics.prom
+      if grep -q '^autogemm_gemm_seconds_count ' build/obs_smoke_metrics.prom; then
+        echo "obs smoke: unlabeled autogemm_gemm_seconds series exported" >&2
+        exit 1
+      fi
       echo "==== [release] obs overhead bench (non-gating) ===="
       ./build/bench/bench_obs_overhead --json-out build/bench_obs_overhead.json \
         || true
