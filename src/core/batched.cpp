@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "core/gemm.hpp"
 
 namespace autogemm {
 
@@ -173,19 +172,6 @@ std::vector<std::size_t> find_cross_member_conflicts(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-void gemm_batched(const std::vector<BatchItem>& items, const Plan& plan,
-                  common::ThreadPool* pool) {
-  if (items.empty()) return;
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for(static_cast<int>(items.size()), [&](int i) {
-      // Each worker runs its item single-threaded (no nested parallelism).
-      gemm(items[i].a, items[i].b, items[i].c, plan, nullptr);
-    });
-  } else {
-    for (const auto& item : items) gemm(item.a, item.b, item.c, plan);
-  }
 }
 
 }  // namespace autogemm

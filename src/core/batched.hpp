@@ -17,8 +17,6 @@
 
 #include "common/matrix.hpp"
 #include "common/status.hpp"
-#include "common/threadpool.hpp"
-#include "core/plan.hpp"
 
 namespace autogemm {
 
@@ -62,11 +60,5 @@ Status validate_batch(const std::vector<BatchItem>& items);
 /// failing the whole batch. O(B log B) in the batch size.
 std::vector<std::size_t> find_cross_member_conflicts(
     const std::vector<BatchItem>& items);
-
-/// C_i += A_i * B_i for every item, all sharing one shape and plan.
-/// With a pool, items run concurrently (each C_i is written by exactly one
-/// worker).
-void gemm_batched(const std::vector<BatchItem>& items, const Plan& plan,
-                  common::ThreadPool* pool = nullptr);
 
 }  // namespace autogemm

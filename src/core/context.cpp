@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -129,134 +130,89 @@ void fill_probe(std::vector<float>& buf, unsigned seed) {
   }
 }
 
-/// Probes the *generated-kernel* path: emit the (mr x nr, kc) micro-kernel
-/// as isa::Program and execute it on the watchdogged interpreter against
-/// real buffers, comparing with the reference GEMM. This is the check the
-/// paper performs against other BLAS libraries at generation time, moved
-/// to first use so a config transferred from another machine is vetted on
-/// the machine that will trust it.
-Status probe_generated(int mr, int nr, int kc, int lanes, long max_steps) {
-  codegen::MicroKernel mk;
-  try {
-    codegen::GeneratorOptions gopts;
-    gopts.rotate_registers = true;  // the shipped kernels always rotate
-    mk = codegen::generate_microkernel(mr, nr, kc, lanes, gopts);
-  } catch (const std::exception& e) {
-    return InternalError(std::string("probe: codegen failed for ") +
-                         std::to_string(mr) + "x" + std::to_string(nr) + ": " +
-                         e.what());
-  }
-  // The generated stream over-reads like real packed kernels; honor its
-  // padding contract.
-  const int ka = codegen::padded_k_a(kc, lanes);
-  const int kb = codegen::padded_k_b(kc, lanes);
-  std::vector<float> a(static_cast<std::size_t>(mr) * ka);
-  std::vector<float> b(static_cast<std::size_t>(kb) * nr);
+/// The one first-use probe: fills A (mr x kc, row stride lda) and B
+/// (b_rows x nr) deterministically, runs `kernel` on them into a zeroed C
+/// and compares C with common::reference_gemm over depth kc. lda/b_rows
+/// exceed kc when the kernel over-reads by a padding contract. `what`
+/// names the tile and the kernel path in the failure message.
+Status run_probe(int mr, int nr, int kc, int lda, int b_rows, unsigned seed,
+                 const std::string& what,
+                 const std::function<Status(const float* a, const float* b,
+                                            float* c)>& kernel) {
+  std::vector<float> a(static_cast<std::size_t>(mr) * lda);
+  std::vector<float> b(static_cast<std::size_t>(b_rows) * nr);
   std::vector<float> c(static_cast<std::size_t>(mr) * nr, 0.0f);
   std::vector<float> c_ref(c.size(), 0.0f);
-  fill_probe(a, 11);
-  fill_probe(b, 23);
-
-  sim::Interpreter interp(max_steps);
-  sim::KernelArgs args;
-  args.a = a.data();
-  args.b = b.data();
-  args.c = c.data();
-  args.lda = ka;
-  args.ldb = nr;
-  args.ldc = nr;
-  AUTOGEMM_RETURN_IF_ERROR(interp.try_run(mk.program, args));
-
-  common::reference_gemm(ConstMatrixView{a.data(), mr, kc, ka},
+  fill_probe(a, seed);
+  fill_probe(b, seed + 12);
+  AUTOGEMM_RETURN_IF_ERROR(kernel(a.data(), b.data(), c.data()));
+  common::reference_gemm(ConstMatrixView{a.data(), mr, kc, lda},
                          ConstMatrixView{b.data(), kc, nr, nr},
                          MatrixView{c_ref.data(), mr, nr, nr});
   const float tol = 1e-4f * static_cast<float>(kc);
   for (std::size_t i = 0; i < c.size(); ++i) {
     const float diff = std::fabs(c[i] - c_ref[i]);
     if (!(diff <= tol))  // negated comparison so NaN fails too
-      return InternalError("probe: generated " + std::to_string(mr) + "x" +
-                           std::to_string(nr) +
+      return InternalError("probe: " + what +
                            " kernel diverges from reference (|diff| = " +
                            std::to_string(diff) + ")");
   }
   return Status::OK();
 }
 
-/// Probes a vector-length-agnostic backend (today: sve_sim): the backend
-/// emits its predicated micro-kernel for the tile and the interpreter
-/// executes it at the backend's default VL against exact-size buffers —
-/// predication means no over-read, so there is no padding contract to
-/// honor. This is the only way an SVE instruction stream is vetted on an
-/// x86 host: the silicon path (find_microkernel) does not exist for it.
-Status probe_generated_vla(const backend::KernelBackend& be, int mr, int nr,
-                           int kc, long max_steps) {
+/// Probes the *generated-kernel* path: the (mr x nr, kc) micro-kernel is
+/// emitted as isa::Program and executed on the watchdogged interpreter
+/// against real buffers. This is the check the paper performs against
+/// other BLAS libraries at generation time, moved to first use so a config
+/// transferred from another machine is vetted on the machine that will
+/// trust it. A fixed-width backend (NEON) gets the generator's stream,
+/// which over-reads like real packed kernels, so the buffers honor its
+/// padding contract. A vector-length-agnostic backend (sve_sim) emits its
+/// own predicated stream, run at its default VL on exact-size buffers —
+/// the only way an SVE instruction stream is vetted on an x86 host.
+Status probe_generated(const backend::KernelBackend& be, int mr, int nr,
+                       int kc, int lanes, long max_steps) {
+  const bool vla = be.caps().vl_agnostic;
+  const std::string tile = std::to_string(mr) + "x" + std::to_string(nr);
   codegen::MicroKernel mk;
   try {
     codegen::GeneratorOptions gopts;
-    gopts.rotate_registers = true;
-    mk = be.generate(mr, nr, kc, gopts);
+    gopts.rotate_registers = true;  // the shipped kernels always rotate
+    mk = vla ? be.generate(mr, nr, kc, gopts)
+             : codegen::generate_microkernel(mr, nr, kc, lanes, gopts);
   } catch (const std::exception& e) {
-    return InternalError(std::string("probe: codegen failed for ") +
-                         std::to_string(mr) + "x" + std::to_string(nr) + ": " +
+    return InternalError("probe: codegen failed for " + tile + ": " +
                          e.what());
   }
-  std::vector<float> a(static_cast<std::size_t>(mr) * kc);
-  std::vector<float> b(static_cast<std::size_t>(kc) * nr);
-  std::vector<float> c(static_cast<std::size_t>(mr) * nr, 0.0f);
-  std::vector<float> c_ref(c.size(), 0.0f);
-  fill_probe(a, 11);
-  fill_probe(b, 23);
-
-  sim::Interpreter interp(max_steps);
-  interp.set_vector_length(be.caps().vl_default);
-  sim::KernelArgs args;
-  args.a = a.data();
-  args.b = b.data();
-  args.c = c.data();
-  args.lda = kc;
-  args.ldb = nr;
-  args.ldc = nr;
-  AUTOGEMM_RETURN_IF_ERROR(interp.try_run(mk.program, args));
-
-  common::reference_gemm(ConstMatrixView{a.data(), mr, kc, kc},
-                         ConstMatrixView{b.data(), kc, nr, nr},
-                         MatrixView{c_ref.data(), mr, nr, nr});
-  const float tol = 1e-4f * static_cast<float>(kc);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    const float diff = std::fabs(c[i] - c_ref[i]);
-    if (!(diff <= tol))
-      return InternalError("probe: generated " + std::to_string(mr) + "x" +
-                           std::to_string(nr) + " " +
-                           std::string(backend_name(be.caps().id)) +
-                           " kernel diverges from reference (|diff| = " +
-                           std::to_string(diff) + ")");
-  }
-  return Status::OK();
+  const int ka = vla ? kc : codegen::padded_k_a(kc, lanes);
+  const int kb = vla ? kc : codegen::padded_k_b(kc, lanes);
+  const std::string what =
+      "generated " + tile +
+      (vla ? " " + std::string(backend_name(be.caps().id)) : "");
+  return run_probe(mr, nr, kc, ka, kb, 11, what,
+                   [&](const float* a, const float* b, float* c) {
+                     sim::Interpreter interp(max_steps);
+                     if (vla) interp.set_vector_length(be.caps().vl_default);
+                     sim::KernelArgs args;
+                     args.a = a;
+                     args.b = b;
+                     args.c = c;
+                     args.lda = ka;
+                     args.ldb = nr;
+                     args.ldc = nr;
+                     return interp.try_run(mk.program, args);
+                   });
 }
 
 /// Probes the portable kernels:: path (the one Context actually executes
 /// through) for the same tile shape.
 Status probe_portable(int mr, int nr, int kc) {
-  std::vector<float> a(static_cast<std::size_t>(mr) * kc);
-  std::vector<float> b(static_cast<std::size_t>(kc) * nr);
-  std::vector<float> c(static_cast<std::size_t>(mr) * nr, 0.0f);
-  std::vector<float> c_ref(c.size(), 0.0f);
-  fill_probe(a, 31);
-  fill_probe(b, 47);
-  kernels::run_tile(mr, nr, a.data(), kc, b.data(), nr, c.data(), nr, kc);
-  common::reference_gemm(ConstMatrixView{a.data(), mr, kc, kc},
-                         ConstMatrixView{b.data(), kc, nr, nr},
-                         MatrixView{c_ref.data(), mr, nr, nr});
-  const float tol = 1e-4f * static_cast<float>(kc);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    const float diff = std::fabs(c[i] - c_ref[i]);
-    if (!(diff <= tol))
-      return InternalError("probe: portable " + std::to_string(mr) + "x" +
-                           std::to_string(nr) +
-                           " kernel diverges from reference (|diff| = " +
-                           std::to_string(diff) + ")");
-  }
-  return Status::OK();
+  return run_probe(mr, nr, kc, kc, kc, 31,
+                   "portable " + std::to_string(mr) + "x" + std::to_string(nr),
+                   [&](const float* a, const float* b, float* c) {
+                     kernels::run_tile(mr, nr, a, kc, b, nr, c, nr, kc);
+                     return Status::OK();
+                   });
 }
 
 std::string shape_string(int m, int n, int k) {
@@ -522,8 +478,7 @@ Status Context::verify_config(const Plan& plan) {
     if (probeable) {
       const long max_steps = std::max(1L, opts_.watchdog.probe_max_steps);
       AUTOGEMM_RETURN_IF_ERROR(
-          vla ? probe_generated_vla(be, t.mr, t.nr, kc, max_steps)
-              : probe_generated(t.mr, t.nr, kc, lanes, max_steps));
+          probe_generated(be, t.mr, t.nr, kc, lanes, max_steps));
       break;
     }
   }
@@ -698,7 +653,12 @@ std::shared_ptr<const Plan> Context::plan_for(int m, int n, int k) {
   return std::make_shared<const Plan>(m, n, k, default_config(m, n, k));
 }
 
-void Context::note_strategy(bool serial, ParallelStrategy chosen) {
+void Context::note_strategy(const Plan* plan,
+                            const common::ThreadPool* pool) {
+  const bool serial = plan == nullptr || pool == nullptr || pool->size() <= 1;
+  const ParallelStrategy chosen =
+      serial ? ParallelStrategy::kBlocksOnly
+             : choose_parallel_strategy(*plan, pool->size());
   const BackendObs& bo = backend_obs(backend_);
   std::lock_guard lock(mu_);
   if (serial) {
@@ -786,12 +746,9 @@ Status Context::execute(const Call& call) {
   }
 
   // beta is applied exactly once: every fp32 tier accumulates into a
-  // pre-scaled C, while the int8 requantization epilogue folds beta in.
-  Call exec = call;
-  if (f32) {
-    if (params.beta != 1.0f) detail::scale_c(call.c, params.beta);
-    exec.params.beta = 1.0f;
-  }
+  // pre-scaled C (and ignores params.beta), while the int8 requantization
+  // epilogue folds beta in.
+  if (f32 && params.beta != 1.0f) detail::scale_c(call.c, params.beta);
 
   obs::Histogram& latency =
       f32 ? *entry.latency : shape_latency_histogram(m, n, k, call.dtype);
@@ -806,7 +763,11 @@ Status Context::execute(const Call& call) {
                              static_cast<std::uint64_t>(k));
     const std::uint64_t t0 = common::now_ns();
     if (f32) {
-      s = execute_plan(entry.plan.get(), exec, packed);
+      common::ThreadPool* pool = entry.plan ? effective_pool() : nullptr;
+      note_strategy(entry.plan.get(), pool);
+      const detail::GroupMember member{call.a, call.b, call.c};
+      s = execute_plan(entry.plan.get(), &member, 1, packed.a.get(),
+                       packed.b.get(), params, pool);
     } else {
       quant::QGemmOptions qopts;
       qopts.alpha = params.alpha;
@@ -824,73 +785,62 @@ Status Context::execute(const Call& call) {
   return record_error(s);
 }
 
-Status Context::execute_plan(const Plan* plan, const Call& call,
-                             const PackedOperand& packed) {
-  const ConstMatrixView a = call.a, b = call.b;
-  const MatrixView c = call.c;
-  const GemmExParams& params = call.params;
+Status Context::execute_plan(const Plan* plan,
+                             const detail::GroupMember* members,
+                             std::size_t count, const PackedA* packed_a,
+                             const PackedB* packed_b,
+                             const GemmExParams& params,
+                             common::ThreadPool* pool) {
+  const auto reference = [&] {
+    for (std::size_t i = 0; i < count; ++i)
+      accumulate_reference(members[i].a, members[i].b, members[i].c, params);
+  };
   if (plan == nullptr) {
-    note_strategy(/*serial=*/true, ParallelStrategy::kBlocksOnly);
-    accumulate_reference(a, b, c, params);
+    reference();
     return Status::OK();
   }
-  common::ThreadPool* pool = effective_pool();
   const bool pooled = pool != nullptr && pool->size() > 1;
-  const bool canonical = params.trans_a == Trans::kNo &&
-                         params.trans_b == Trans::kNo && params.alpha == 1.0f;
-  // Mirror the executor's choice for observability: gemm_ex's pooled path
-  // only schedules C blocks; the canonical path resolves the plan's
-  // strategy the same way core/gemm.cpp will.
-  note_strategy(/*serial=*/!pooled,
-                pooled && canonical
-                    ? choose_parallel_strategy(*plan, pool->size())
-                    : ParallelStrategy::kBlocksOnly);
-  try {
-    if (!canonical) {
-      gemm_ex(a, b, c, params, *plan, pool);
-    } else if (packed.a != nullptr) {
-      autogemm::gemm(*packed.a, a, b, c, *plan, pool);
-    } else if (packed.b != nullptr) {
-      autogemm::gemm(a, *packed.b, b, c, *plan, pool);
-    } else {
-      autogemm::gemm(a, b, c, *plan, pool);
-    }
-    return Status::OK();
-  } catch (const std::bad_alloc&) {
-    if (!pooled) {
-      // Serial paths allocate all scratch before touching C, so C still
-      // holds exactly beta*C here and the reference tier can finish the
-      // call with a correct answer.
-      {
-        std::lock_guard lock(mu_);
-        ++health_.alloc_fallbacks;
-      }
-      record_event(HealthEvent::Kind::kAllocFallback,
-                   "scratch allocation failed for shape " +
-                       shape_string(plan->m(), plan->n(), plan->k()) +
-                       "; call served by the reference path");
-      accumulate_reference(a, b, c, params);
-      return Status::OK();
-    }
-    // Workers may have written part of C already; the result cannot be
-    // repaired in place. Retire the pool so subsequent calls run serial.
-    pool_degraded_.store(true);
-    record_event(HealthEvent::Kind::kPoolDegraded,
-                 "allocation failure inside the parallel region; pool "
-                 "retired, subsequent calls run serial");
-    return ResourceExhaustedError(
-        "gemm: allocation failed mid-parallel-execution; C contents are "
-        "unspecified for this call (subsequent calls degrade to serial)");
-  } catch (const std::exception& e) {
+  const auto shape = [plan] {
+    return shape_string(plan->m(), plan->n(), plan->k());
+  };
+  // A fault after some C was written cannot be repaired in place. On the
+  // pool it may have hit any worker, so the pool is retired and later
+  // calls run serial.
+  const auto fault = [&](StatusCode code, const std::string& what) {
     if (pooled) {
       pool_degraded_.store(true);
       record_event(HealthEvent::Kind::kPoolDegraded,
-                   std::string("worker fault: ") + e.what() +
-                       "; pool retired, subsequent calls run serial");
-      return InternalError(std::string("gemm: worker fault: ") + e.what() +
-                           "; C contents are unspecified for this call");
+                   what + "; pool retired, subsequent calls run serial");
     }
-    return InternalError(std::string("gemm: execution fault: ") + e.what());
+    return Status(code, "gemm: " + what + " for shape " + shape() +
+                            "; C contents are unspecified for this call" +
+                            (pooled ? " (subsequent calls degrade to serial)"
+                                    : ""));
+  };
+  std::size_t began = 0;
+  try {
+    detail::execute(members, count, packed_a, packed_b, params, *plan, pool,
+                    &began);
+    return Status::OK();
+  } catch (const std::bad_alloc&) {
+    if (began > 0)
+      return fault(StatusCode::kResourceExhausted, "allocation failed");
+    // The scratch allocation failed before any C was touched, so C still
+    // holds exactly beta*C and the reference tier finishes the call with
+    // a correct answer.
+    {
+      std::lock_guard lock(mu_);
+      ++health_.alloc_fallbacks;
+    }
+    record_event(HealthEvent::Kind::kAllocFallback,
+                 "scratch allocation failed for shape " + shape() +
+                     "; call served by the reference path");
+    reference();
+    return Status::OK();
+  } catch (const std::exception& e) {
+    return fault(StatusCode::kInternal,
+                 std::string(pooled ? "worker fault: " : "execution fault: ") +
+                     e.what());
   }
 }
 
@@ -977,7 +927,7 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
   // matching run() at beta == 1.
   struct Group {
     PlanEntry entry;
-    std::vector<std::size_t> members;
+    std::vector<detail::GroupMember> members;
     // Transient packing for a group-shared constant operand: packed once,
     // reused by every member. Not entered into the packed LRU — batch
     // operands carry no constancy promise beyond this call.
@@ -985,10 +935,10 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
     std::shared_ptr<const PackedB> packed_b;
   };
   std::map<ShapeKey, Group> groups;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const BatchItem& it = items[i];
+  for (const BatchItem& it : items) {
     if (it.c.rows == 0 || it.c.cols == 0 || it.a.cols == 0) continue;
-    groups[ShapeKey{it.c.rows, it.c.cols, it.a.cols}].members.push_back(i);
+    groups[ShapeKey{it.c.rows, it.c.cols, it.a.cols}].members.push_back(
+        {it.a, it.b, it.c});
   }
 
   std::uint64_t members_total = 0;
@@ -996,15 +946,15 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
   for (auto& [key, g] : groups) {
     g.entry = entry_for(key.m, key.n, key.k);
     if (g.entry.plan != nullptr && g.members.size() >= 2) {
-      const ConstMatrixView a0 = items[g.members[0]].a;
-      const ConstMatrixView b0 = items[g.members[0]].b;
+      const ConstMatrixView a0 = g.members[0].a;
+      const ConstMatrixView b0 = g.members[0].b;
       const auto same_view = [](ConstMatrixView x, ConstMatrixView y) {
         return x.data == y.data && x.ld == y.ld;
       };
       bool shared_a = true, shared_b = true;
-      for (std::size_t i : g.members) {
-        shared_a = shared_a && same_view(items[i].a, a0);
-        shared_b = shared_b && same_view(items[i].b, b0);
+      for (const detail::GroupMember& m : g.members) {
+        shared_a = shared_a && same_view(m.a, a0);
+        shared_b = shared_b && same_view(m.b, b0);
       }
       // A packing failure is not an error: the unpacked path serves the
       // group (and may degrade further on its own, as in run()).
@@ -1034,42 +984,29 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
   h.flops->add(flops);
   backend_obs(backend_).dispatch->add(members_total);
 
-  const GemmExParams canonical{};
   Status result = Status::OK();
+  std::mutex result_mu;
+  const auto run = [&](const Group& g, const detail::GroupMember* members,
+                       std::size_t count) {
+    const Status s =
+        execute_plan(g.entry.plan.get(), members, count, g.packed_a.get(),
+                     g.packed_b.get(), GemmExParams{}, /*pool=*/nullptr);
+    if (s.ok()) return;
+    std::lock_guard lock(result_mu);
+    if (result.ok()) result = s;
+  };
   common::ThreadPool* p = effective_pool();
   if (p != nullptr && p->size() > 1) {
     // Pooled: one flat work list so parallel_for spreads members across
-    // workers regardless of group boundaries.
-    struct ItemExec {
-      const BatchItem* item;
-      const Plan* plan;  // nullptr == reference-pinned shape
-      const PackedA* packed_a;
-      const PackedB* packed_b;
-    };
-    std::vector<ItemExec> execs;
-    execs.reserve(members_total);
-    for (auto& [key, g] : groups)
-      for (std::size_t i : g.members)
-        execs.push_back(ItemExec{&items[i], g.entry.plan.get(),
-                                 g.packed_a.get(), g.packed_b.get()});
-    const auto run_one = [&](const ItemExec& e) {
-      // Each member runs single-threaded (no nested parallelism); a
-      // reference-pinned shape runs the reference tier, as in run().
-      if (e.plan == nullptr) {
-        accumulate_reference(e.item->a, e.item->b, e.item->c, canonical);
-      } else if (e.packed_a != nullptr) {
-        autogemm::gemm(*e.packed_a, e.item->a, e.item->b, e.item->c, *e.plan,
-                       nullptr);
-      } else if (e.packed_b != nullptr) {
-        autogemm::gemm(e.item->a, *e.packed_b, e.item->b, e.item->c, *e.plan,
-                       nullptr);
-      } else {
-        autogemm::gemm(e.item->a, e.item->b, e.item->c, *e.plan, nullptr);
-      }
-    };
+    // workers regardless of group boundaries; each member runs
+    // single-threaded (no nested parallelism).
+    std::vector<std::pair<const Group*, const detail::GroupMember*>> flat;
+    flat.reserve(members_total);
+    for (const auto& [key, g] : groups)
+      for (const detail::GroupMember& m : g.members) flat.emplace_back(&g, &m);
     try {
-      p->parallel_for(static_cast<int>(execs.size()),
-                      [&](int i) { run_one(execs[i]); });
+      p->parallel_for(static_cast<int>(flat.size()),
+                      [&](int i) { run(*flat[i].first, flat[i].second, 1); });
     } catch (const std::exception& e) {
       // Workers may have written parts of several C outputs already; the
       // batch cannot be repaired in place. Retire the pool so subsequent
@@ -1084,51 +1021,12 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
           "degrade to serial)");
     }
   } else {
-    // Serial: one shared-scratch pass per group (detail::gemm_group_serial)
-    // amortizes the per-call fixed costs — scratch allocation, span setup —
-    // across the group's members, which is where the batched path's win
-    // over per-request run() comes from on tiny shapes.
-    for (auto& [key, g] : groups) {
-      if (g.entry.plan == nullptr) {
-        for (std::size_t i : g.members)
-          accumulate_reference(items[i].a, items[i].b, items[i].c, canonical);
-        continue;
-      }
-      std::vector<detail::GroupMember> ms;
-      ms.reserve(g.members.size());
-      for (std::size_t i : g.members)
-        ms.push_back({items[i].a, items[i].b, items[i].c});
-      std::size_t began = 0;
-      try {
-        detail::gemm_group_serial(ms.data(), ms.size(), g.packed_a.get(),
-                                  g.packed_b.get(), *g.entry.plan, &began);
-      } catch (const std::bad_alloc&) {
-        if (began == 0) {
-          // The group's shared scratch failed before any C was touched;
-          // the reference tier serves the whole group correctly.
-          {
-            std::lock_guard lock(mu_);
-            ++health_.alloc_fallbacks;
-          }
-          record_event(HealthEvent::Kind::kAllocFallback,
-                       "scratch allocation failed for batch group shape " +
-                           shape_string(key.m, key.n, key.k) +
-                           "; group served by the reference path");
-          for (std::size_t i : g.members)
-            accumulate_reference(items[i].a, items[i].b, items[i].c,
-                                 canonical);
-        } else {
-          result = InternalError(
-              "run_batched: allocation failed mid-group for shape " +
-              shape_string(key.m, key.n, key.k) +
-              "; that group's C contents are unspecified, other groups ran");
-        }
-      } catch (const std::exception& ex) {
-        result = InternalError(
-            std::string("run_batched: execution fault: ") + ex.what() +
-            "; that group's C contents are unspecified, other groups ran");
-      }
-    }
+    // Serial: groups run in order, each as one executor call whose members
+    // share a packing scratch — the per-call fixed costs (scratch
+    // allocation, span setup) are paid once per group, which is where the
+    // batched path's win over per-request run() comes from on tiny shapes.
+    for (const auto& [key, g] : groups)
+      run(g, g.members.data(), g.members.size());
   }
   return record_error(result);
 }

@@ -36,8 +36,8 @@
 //      is where that is caught instead of assumed away.
 //   3. If every candidate is quarantined, the shape is pinned to the
 //      reference path: slow, but never wrong.
-//   4. Runtime faults degrade too: a scratch allocation failure on the
-//      serial path falls back to the reference kernel mid-call; a worker
+//   4. Runtime faults degrade too: a scratch allocation failure before
+//      any C is written falls back to the reference kernel; a worker
 //      exception quarantines the pool (subsequent calls run serial) and
 //      reports kInternal for the affected call.
 //
@@ -53,7 +53,9 @@
 // private execute(), which validates, handles M/N/K of zero, looks up the
 // cached packing, applies beta once, and runs one timed, accounted
 // execution. The batched entry points share the plan cache and the
-// degradation ladder but amortize packing per group instead.
+// degradation ladder but amortize packing per group instead. Both reach
+// the fp32 kernels through one private execute_plan() and so through
+// core/gemm.hpp's one executor, transposed and alpha calls included.
 //
 // Packed-operand caching is keyed by pointer identity plus the blocking
 // the operand was packed for: the cache cannot see through the pointer,
@@ -451,17 +453,25 @@ class Context {
   /// single-call timing/accounting block (span, calls/flops, latency
   /// histograms, record_error).
   Status execute(const Call& call);
-  /// Runs an fp32 call (beta already applied) on the plan, or on the
-  /// reference tier for a pinned shape, degrading on faults.
-  Status execute_plan(const Plan* plan, const Call& call,
-                      const PackedOperand& packed);
+  /// The one executor call of both the single-call and the batched path:
+  /// C_i += alpha * op(A_i) * op(B_i) for same-shape members (beta already
+  /// applied) through detail::execute on `plan`, or on the reference tier
+  /// for a pinned shape (plan == nullptr). A scratch allocation failure
+  /// before any C is written is served by the reference tier; a later
+  /// fault returns non-OK and, on a pool, retires it.
+  Status execute_plan(const Plan* plan, const detail::GroupMember* members,
+                      std::size_t count, const PackedA* packed_a,
+                      const PackedB* packed_b, const GemmExParams& params,
+                      common::ThreadPool* pool);
   /// Cached packing of the call's constant operand for `plan` (fp32) or
   /// for the int8 tier (plan unused).
   StatusOr<PackedOperand> packed_for(const Call& call, const Plan* plan);
   Status run_batched_impl(const std::vector<BatchItem>& items, bool validate);
   Status verify_config(const Plan& plan);
   common::ThreadPool* effective_pool();
-  void note_strategy(bool serial, ParallelStrategy chosen);
+  /// Counts the schedule a single call runs: serial without a plan or a
+  /// pool, else choose_parallel_strategy's pick.
+  void note_strategy(const Plan* plan, const common::ThreadPool* pool);
   void record_event(HealthEvent::Kind kind, std::string detail);
   Status record_error(Status s);  // stores non-OK into health, passes through
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@ namespace {
 
 using common::ConstMatrixView;
 using common::MatrixView;
+using detail::GroupMember;
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
@@ -36,68 +38,99 @@ void run_block(const tiling::TilingResult& tiles, const float* a, long lda,
   }
 }
 
-// Per-worker scratch for online packing, reused across blocks.
+// One participant's online-packing scratch, reused across blocks; the
+// buffers are carved from one allocation per call (see detail::execute).
 struct Scratch {
-  common::AlignedBuffer a_buf;
-  common::AlignedBuffer b_buf;
+  float* a_buf = nullptr;  // an mc x kc block of op(A)
+  float* b_buf = nullptr;  // a kc x nc block of op(B)
   int a_block_i = -1, a_block_p = -1;  // ids of currently packed blocks
   int b_block_p = -1, b_block_j = -1;
 
-  Scratch(const Plan& plan)
-      : a_buf(static_cast<std::size_t>(plan.config().mc) * plan.config().kc),
-        b_buf(static_cast<std::size_t>(plan.config().kc) * plan.config().nc) {}
+  // The packed-block ids describe one member's operand buffers; forget
+  // them so a block packed from member i's matrix is never reused for
+  // member i+1.
+  void forget() { a_block_i = a_block_p = b_block_p = b_block_j = -1; }
 };
 
+// One member's operands as the loop nest reads them: the stored views
+// (op() and alpha are applied while packing), optional offline-packed
+// canonical operands, and whether blocks must be packed online.
+struct Operands {
+  ConstMatrixView a, b;
+  const PackedA* packed_a;
+  const PackedB* packed_b;
+  const GemmExParams& params;
+  bool pack;
+};
+
+// Packs the logical op(A) block rows [i0, i0+bm) x depth [p0, p0+bk),
+// alpha folded in.
+void pack_a(const Operands& op, int i0, int p0, int bm, int bk, float* dst) {
+  const float alpha = op.params.alpha;
+  if (op.params.trans_a == Trans::kYes)  // logical A(i, p) = stored a(p, i)
+    kernels::pack_block_transposed(op.a.block(p0, i0, bk, bm), dst, bk, alpha);
+  else if (alpha != 1.0f)
+    kernels::pack_block_scaled(op.a.block(i0, p0, bm, bk), dst, bk, alpha);
+  else
+    kernels::pack_block(op.a.block(i0, p0, bm, bk), dst, bk);
+}
+
+// Packs the logical op(B) block depth [p0, p0+bk) x cols [j0, j0+bn).
+void pack_b(const Operands& op, int p0, int j0, int bk, int bn, float* dst) {
+  if (op.params.trans_b == Trans::kYes)
+    kernels::pack_block_transposed(op.b.block(j0, p0, bn, bk), dst, bn);
+  else
+    kernels::pack_block(op.b.block(p0, j0, bk, bn), dst, bn);
+}
+
 // One (i, j, p) cache-block step of the blocked loop nest. Either operand
-// may come pre-packed (offline); the others fall back to the plan's
-// sigma_packing (online scratch or direct strided views).
-void block_step(ConstMatrixView a, ConstMatrixView b, const PackedA* packed_a,
-                const PackedB* packed_b, MatrixView c, const Plan& plan,
+// may come pre-packed (offline); the others are packed online into the
+// scratch or, under sigma_packing = none, read as direct strided views.
+void block_step(const Operands& op, MatrixView c, const Plan& plan,
                 Scratch& scratch, int bi, int bj, int bp) {
   const GemmConfig& cfg = plan.config();
   const int i0 = bi * cfg.mc, j0 = bj * cfg.nc, p0 = bp * cfg.kc;
-  const int bm = std::min(cfg.mc, a.rows - i0);
-  const int bn = std::min(cfg.nc, b.cols - j0);
-  const int bk = std::min(cfg.kc, a.cols - p0);
+  const int bm = std::min(cfg.mc, plan.m() - i0);
+  const int bn = std::min(cfg.nc, plan.n() - j0);
+  const int bk = std::min(cfg.kc, plan.k() - p0);
 
   const float* a_ptr;
   long lda;
   const float* b_ptr;
   long ldb;
-  const bool pack = cfg.packing == kernels::Packing::kOnline;
-  if (packed_a != nullptr) {
-    a_ptr = packed_a->block(bi, bp);
-    lda = packed_a->block_ld();
-  } else if (pack) {
+  if (op.packed_a != nullptr) {
+    a_ptr = op.packed_a->block(bi, bp);
+    lda = op.packed_a->block_ld();
+  } else if (op.pack) {
     if (scratch.a_block_i != bi || scratch.a_block_p != bp) {
       obs::SpanScope span("pack_a", static_cast<unsigned>(bi),
                           static_cast<unsigned>(bp));
-      kernels::pack_block(a.block(i0, p0, bm, bk), scratch.a_buf.data(), bk);
+      pack_a(op, i0, p0, bm, bk, scratch.a_buf);
       scratch.a_block_i = bi;
       scratch.a_block_p = bp;
     }
-    a_ptr = scratch.a_buf.data();
+    a_ptr = scratch.a_buf;
     lda = bk;
   } else {
-    a_ptr = a.data + static_cast<long>(i0) * a.ld + p0;
-    lda = a.ld;
+    a_ptr = op.a.data + static_cast<long>(i0) * op.a.ld + p0;
+    lda = op.a.ld;
   }
-  if (packed_b != nullptr) {
-    b_ptr = packed_b->block(bp, bj);
-    ldb = packed_b->block_ld();
-  } else if (pack) {
+  if (op.packed_b != nullptr) {
+    b_ptr = op.packed_b->block(bp, bj);
+    ldb = op.packed_b->block_ld();
+  } else if (op.pack) {
     if (scratch.b_block_p != bp || scratch.b_block_j != bj) {
       obs::SpanScope span("pack_b", static_cast<unsigned>(bp),
                           static_cast<unsigned>(bj));
-      kernels::pack_block(b.block(p0, j0, bk, bn), scratch.b_buf.data(), bn);
+      pack_b(op, p0, j0, bk, bn, scratch.b_buf);
       scratch.b_block_p = bp;
       scratch.b_block_j = bj;
     }
-    b_ptr = scratch.b_buf.data();
+    b_ptr = scratch.b_buf;
     ldb = bn;
   } else {
-    b_ptr = b.data + static_cast<long>(p0) * b.ld + j0;
-    ldb = b.ld;
+    b_ptr = op.b.data + static_cast<long>(p0) * op.b.ld + j0;
+    ldb = op.b.ld;
   }
 
   float* c_ptr = c.data + static_cast<long>(i0) * c.ld + j0;
@@ -119,10 +152,8 @@ std::array<int, 3> order_permutation(LoopOrder order) {
   return {1, 2, 0};
 }
 
-// Shared loop nest over one member, with a caller-owned scratch (the
-// group path reuses it across members; see detail::gemm_group_serial).
-void run_member(ConstMatrixView a, ConstMatrixView b, const PackedA* packed_a,
-                const PackedB* packed_b, MatrixView c, const Plan& plan,
+// The serial loop nest over one member, in the plan's loop order.
+void run_member(const Operands& op, MatrixView c, const Plan& plan,
                 Scratch& scratch) {
   const GemmConfig& cfg = plan.config();
   const int nblk[3] = {ceil_div(plan.m(), cfg.mc), ceil_div(plan.n(), cfg.nc),
@@ -135,20 +166,10 @@ void run_member(ConstMatrixView a, ConstMatrixView b, const PackedA* packed_a,
         idx[perm[0]] = x;
         idx[perm[1]] = y;
         idx[perm[2]] = z;
-        block_step(a, b, packed_a, packed_b, c, plan, scratch, idx[0], idx[1],
-                   idx[2]);
+        block_step(op, c, plan, scratch, idx[0], idx[1], idx[2]);
       }
     }
   }
-}
-
-void execute_single(ConstMatrixView a, ConstMatrixView b,
-                    const PackedA* packed_a, const PackedB* packed_b,
-                    MatrixView c, const Plan& plan) {
-  obs::SpanScope span("gemm.serial", static_cast<unsigned>(plan.m()),
-                      static_cast<unsigned>(plan.n()));
-  Scratch scratch(plan);
-  run_member(a, b, packed_a, packed_b, c, plan, scratch);
 }
 
 // Scratch slot for the current thread: workers map to [0, size()), the
@@ -160,21 +181,9 @@ int worker_slot(const common::ThreadPool& pool) {
   return idx;
 }
 
-// One packing scratch per participant, built up front so the parallel
-// region itself never allocates (a per-block Scratch used to be created
-// inside the loop body, costing two aligned allocations per C block).
-std::vector<Scratch> make_scratch(const Plan& plan,
-                                  const common::ThreadPool& pool) {
-  std::vector<Scratch> scratch;
-  scratch.reserve(pool.participants());
-  for (unsigned s = 0; s < pool.participants(); ++s) scratch.emplace_back(plan);
-  return scratch;
-}
-
-void execute_parallel_blocks(ConstMatrixView a, ConstMatrixView b,
-                             const PackedA* packed_a, const PackedB* packed_b,
-                             MatrixView c, const Plan& plan,
-                             common::ThreadPool& pool) {
+void execute_parallel_blocks(const Operands& op, MatrixView c,
+                             const Plan& plan, common::ThreadPool& pool,
+                             std::vector<Scratch>& scratch) {
   const GemmConfig& cfg = plan.config();
   const int mi = ceil_div(plan.m(), cfg.mc);
   const int nj = ceil_div(plan.n(), cfg.nc);
@@ -184,7 +193,6 @@ void execute_parallel_blocks(ConstMatrixView a, ConstMatrixView b,
   // small-M·N regime), execute() routes to the k-split path instead.
   obs::SpanScope span("gemm.blocks", static_cast<unsigned>(mi * nj),
                       static_cast<unsigned>(kp));
-  std::vector<Scratch> scratch = make_scratch(plan, pool);
   const bool traced = obs::trace_enabled();
   pool.parallel_for(mi * nj, [&](int block) {
     const int bi = block / nj;
@@ -192,8 +200,7 @@ void execute_parallel_blocks(ConstMatrixView a, ConstMatrixView b,
     const int slot = worker_slot(pool);
     if (traced) obs::name_this_lane_worker(slot, pool.participants());
     Scratch& sc = scratch[slot];
-    for (int bp = 0; bp < kp; ++bp)
-      block_step(a, b, packed_a, packed_b, c, plan, sc, bi, bj, bp);
+    for (int bp = 0; bp < kp; ++bp) block_step(op, c, plan, sc, bi, bj, bp);
   });
 }
 
@@ -204,10 +211,9 @@ void execute_parallel_blocks(ConstMatrixView a, ConstMatrixView b,
 // into C. The task -> output mapping and the reduction order depend only
 // on the plan and the slice count — never on which thread ran what — so
 // the result is bitwise-stable for a fixed pool size.
-void execute_parallel_ksplit(ConstMatrixView a, ConstMatrixView b,
-                             const PackedA* packed_a, const PackedB* packed_b,
-                             MatrixView c, const Plan& plan,
-                             common::ThreadPool& pool) {
+void execute_parallel_ksplit(const Operands& op, MatrixView c,
+                             const Plan& plan, common::ThreadPool& pool,
+                             std::vector<Scratch>& scratch) {
   const GemmConfig& cfg = plan.config();
   const int mi = ceil_div(plan.m(), cfg.mc);
   const int nj = ceil_div(plan.n(), cfg.nc);
@@ -216,7 +222,6 @@ void execute_parallel_ksplit(ConstMatrixView a, ConstMatrixView b,
   const int m = plan.m(), n = plan.n();
   const std::size_t csize = static_cast<std::size_t>(m) * n;
   common::AlignedBuffer partials(csize * static_cast<std::size_t>(slices));
-  std::vector<Scratch> scratch = make_scratch(plan, pool);
 
   // Slice s owns K blocks [s*kp/slices, (s+1)*kp/slices).
   const auto slice_begin = [kp, slices](int s) {
@@ -238,7 +243,7 @@ void execute_parallel_ksplit(ConstMatrixView a, ConstMatrixView b,
                               static_cast<unsigned>(task % blocks));
     Scratch& sc = scratch[slot];
     for (int bp = slice_begin(s); bp < slice_begin(s + 1); ++bp)
-      block_step(a, b, packed_a, packed_b, partial, plan, sc, bi, bj, bp);
+      block_step(op, partial, plan, sc, bi, bj, bp);
   });
 
   // Reduction, parallel over C rows: partials fold pairwise with stride
@@ -263,17 +268,13 @@ void execute_parallel_ksplit(ConstMatrixView a, ConstMatrixView b,
   });
 }
 
-void execute(ConstMatrixView a, ConstMatrixView b, const PackedA* packed_a,
-             const PackedB* packed_b, MatrixView c, const Plan& plan,
-             common::ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1) {
-    execute_single(a, b, packed_a, packed_b, c, plan);
-    return;
-  }
-  if (choose_parallel_strategy(plan, pool->size()) ==
+void execute_parallel(const Operands& op, MatrixView c, const Plan& plan,
+                      common::ThreadPool& pool,
+                      std::vector<Scratch>& scratch) {
+  if (choose_parallel_strategy(plan, pool.size()) ==
       ParallelStrategy::kKSplit) {
     try {
-      execute_parallel_ksplit(a, b, packed_a, packed_b, c, plan, *pool);
+      execute_parallel_ksplit(op, c, plan, pool, scratch);
       return;
     } catch (const std::bad_alloc&) {
       // The per-slice partial-C accumulators did not fit in memory; the
@@ -282,14 +283,7 @@ void execute(ConstMatrixView a, ConstMatrixView b, const PackedA* packed_a,
       // runs strictly after the (allocating) setup succeeded.
     }
   }
-  execute_parallel_blocks(a, b, packed_a, packed_b, c, plan, *pool);
-}
-
-void check_shapes(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                  const Plan& plan) {
-  if (a.rows != plan.m() || a.cols != plan.k() || b.rows != plan.k() ||
-      b.cols != plan.n() || c.rows != plan.m() || c.cols != plan.n())
-    throw std::invalid_argument("gemm: views do not match the plan's shape");
+  execute_parallel_blocks(op, c, plan, pool, scratch);
 }
 
 }  // namespace
@@ -435,21 +429,21 @@ StatusOr<PackedA> PackedA::create(ConstMatrixView a, const Plan& plan) {
 
 void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, const Plan& plan,
           common::ThreadPool* pool) {
-  check_shapes(a, b, c, plan);
-  execute(a, b, nullptr, nullptr, c, plan, pool);
+  const GroupMember m{a, b, c};
+  detail::execute(&m, 1, nullptr, nullptr, {}, plan, pool);
 }
 
 void gemm(ConstMatrixView a, const PackedB& packed_b,
           ConstMatrixView b_shape, MatrixView c, const Plan& plan,
           common::ThreadPool* pool) {
-  check_shapes(a, b_shape, c, plan);
-  execute(a, b_shape, nullptr, &packed_b, c, plan, pool);
+  const GroupMember m{a, b_shape, c};
+  detail::execute(&m, 1, nullptr, &packed_b, {}, plan, pool);
 }
 
 void gemm(const PackedA& packed_a, ConstMatrixView a_shape, ConstMatrixView b,
           MatrixView c, const Plan& plan, common::ThreadPool* pool) {
-  check_shapes(a_shape, b, c, plan);
-  execute(a_shape, b, &packed_a, nullptr, c, plan, pool);
+  const GroupMember m{a_shape, b, c};
+  detail::execute(&m, 1, &packed_a, nullptr, {}, plan, pool);
 }
 
 Status gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
@@ -464,24 +458,59 @@ Status gemm_overwrite(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
 
 namespace detail {
 
-void gemm_group_serial(const GroupMember* members, std::size_t count,
-                       const PackedA* packed_a, const PackedB* packed_b,
-                       const Plan& plan, std::size_t* began) {
+void check_shapes(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                  const GemmExParams& params, const Plan& plan) {
+  const bool ta = params.trans_a == Trans::kYes;
+  const bool tb = params.trans_b == Trans::kYes;
+  if ((ta ? a.cols : a.rows) != plan.m() || (ta ? a.rows : a.cols) != plan.k() ||
+      (tb ? b.cols : b.rows) != plan.k() || (tb ? b.rows : b.cols) != plan.n() ||
+      c.rows != plan.m() || c.cols != plan.n())
+    throw std::invalid_argument("gemm: operand shapes do not match the plan");
+}
+
+void execute(const GroupMember* members, std::size_t count,
+             const PackedA* packed_a, const PackedB* packed_b,
+             const GemmExParams& params, const Plan& plan,
+             common::ThreadPool* pool, std::size_t* began) {
   if (began != nullptr) *began = 0;
-  if (count == 0) return;
-  obs::SpanScope span("gemm.group", static_cast<unsigned>(count),
-                      static_cast<unsigned>(plan.m()));
-  Scratch scratch(plan);
+  const GemmConfig& cfg = plan.config();
+  const bool canonical = params.trans_a == Trans::kNo &&
+                         params.trans_b == Trans::kNo && params.alpha == 1.0f;
+  // Transposition and alpha are applied while packing, so a non-canonical
+  // call packs online whatever the plan's sigma_packing says.
+  const bool pack = cfg.packing == kernels::Packing::kOnline || !canonical;
+  const bool pooled = pool != nullptr && pool->size() > 1;
+
+  // One packing scratch per participant, allocated before any C is
+  // written so the parallel region itself never allocates. Packing writes
+  // every element a kernel reads, so the memory is not zeroed; each block
+  // starts on a cache line so participants never share one.
+  const auto lines = [](std::size_t floats) { return (floats + 15) / 16 * 16; };
+  const std::size_t a_size = lines(static_cast<std::size_t>(cfg.mc) * cfg.kc);
+  const std::size_t per_slot =
+      a_size + lines(static_cast<std::size_t>(cfg.kc) * cfg.nc);
+  const unsigned slots = pooled ? pool->participants() : 1;
+  common::AlignedBuffer memory(common::kUninitialized, slots * per_slot);
+  std::vector<Scratch> scratch(slots);
+  for (unsigned s = 0; s < slots; ++s) {
+    scratch[s].a_buf = memory.data() + s * per_slot;
+    scratch[s].b_buf = scratch[s].a_buf + a_size;
+  }
+  std::optional<obs::SpanScope> span;
+  if (!pooled)
+    span.emplace("gemm.serial", static_cast<unsigned>(plan.m()),
+                 static_cast<unsigned>(plan.n()));
+
   for (std::size_t i = 0; i < count; ++i) {
     const GroupMember& m = members[i];
-    check_shapes(m.a, m.b, m.c, plan);
+    check_shapes(m.a, m.b, m.c, params, plan);
     if (began != nullptr) *began = i + 1;
-    // The scratch's packed-block ids describe the previous member's
-    // operand buffers; invalidate them so a block packed from member
-    // i-1's matrix is never reused for member i.
-    scratch.a_block_i = scratch.a_block_p = -1;
-    scratch.b_block_p = scratch.b_block_j = -1;
-    run_member(m.a, m.b, packed_a, packed_b, m.c, plan, scratch);
+    for (Scratch& sc : scratch) sc.forget();
+    const Operands op{m.a, m.b, packed_a, packed_b, params, pack};
+    if (pooled)
+      execute_parallel(op, m.c, plan, *pool, scratch);
+    else
+      run_member(op, m.c, plan, scratch.front());
   }
 }
 

@@ -29,6 +29,7 @@
 #include "common/matrix.hpp"
 #include "common/status.hpp"
 #include "common/threadpool.hpp"
+#include "core/gemm_ex.hpp"
 #include "core/plan.hpp"
 
 namespace autogemm {
@@ -125,30 +126,41 @@ void gemm(const PackedA& packed_a, common::ConstMatrixView a_shape,
 namespace detail {
 
 /// One member of a same-shape group; every member matches the group
-/// plan's (M, N, K).
+/// plan's logical (M, N, K).
 struct GroupMember {
   common::ConstMatrixView a;
   common::ConstMatrixView b;
   common::MatrixView c;
 };
 
-/// C_i += A_i * B_i for a same-shape group, back-to-back on the calling
-/// thread, sharing one packing scratch and one trace span across the
-/// group. The per-call fixed costs of gemm() (two aligned scratch
-/// allocations, span setup) dominate tiny-GEMM dispatch; here they are
-/// paid once per group instead of once per member — the batched path's
-/// amortization (Context::run_batched, serve engine shape buckets).
-/// `packed_a`/`packed_b` optionally carry a group-shared offline-packed
-/// operand (either may be null). Callers must have validated the group
-/// (validate_batch); shape mismatches against the plan still throw as in
-/// the public gemm() entries. When `began` is non-null it is set to i+1
-/// just before member i starts executing, so on a throw the caller knows
-/// members [0, *began - 1) completed, member *began - 1 may be partial,
-/// and the rest are untouched (*began == 0 means no C was written — the
-/// shared scratch allocation itself failed).
-void gemm_group_serial(const GroupMember* members, std::size_t count,
-                       const PackedA* packed_a, const PackedB* packed_b,
-                       const Plan& plan, std::size_t* began = nullptr);
+/// Throws std::invalid_argument unless op(A) is M x K, op(B) is K x N and
+/// C is M x N for the plan's logical shape.
+void check_shapes(common::ConstMatrixView a, common::ConstMatrixView b,
+                  common::MatrixView c, const GemmExParams& params,
+                  const Plan& plan);
+
+/// The library's one fp32 executor — the blocked loop nest every entry
+/// point runs: C_i += alpha * op(A_i) * op(B_i) for `count` members sharing
+/// `plan` (beta is the caller's: apply it to C first, as gemm_ex and
+/// Context do). Views are the stored operands, so with trans_a == kYes a
+/// member's `a` is K x M. Transposition and alpha are applied while
+/// packing, so a non-canonical call packs online whatever the plan's
+/// sigma_packing; `packed_a`/`packed_b` (either may be null) carry an
+/// offline-packed operand shared by every member and need a canonical
+/// call. With a pool of more than one worker each member in turn is
+/// scheduled on the pool per choose_parallel_strategy; otherwise the
+/// members run back-to-back on the calling thread. Either way one packing
+/// scratch per participant serves every member, so the per-call fixed
+/// costs (scratch allocation, span setup) are paid once per call — the
+/// batched path's amortization. Shape mismatches throw as check_shapes.
+/// When `began` is non-null it is set to i+1 just before member i starts
+/// writing its C, so on a throw members [0, *began - 1) completed, member
+/// *began - 1 may be partial and the rest are untouched (*began == 0 means
+/// no C was written — the scratch allocation itself failed).
+void execute(const GroupMember* members, std::size_t count,
+             const PackedA* packed_a, const PackedB* packed_b,
+             const GemmExParams& params, const Plan& plan,
+             common::ThreadPool* pool, std::size_t* began = nullptr);
 
 }  // namespace detail
 

@@ -4,7 +4,9 @@
 // Transposed operands are handled the way every packed GEMM does it: the
 // packing stage reads the operand transposed, so the micro-kernels always
 // see the canonical row-major layout. alpha is folded into the packed A
-// block; beta is applied to C before accumulation.
+// block; beta is applied to C before accumulation. There is no separate
+// loop nest: these calls run core/gemm.hpp's detail::execute with online
+// packing, so they get the plan's loop order and parallel strategy.
 #pragma once
 
 #include "common/matrix.hpp"
@@ -27,8 +29,9 @@ struct GemmExParams {
 ///
 /// Logical shapes: op(A) is M x K, op(B) is K x N, C is M x N — i.e. with
 /// trans_a == kYes the `a` view passed in is K x M. The plan describes the
-/// logical (M, N, K) problem. Transposition and alpha force the packed
-/// path internally regardless of the plan's sigma_packing.
+/// logical (M, N, K) problem. Transposition and alpha force online
+/// packing regardless of the plan's sigma_packing; `pool` schedules it as
+/// choose_parallel_strategy picks (blocks-only or k-split).
 void gemm_ex(common::ConstMatrixView a, common::ConstMatrixView b,
              common::MatrixView c, const GemmExParams& params,
              const Plan& plan, common::ThreadPool* pool = nullptr);

@@ -183,13 +183,13 @@ LoadReport run_open_loop(const SubmitFn& submit,
       slot->done_ns = common::now_ns();
       slot->code = s.code();
       slot->done.store(true, std::memory_order_release);
-      completed.fetch_add(1, std::memory_order_relaxed);
+      completed.fetch_add(1, std::memory_order_release);
     });
   }
 
   // --- drain: completions decouple from arrivals, so wait them out ---
   const std::uint64_t give_up_ns = last_submit_ns + opts.completion_timeout_ns;
-  while (completed.load(std::memory_order_relaxed) < n &&
+  while (completed.load(std::memory_order_acquire) < n &&
          common::now_ns() < give_up_ns)
     std::this_thread::sleep_for(std::chrono::microseconds(100));
 

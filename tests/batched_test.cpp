@@ -30,39 +30,43 @@ struct Stored {
   }
 };
 
-TEST(Batched, SharedPlanSerial) {
-  const int m = 24, n = 32, k = 16;
-  std::vector<std::unique_ptr<Stored>> problems;
+// Same-shape members that share one B: run_batched packs B once for the
+// group and every member reads that packing, in a serial context (groups
+// run in order) and a pooled one (members spread over the pool).
+void expect_shared_b_batch_matches(unsigned threads, int m, int n, int k,
+                                   int members) {
+  Matrix b(k, n);
+  common::fill_random(b.view(), 3);
+  std::vector<std::unique_ptr<Matrix>> as, cs, refs;
   std::vector<BatchItem> items;
-  for (int i = 0; i < 5; ++i) {
-    problems.push_back(std::make_unique<Stored>(m, n, k, 10 * i));
-    items.push_back(
-        {problems.back()->a.view(), problems.back()->b.view(),
-         problems.back()->c.view()});
+  for (int i = 0; i < members; ++i) {
+    as.push_back(std::make_unique<Matrix>(m, k));
+    cs.push_back(std::make_unique<Matrix>(m, n));
+    refs.push_back(std::make_unique<Matrix>(m, n));
+    common::fill_random(as.back()->view(), 10 * i);
+    common::fill_random(cs.back()->view(), 10 * i + 1);
+    for (int r = 0; r < m; ++r)
+      for (int j = 0; j < n; ++j) refs.back()->at(r, j) = cs.back()->at(r, j);
+    common::reference_gemm(as.back()->view(), b.view(), refs.back()->view());
+    items.push_back({as.back()->view(), b.view(), cs.back()->view()});
   }
-  Plan plan(m, n, k, default_config(m, n, k));
-  gemm_batched(items, plan);
-  for (const auto& p : problems)
-    EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
-              testutil::gemm_tolerance(k));
+  ContextOptions opts;
+  opts.threads = threads;
+  Context ctx(opts);
+  const Status s = ctx.run_batched(items);
+  ASSERT_TRUE(s.ok()) << s.to_string();
+  for (int i = 0; i < members; ++i)
+    EXPECT_LT(common::max_rel_error(cs[i]->view(), refs[i]->view()),
+              testutil::gemm_tolerance(k))
+        << "member " << i;
+}
+
+TEST(Batched, SharedPlanSerial) {
+  expect_shared_b_batch_matches(/*threads=*/1, 24, 32, 16, 5);
 }
 
 TEST(Batched, SharedPlanPooled) {
-  const int m = 20, n = 28, k = 12;
-  std::vector<std::unique_ptr<Stored>> problems;
-  std::vector<BatchItem> items;
-  for (int i = 0; i < 9; ++i) {
-    problems.push_back(std::make_unique<Stored>(m, n, k, 7 * i));
-    items.push_back(
-        {problems.back()->a.view(), problems.back()->b.view(),
-         problems.back()->c.view()});
-  }
-  Plan plan(m, n, k, default_config(m, n, k));
-  common::ThreadPool pool(4);
-  gemm_batched(items, plan, &pool);
-  for (const auto& p : problems)
-    EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
-              testutil::gemm_tolerance(k));
+  expect_shared_b_batch_matches(/*threads=*/4, 20, 28, 12, 9);
 }
 
 TEST(Batched, MixedShapesThroughContext) {
@@ -103,10 +107,12 @@ TEST(Batched, ContextOverloadUsesOwnPool) {
 }
 
 TEST(Batched, EmptyBatchIsNoop) {
-  Context ctx;
-  Plan plan(4, 4, 4, default_config(4, 4, 4));
-  gemm_batched({}, plan);
-  EXPECT_TRUE(ctx.run_batched({}).ok());
+  for (const unsigned threads : {1u, 4u}) {
+    ContextOptions opts;
+    opts.threads = threads;
+    Context ctx(opts);
+    EXPECT_TRUE(ctx.run_batched({}).ok());
+  }
 }
 
 // A batch whose every member is degenerate (M, N or K of zero) is a
@@ -227,8 +233,8 @@ TEST(Batched, FindCrossMemberConflicts) {
                   .empty());
 }
 
-// Same-shape groups run through the shared-scratch serial path
-// (detail::gemm_group_serial). Multi-block shapes with per-member operand
+// Same-shape groups run through one executor call sharing a packing
+// scratch (detail::execute). Multi-block shapes with per-member operand
 // buffers catch stale packed-block caching across members: a block packed
 // for member i must not be reused for member i+1's different buffers.
 TEST(Batched, GroupSerialMultiBlockMembersIndependent) {

@@ -311,6 +311,38 @@ TEST(ContextStrategy, CountersAndHealthReflectChoices) {
   EXPECT_EQ(ctx.health().last_parallel_strategy, "k-split");
 }
 
+// Transposed and alpha != 1 calls run the same executor as canonical ones,
+// so a large-K transposed call on a pool gets the k-split schedule too.
+TEST(ContextStrategy, TransposedAlphaCallTakesKSplit) {
+  ContextOptions opts;
+  opts.threads = test_threads();
+  Context ctx(opts);
+  const int m = 64, n = 64, k = 8192;
+  Matrix a(k, m), b(n, k), c(m, n), c_ref(m, n);  // stored as op()^T
+  common::fill_random(a.view(), 21);
+  common::fill_random(b.view(), 22);
+  common::fill_random(c.view(), 23);
+  GemmExParams params;
+  params.trans_a = Trans::kYes;
+  params.trans_b = Trans::kYes;
+  params.alpha = 1.25f;
+  params.beta = 0.5f;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      double acc = 0;
+      for (int q = 0; q < k; ++q)
+        acc += static_cast<double>(a.at(q, i)) * b.at(j, q);
+      c_ref.at(i, j) =
+          static_cast<float>(params.alpha * acc + params.beta * c.at(i, j));
+    }
+  }
+  ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view(), params).ok());
+  EXPECT_GE(ctx.stats().strategy_ksplit, 1u);
+  EXPECT_EQ(ctx.health().last_parallel_strategy, "k-split");
+  EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
+            testutil::gemm_tolerance(k));
+}
+
 TEST(ContextStrategy, TunedRecordStrategySurvivesResolution) {
   // A tuned record carrying small blocks makes 128^3 a 16-C-block problem:
   // auto resolves it to blocks-only on a 4-worker pool.

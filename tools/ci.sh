@@ -89,7 +89,7 @@ for config in "${configs[@]}"; do
       # strategy heuristic, the k-split determinism contract and the pooled
       # Context/batched paths must hold regardless of host core count.
       AUTOGEMM_TEST_THREADS=4 ./build/tests/autogemm_tests \
-        --gtest_filter='Parallel*:KSplit*:PackedPadding*:ThreadPool*:Context*:Batched*'
+        --gtest_filter='Parallel*:KSplit*:PackedPadding*:ThreadPool*:Context*:Batched*:GemmEx*'
       echo "==== [release] context cache bench ===="
       ./build/bench/bench_context_cache build/bench_context_cache.json
       echo "==== [release] large-K scaling bench ===="
