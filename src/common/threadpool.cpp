@@ -6,43 +6,7 @@
 
 #include "common/failpoint.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace autogemm::common {
-
-bool pin_current_thread(const std::vector<int>& cpus) {
-#if defined(__linux__)
-  if (cpus.empty()) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  bool any = false;
-  for (int cpu : cpus) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) {
-      CPU_SET(cpu, &set);
-      any = true;
-    }
-  }
-  if (!any) return false;
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0)
-    return true;
-  // The requested set may name CPUs this machine does not have (a shard
-  // assignment computed from a synthetic topology); intersect with the
-  // CPUs actually available to this thread and retry once.
-  cpu_set_t avail;
-  CPU_ZERO(&avail);
-  if (pthread_getaffinity_np(pthread_self(), sizeof(avail), &avail) != 0)
-    return false;
-  CPU_AND(&set, &set, &avail);
-  if (CPU_COUNT(&set) == 0) return false;
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpus;
-  return false;
-#endif
-}
 
 namespace {
 
@@ -64,8 +28,7 @@ struct ScopedWorkerIndex {
 
 int ThreadPool::worker_index() noexcept { return tls_worker_index; }
 
-ThreadPool::ThreadPool(unsigned threads, std::vector<int> pin_cpus)
-    : pin_cpus_(std::move(pin_cpus)) {
+ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(threads);
   // Worker spawn can fail under resource pressure (std::system_error).
@@ -114,7 +77,6 @@ void ThreadPool::run_chunks() {
 
 void ThreadPool::worker_loop(unsigned index) {
   tls_worker_index = static_cast<int>(index);
-  if (!pin_cpus_.empty()) pin_current_thread(pin_cpus_);
   std::uint64_t seen = 0;
   for (;;) {
     {

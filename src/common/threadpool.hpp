@@ -21,15 +21,6 @@
 
 namespace autogemm::common {
 
-/// Best-effort CPU affinity for the calling thread: restricts it to the
-/// given CPU ids (sched_setaffinity on Linux). Ids outside the machine's
-/// online set are dropped; an empty or fully-invalid set, or a platform
-/// without thread affinity, is a no-op. Returns true only when the
-/// affinity mask was actually applied. Affinity is a placement *hint* for
-/// the sharded serving layer — correctness never depends on it, so every
-/// failure path is silent by design.
-bool pin_current_thread(const std::vector<int>& cpus);
-
 class ThreadPool {
  public:
   /// Spawns `threads` workers (defaults to hardware_concurrency, min 1).
@@ -37,11 +28,7 @@ class ThreadPool {
   /// absorbed, never thrown: the pool keeps the workers it got — possibly
   /// zero, in which case parallel_for degrades to serial execution on the
   /// calling thread. spawn_failures() reports how many spawns failed.
-  /// A non-empty `pin_cpus` pins every worker to that CPU set (best
-  /// effort, see pin_current_thread) — workers float within the set, so
-  /// one shard's pool stays inside its assigned cores without the pool
-  /// dictating per-worker placement.
-  explicit ThreadPool(unsigned threads = 0, std::vector<int> pin_cpus = {});
+  explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -77,7 +64,6 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   unsigned spawn_failures_ = 0;
-  const std::vector<int> pin_cpus_;
 
   // Serializes whole regions submitted from different caller threads.
   std::mutex submit_mu_;

@@ -1,8 +1,9 @@
 #include "core/batched.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
-
+#include <utility>
 
 namespace autogemm {
 
@@ -18,18 +19,6 @@ std::pair<const float*, const float*> view_range(ConstMatrixView v) {
     return {nullptr, nullptr};
   return {v.data, v.data + static_cast<std::ptrdiff_t>(v.rows - 1) * v.ld +
                       v.cols};
-}
-
-Status check_member_view(ConstMatrixView v, const char* who, std::size_t i) {
-  const std::string where =
-      std::string("batch item ") + std::to_string(i) + ": " + who;
-  if (v.rows < 0 || v.cols < 0)
-    return InvalidArgumentError(where + ": negative dimension");
-  if (v.data == nullptr && v.rows > 0 && v.cols > 0)
-    return InvalidArgumentError(where + ": null data pointer with nonzero extent");
-  if (v.rows > 1 && v.ld < v.cols)
-    return InvalidArgumentError(where + ": leading dimension below row width");
-  return Status::OK();
 }
 
 /// One cross-member overlap: member `c_item`'s C against member
@@ -102,43 +91,54 @@ bool views_overlap(ConstMatrixView x, ConstMatrixView y) {
   return xb < ye && yb < xe;
 }
 
-namespace {
-
-/// The per-member half of validate_batch, allocation-free on the OK path
-/// (the serve engine runs this on every admission).
-Status check_item(const BatchItem& it, std::size_t i) {
-  AUTOGEMM_RETURN_IF_ERROR(check_member_view(it.a, "A", i));
-  AUTOGEMM_RETURN_IF_ERROR(check_member_view(it.b, "B", i));
-  AUTOGEMM_RETURN_IF_ERROR(check_member_view(ConstMatrixView(it.c), "C", i));
-  if (it.a.cols != it.b.rows)
+Status validate_operands(ConstMatrixView a, ConstMatrixView b,
+                         common::MatrixView c, const GemmExParams& params,
+                         long item) {
+  const auto fail = [item](const std::string& what) {
     return InvalidArgumentError(
-        "batch item " + std::to_string(i) + ": inner dimensions disagree (A is " +
-        std::to_string(it.a.rows) + "x" + std::to_string(it.a.cols) +
-        ", B is " + std::to_string(it.b.rows) + "x" +
-        std::to_string(it.b.cols) + ")");
-  if (it.c.rows != it.a.rows || it.c.cols != it.b.cols)
-    return InvalidArgumentError(
-        "batch item " + std::to_string(i) + ": C is " +
-        std::to_string(it.c.rows) + "x" + std::to_string(it.c.cols) +
-        " but A*B is " + std::to_string(it.a.rows) + "x" +
-        std::to_string(it.b.cols));
-  const ConstMatrixView c_read(it.c);
-  if (views_overlap(c_read, it.a) || views_overlap(c_read, it.b))
-    return InvalidArgumentError(
-        "batch item " + std::to_string(i) +
-        ": C overlaps an input operand (in-place GEMM is not supported)");
+        item < 0 ? what
+                 : "batch item " + std::to_string(item) + ": " + what);
+  };
+  if (!std::isfinite(params.alpha) || !std::isfinite(params.beta))
+    return fail(
+        "non-finite alpha/beta would poison all of C (matrix contents are "
+        "never scanned; scalar parameters are — see common/status.hpp)");
+  const ConstMatrixView c_read(c);
+  const std::pair<ConstMatrixView, const char*> views[] = {
+      {a, "A"}, {b, "B"}, {c_read, "C"}};
+  for (const auto& [v, who] : views) {
+    if (v.rows < 0 || v.cols < 0)
+      return fail(std::string(who) + ": negative dimension");
+    if (v.data == nullptr && v.rows > 0 && v.cols > 0)
+      return fail(std::string(who) + ": null data pointer with nonzero extent");
+    if (v.rows > 1 && v.ld < v.cols)
+      return fail(std::string(who) + ": leading dimension below row width");
+  }
+  const int m = params.trans_a == Trans::kNo ? a.rows : a.cols;
+  const int ka = params.trans_a == Trans::kNo ? a.cols : a.rows;
+  const int kb = params.trans_b == Trans::kNo ? b.rows : b.cols;
+  const int n = params.trans_b == Trans::kNo ? b.cols : b.rows;
+  if (ka != kb)
+    return fail("inner dimensions disagree (op(A) is " + std::to_string(m) +
+                "x" + std::to_string(ka) + ", op(B) is " + std::to_string(kb) +
+                "x" + std::to_string(n) + ")");
+  if (c.rows != m || c.cols != n)
+    return fail("C is " + std::to_string(c.rows) + "x" +
+                std::to_string(c.cols) + " but op(A)*op(B) is " +
+                std::to_string(m) + "x" + std::to_string(n));
+  if (views_overlap(c_read, a) || views_overlap(c_read, b))
+    return fail("C overlaps an input operand (in-place GEMM is not supported)");
   return Status::OK();
 }
 
-}  // namespace
-
 Status validate_batch_item(const BatchItem& item) {
-  return check_item(item, 0);
+  return validate_operands(item.a, item.b, item.c);
 }
 
 Status validate_batch(const std::vector<BatchItem>& items) {
   for (std::size_t i = 0; i < items.size(); ++i)
-    AUTOGEMM_RETURN_IF_ERROR(check_item(items[i], i));
+    AUTOGEMM_RETURN_IF_ERROR(validate_operands(
+        items[i].a, items[i].b, items[i].c, {}, static_cast<long>(i)));
   // Cross-member aliasing: every C must be disjoint from every *other*
   // member's operands. Shared read operands (the common case the batched
   // path optimizes for) are explicitly legal.

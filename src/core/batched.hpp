@@ -17,6 +17,7 @@
 
 #include "common/matrix.hpp"
 #include "common/status.hpp"
+#include "core/gemm_ex.hpp"
 
 namespace autogemm {
 
@@ -35,13 +36,21 @@ struct BatchItem {
 /// with a zero extent or a null pointer never overlap anything.
 bool views_overlap(common::ConstMatrixView x, common::ConstMatrixView y);
 
-/// Validates one batch member the way Context::run validates a single
-/// canonical call: non-negative dims, leading dims at least the row
-/// width, no null pointer with nonzero extent, inner dimensions agreeing,
-/// C matching op(A)*op(B), and C not overlapping this member's own A or B
-/// (range overlap, stricter than run()'s exact-pointer check — batch
-/// members are dispatched concurrently, so partial aliasing is never
-/// benign here).
+/// The one operand validator for C = alpha * op(A) * op(B) + beta * C,
+/// behind every Context entry point and every batch member: finite alpha
+/// and beta, non-negative dims, leading dims at least the row width, no
+/// null pointer with nonzero extent, op(A) and op(B) agreeing on K, C
+/// matching op(A)*op(B), and C not overlapping A or B (views_overlap's
+/// range rule: a C that shares even one row with an input would read
+/// operand data it has already overwritten). A non-negative `item`
+/// prefixes each message with "batch item <item>: ". Writes nothing and
+/// allocates nothing on the OK path.
+Status validate_operands(common::ConstMatrixView a, common::ConstMatrixView b,
+                         common::MatrixView c, const GemmExParams& params = {},
+                         long item = -1);
+
+/// validate_operands for one canonical batch member (no transposes,
+/// alpha = beta = 1) — what the serve engine checks at admission.
 Status validate_batch_item(const BatchItem& item);
 
 /// Validates a whole batch: every member individually, then cross-member

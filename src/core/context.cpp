@@ -20,7 +20,6 @@
 #include "quant/qgemm.hpp"
 #include "quant/qpacked.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/pipeline.hpp"
 
 namespace autogemm {
 
@@ -54,49 +53,6 @@ ContextOptions sanitized(ContextOptions opts) {
   if (opts.plan_capacity == 0) opts.plan_capacity = 1;
   if (opts.packed_capacity == 0) opts.packed_capacity = 1;
   return opts;
-}
-
-Status check_view(ConstMatrixView v, const char* who) {
-  if (v.rows < 0 || v.cols < 0)
-    return InvalidArgumentError(std::string(who) + ": negative dimension");
-  if (v.data == nullptr && v.rows > 0 && v.cols > 0)
-    return InvalidArgumentError(std::string(who) +
-                                ": null data pointer with nonzero extent");
-  if (v.rows > 1 && v.ld < v.cols)
-    return InvalidArgumentError(std::string(who) +
-                                ": leading dimension below row width");
-  return Status::OK();
-}
-
-/// Full operand validation for one C = alpha*op(A)*op(B) + beta*C call.
-/// Nothing is written to C before this passes.
-Status validate_call(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                     const GemmExParams& params) {
-  if (!std::isfinite(params.alpha) || !std::isfinite(params.beta))
-    return InvalidArgumentError(
-        "gemm: non-finite alpha/beta would poison all of C (matrix contents "
-        "are never scanned; scalar parameters are — see common/status.hpp)");
-  AUTOGEMM_RETURN_IF_ERROR(check_view(a, "A"));
-  AUTOGEMM_RETURN_IF_ERROR(check_view(b, "B"));
-  AUTOGEMM_RETURN_IF_ERROR(check_view(ConstMatrixView(c), "C"));
-  const int m = params.trans_a == Trans::kNo ? a.rows : a.cols;
-  const int ka = params.trans_a == Trans::kNo ? a.cols : a.rows;
-  const int kb = params.trans_b == Trans::kNo ? b.rows : b.cols;
-  const int n = params.trans_b == Trans::kNo ? b.cols : b.rows;
-  if (ka != kb)
-    return InvalidArgumentError("gemm: inner dimensions disagree (op(A) is " +
-                                std::to_string(m) + "x" + std::to_string(ka) +
-                                ", op(B) is " + std::to_string(kb) + "x" +
-                                std::to_string(n) + ")");
-  if (c.rows != m || c.cols != n)
-    return InvalidArgumentError(
-        "gemm: C is " + std::to_string(c.rows) + "x" + std::to_string(c.cols) +
-        " but op(A)*op(B) is " + std::to_string(m) + "x" + std::to_string(n));
-  if (c.data != nullptr && (c.data == a.data || c.data == b.data))
-    return InvalidArgumentError(
-        "gemm: C aliases an input operand (in-place GEMM is not supported; "
-        "only exact pointer identity is checked)");
-  return Status::OK();
 }
 
 /// C += alpha * op(A) * op(B), double accumulation — the bottom tier of the
@@ -377,7 +333,6 @@ Context::Context(const ContextOptions& opts)
     : opts_(sanitized(opts)),
       backend_(backend::resolve_backend(opts.backend)),
       records_(load_records_or_throw(opts.records_path, &records_skipped_)) {
-  if (opts_.trace) obs::set_trace_enabled(true);
   if (records_skipped_ > 0) {
     health_.records_skipped = records_skipped_;
     record_event(HealthEvent::Kind::kRecordsDamaged,
@@ -386,22 +341,16 @@ Context::Context(const ContextOptions& opts)
   }
 }
 
-Context::Context(const std::string& records_path)
-    : Context(ContextOptions{.records_path = records_path}) {}
-
 Context::Context(tune::TuningRecords records, const ContextOptions& opts)
     : opts_(sanitized(opts)),
       backend_(backend::resolve_backend(opts.backend)),
-      records_(std::move(records)) {
-  if (opts_.trace) obs::set_trace_enabled(true);
-}
+      records_(std::move(records)) {}
 
 common::ThreadPool* Context::effective_pool() {
   if (opts_.threads == 1) return nullptr;
   if (pool_degraded_.load(std::memory_order_relaxed)) return nullptr;
   std::call_once(pool_once_, [this] {
-    auto p =
-        std::make_unique<common::ThreadPool>(opts_.threads, opts_.pool_pin_cpus);
+    auto p = std::make_unique<common::ThreadPool>(opts_.threads);
     if (p->spawn_failures() > 0) {
       record_event(HealthEvent::Kind::kPoolDegraded,
                    "thread pool spawned " + std::to_string(p->size()) + " of " +
@@ -476,7 +425,7 @@ Status Context::verify_config(const Plan& plan) {
         vla ? be.tile_feasible(t.mr, t.nr)
             : (t.nr % lanes == 0 && codegen::tile_feasible(t.mr, t.nr, lanes));
     if (probeable) {
-      const long max_steps = std::max(1L, opts_.watchdog.probe_max_steps);
+      const long max_steps = std::max(1L, opts_.probe_max_steps);
       AUTOGEMM_RETURN_IF_ERROR(
           probe_generated(be, t.mr, t.nr, kc, lanes, max_steps));
       break;
@@ -704,7 +653,7 @@ Status Context::execute(const Call& call) {
   obs::SpanScope span("context.run",
                       static_cast<std::uint64_t>(std::max(0, call.c.rows)),
                       static_cast<std::uint64_t>(std::max(0, call.c.cols)));
-  const Status v = validate_call(call.a, call.b, call.c, params);
+  const Status v = validate_operands(call.a, call.b, call.c, params);
   if (!v.ok()) return record_error(v);
   const int m = call.c.rows, n = call.c.cols;
   const int k = params.trans_a == Trans::kNo ? call.a.cols : call.a.rows;
@@ -1128,14 +1077,6 @@ std::size_t Context::plan_cache_size() const {
 std::size_t Context::packed_cache_size() const {
   std::lock_guard lock(mu_);
   return packed_lru_.size();
-}
-
-sim::SimOptions Context::pipeline_options() const {
-  sim::SimOptions o;
-  o.max_dynamic_instructions =
-      std::max(1L, opts_.watchdog.sim_max_dynamic_instructions);
-  o.max_cycles = opts_.watchdog.sim_max_cycles;
-  return o;
 }
 
 Context& default_context() {

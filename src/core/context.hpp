@@ -21,8 +21,9 @@
 // ## Hardened runtime: Status, verification, quarantine
 //
 // Context::run is the primary entry point and reports through
-// autogemm::Status: operand validation (dimensions, leading dims, null and
-// aliased pointers, non-finite alpha/beta — see common/status.hpp for the
+// autogemm::Status: operand validation (dimensions, leading dims, null
+// pointers, C overlapping A or B, non-finite alpha/beta — one
+// validate_operands in core/batched.hpp; see common/status.hpp for the
 // NaN/Inf policy), well-defined degenerate shapes (M/N/K of zero), and a
 // degradation ladder that keeps answers correct when parts of the stack
 // misbehave:
@@ -91,31 +92,7 @@ namespace autogemm::quant {
 class QPackedB;
 }  // namespace autogemm::quant
 
-namespace autogemm::sim {
-struct SimOptions;
-}  // namespace autogemm::sim
-
 namespace autogemm {
-
-/// Watchdog budgets for the simulation machinery a context drives. PR 2's
-/// anti-hang hardening introduced the budgets but hard-coded them; making
-/// them options lets the chaos harness tighten them at runtime (forcing
-/// kDeadlineExceeded probe outcomes and the quarantine ladder) without
-/// recompiling, and lets a paranoid embedder loosen them for giant tiles.
-struct WatchdogBudgets {
-  /// sim::Interpreter dynamic-instruction budget for each first-use
-  /// verification probe of a generated kernel (the only simulator the
-  /// execution path itself drives). A probe that exceeds it reports
-  /// kDeadlineExceeded and quarantines the config, exactly like a
-  /// miscompare.
-  long probe_max_steps = 2'000'000;
-  /// Budgets stamped into Context::pipeline_options() for callers that
-  /// price shapes through sim::simulate_checked under this context's
-  /// policy (the CLI and benches; the GEMM execution path never runs the
-  /// pipeline simulator).
-  long sim_max_dynamic_instructions = 20'000'000;
-  double sim_max_cycles = 0;  ///< 0 = unlimited
-};
 
 struct ContextOptions {
   /// Max distinct shapes whose Plans stay cached (LRU beyond that).
@@ -125,12 +102,10 @@ struct ContextOptions {
   /// Worker threads for the owned pool: 0 = hardware_concurrency,
   /// 1 = serial (no pool is created).
   unsigned threads = 0;
-  /// Best-effort CPU affinity for the owned pool's workers (empty = none).
-  /// The sharded serving layer assigns each shard's context a core slice
-  /// from the hw:: topology model so one shard's packing/kernel work stays
-  /// inside its NUMA/CMG domain; correctness never depends on it.
-  std::vector<int> pool_pin_cpus;
   /// Optional tuned-parameter table (see tune/records.hpp); empty = none.
+  /// The constructor throws std::runtime_error if the file cannot be read;
+  /// a *damaged* but readable file loads its valid records and shows up in
+  /// health().
   std::string records_path;
   /// Parallel scheduling policy for pooled execution. kAuto defers to the
   /// per-plan choice (tuned records may carry a strategy; otherwise
@@ -149,15 +124,12 @@ struct ContextOptions {
   /// pre-registry library). An explicit id must be registered; the
   /// constructor throws std::out_of_range otherwise.
   backend::BackendId backend = backend::BackendId::kAuto;
-  /// Turns on the process-wide obs tracer (obs/trace.hpp) at construction
-  /// — equivalent to exporting AUTOGEMM_TRACE=1. Spans from every run*
-  /// land in per-thread ring buffers for Chrome-trace export. The flag is
-  /// global by design (traces interleave all contexts); a context never
-  /// turns tracing *off* for others.
-  bool trace = false;
-  /// Watchdog budgets (see WatchdogBudgets): interpreter probe step limit
-  /// and the pipeline-sim budgets pipeline_options() hands out.
-  WatchdogBudgets watchdog;
+  /// sim::Interpreter dynamic-instruction budget for each first-use
+  /// verification probe of a generated kernel (the only simulator the
+  /// execution path drives). A probe that exceeds it reports
+  /// kDeadlineExceeded and quarantines the config, exactly like a
+  /// miscompare; the chaos harness starves it to force that ladder.
+  long probe_max_steps = 2'000'000;
 };
 
 /// Monotonic cache counters (see Context::stats); the cache hit-rate bench
@@ -236,10 +208,6 @@ class Context {
  public:
   Context();
   explicit Context(const ContextOptions& opts);
-  /// Convenience: default options + tuned records loaded from `records_path`
-  /// (throws std::runtime_error if the file cannot be read; a *damaged* but
-  /// readable file loads its valid records and shows up in health()).
-  explicit Context(const std::string& records_path);
   /// Tuned records handed over directly (e.g. straight from a tuning run).
   explicit Context(tune::TuningRecords records, const ContextOptions& opts = {});
 
@@ -376,11 +344,6 @@ class Context {
   const tune::TuningRecords& records() const { return records_; }
   /// The backend this context resolved at construction (never kAuto).
   backend::BackendId backend_id() const { return backend_; }
-  /// sim::SimOptions pre-filled with this context's watchdog budgets
-  /// (options().watchdog), for callers pricing shapes through
-  /// sim::simulate_checked under the context's policy. Other fields keep
-  /// their SimOptions defaults.
-  sim::SimOptions pipeline_options() const;
   const ContextOptions& options() const { return opts_; }
 
  private:

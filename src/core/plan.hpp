@@ -60,7 +60,6 @@ struct GemmConfig {
   kernels::Packing packing = kernels::Packing::kOnline;
   TilingMode tiling = TilingMode::kDynamic;
   ParallelStrategy parallel_strategy = ParallelStrategy::kAuto;
-  int threads = 1;
   /// Hardware model that steers DMT's compute/memory-bound classification
   /// and the model costs; defaults to a host-neutral profile.
   hw::HardwareModel hw{};

@@ -17,37 +17,4 @@ double HardwareModel::scaling_speedup(int threads) const {
   return threads / (1.0 + serial);
 }
 
-std::vector<int> shard_core_assignment(const Topology& topo, int shards,
-                                       int shard) {
-  const int cores = std::max(1, topo.cores);
-  shards = std::max(1, shards);
-  shard = std::clamp(shard, 0, shards - 1);
-  if (shards > cores) {
-    // More shards than cores: shards share, round-robin. On a small host
-    // this degenerates to everyone-on-core-0, which is exactly the truth.
-    return {shard % cores};
-  }
-  const int cpg = std::max(1, topo.cores_per_group);
-  const int groups = (cores + cpg - 1) / cpg;
-  int begin, end;
-  if (shards <= groups) {
-    // Whole-group slices: shard s owns groups [s*G/S, (s+1)*G/S), so no
-    // shard straddles a NUMA/CMG boundary.
-    const int g0 = shard * groups / shards;
-    const int g1 = (shard + 1) * groups / shards;
-    begin = g0 * cpg;
-    end = std::min(cores, g1 * cpg);
-  } else {
-    // More shards than groups: fall back to an even contiguous split of
-    // the core range (some shards unavoidably share a group).
-    begin = shard * cores / shards;
-    end = (shard + 1) * cores / shards;
-  }
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(std::max(1, end - begin)));
-  for (int c = begin; c < end; ++c) out.push_back(c);
-  if (out.empty()) out.push_back(std::min(cores - 1, begin));
-  return out;
-}
-
 }  // namespace autogemm::hw

@@ -92,15 +92,4 @@ struct HardwareModel {
   double scaling_speedup(int threads) const;
 };
 
-/// Core ids assigned to `shard` of `shards` under `topo` — the placement
-/// policy behind serve::ShardedEngine's core affinity. Shards get disjoint
-/// contiguous slices covering [0, cores); when shards <= NUMA/CMG groups
-/// the slices snap to whole groups (a shard never straddles a domain
-/// boundary unless there are more shards than groups, mirroring the
-/// cross_group_penalty the scaling model charges for straddling). With
-/// more shards than cores, shards wrap round-robin onto single cores.
-/// Deterministic; never returns an empty set for a valid shard index.
-std::vector<int> shard_core_assignment(const Topology& topo, int shards,
-                                       int shard);
-
 }  // namespace autogemm::hw

@@ -10,7 +10,7 @@
 // serving process.
 //
 // Enablement: set AUTOGEMM_TRACE=1 in the environment (read once at first
-// query), flip ContextOptions::trace, or call set_trace_enabled().
+// query) or call set_trace_enabled().
 //
 // Export is Chrome trace-event JSON (open in chrome://tracing or
 // https://ui.perfetto.dev): host threads render as lanes under pid 1,

@@ -186,7 +186,7 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
     // Starve the verification probes' interpreter budget: every generated
     // config trips the watchdog, quarantines, and the ladder lands on a
     // lower tier — correctness must survive that too.
-    sopts.context.watchdog.probe_max_steps = 64;
+    sopts.context.probe_max_steps = 64;
   }
   EngineOptions& eopts = sopts.worker;
   const std::size_t caps[] = {8, 16, 32};

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/failpoint.hpp"
-#include "common/threadpool.hpp"
 #include "common/timer.hpp"
 #include "core/batched.hpp"
 #include "obs/metrics.hpp"
@@ -388,10 +387,8 @@ Status Engine::submit_with_retry(const GemmRequest& req,
     o.retries->add(1);
     if (delay > 0)
       std::this_thread::sleep_for(std::chrono::nanoseconds(delay));
-    backoff = static_cast<std::uint64_t>(std::min(
-        static_cast<double>(policy.max_backoff_ns),
-        std::max(1.0,
-                 static_cast<double>(backoff) * policy.backoff_multiplier)));
+    backoff = backoff < policy.max_backoff_ns / 2 ? 2 * backoff
+                                                  : policy.max_backoff_ns;
   }
 }
 
@@ -560,10 +557,6 @@ void Engine::set_state_locked(EngineState to) {
 }
 
 void Engine::dispatcher_loop(std::uint64_t gen) {
-  // Placement hint only: a respawned dispatcher re-pins itself, and a
-  // host without the assigned CPUs just leaves the thread unpinned.
-  if (!opts_.affinity_cpus.empty())
-    common::pin_current_thread(opts_.affinity_cpus);
   std::unique_lock<std::mutex> lock(mu_);
   bool crashed = false;
   try {

@@ -207,11 +207,6 @@ struct EngineOptions {
   /// shard from a degraded one; a standalone engine's carry no shard
   /// label.
   int shard = -1;
-  /// Best-effort CPU affinity for the dispatcher thread (and any respawn
-  /// of it); empty = unpinned. The router fills this from
-  /// hw::shard_core_assignment so a shard's dispatcher runs inside the
-  /// same core slice as its context's pool.
-  std::vector<int> affinity_cpus;
 
   // --- dispatcher supervision (see the Resilience section above) ---
 
@@ -258,10 +253,9 @@ struct EngineOptions {
 struct RetryPolicy {
   /// Total attempts, including the first (1 = no retries).
   int max_attempts = 3;
-  /// Backoff before the second attempt; doubles (multiplier) per retry,
-  /// capped at max_backoff_ns.
+  /// Backoff before the second attempt; doubles per retry, capped at
+  /// max_backoff_ns.
   std::uint64_t initial_backoff_ns = 1'000'000;
-  double backoff_multiplier = 2.0;
   std::uint64_t max_backoff_ns = 100'000'000;
   /// Fraction of each backoff randomized away (decorrelates retry
   /// storms): the actual sleep is backoff * (1 - jitter * u) with

@@ -17,27 +17,13 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::create(
   const std::size_t shards = std::max<std::size_t>(1, opts.shards);
   se->opts_.shards = shards;
 
-  hw::Topology topo = opts.topology;
-  if (topo.cores <= 0) {
-    topo.cores = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-    topo.cores_per_group = topo.cores;  // one flat group
-  }
-
   se->contexts_.reserve(shards);
   se->engines_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    ContextOptions copts = opts.context;
     EngineOptions eopts = opts.worker;
     eopts.shard = static_cast<int>(i);
-    eopts.affinity_cpus.clear();
-    if (opts.core_affinity) {
-      copts.pool_pin_cpus = hw::shard_core_assignment(
-          topo, static_cast<int>(shards), static_cast<int>(i));
-      eopts.affinity_cpus = copts.pool_pin_cpus;
-    }
     try {
-      se->contexts_.push_back(std::make_unique<Context>(copts));
+      se->contexts_.push_back(std::make_unique<Context>(opts.context));
     } catch (const std::exception& e) {
       return Status(StatusCode::kInvalidArgument,
                     std::string("sharded serve: shard context construction "

@@ -23,12 +23,6 @@
 //     request pays a cold plan/packed cache on its host shard; the ratio
 //     keeps that price paid only when the imbalance is real. A ratio of 0
 //     disables stealing (the determinism hook).
-//   * **Core affinity.** With core_affinity set, shard i's dispatcher and
-//     its context's pool workers are pinned (best effort) to
-//     hw::shard_core_assignment(topology, N, i): disjoint contiguous core
-//     slices, snapped to whole NUMA/CMG groups when shards <= groups, so
-//     a shard's packing traffic never crosses the domain boundary the
-//     scaling model penalizes.
 //   * **One tuner, fleet-wide view.** The router is the online tuner's
 //     only owner (an Engine never tunes). enable_online_tuner builds a
 //     single tune::OnlineTuner bound to shard 0's Context, fed by the
@@ -51,9 +45,8 @@
 // invariant survives: an aggregate of clean shards is clean) and keeps
 // the per-shard breakdown; hot_shapes() is the merged fleet ranking.
 //
-// Layering: router sits in serve/ and depends downward on hw/ (topology →
-// core slices), tune/ (tuner + hot-shape merge), core, obs, common. See
-// DESIGN.md §4.
+// Layering: router sits in serve/ and depends downward on tune/ (tuner +
+// hot-shape merge), core, obs, common. See DESIGN.md §4.
 #pragma once
 
 #include <atomic>
@@ -63,7 +56,6 @@
 #include <memory>
 #include <vector>
 
-#include "hw/hardware_model.hpp"
 #include "serve/engine.hpp"
 
 namespace autogemm::serve {
@@ -76,8 +68,8 @@ struct ShardedEngineOptions {
   /// every shard; the single tuner is the only records writer).
   ContextOptions context;
   /// Per-shard Engine configuration. queue_capacity etc. are *per shard*:
-  /// N shards admit N * queue_capacity in aggregate. worker.shard and
-  /// worker.affinity_cpus are overwritten per shard by create().
+  /// N shards admit N * queue_capacity in aggregate. worker.shard is
+  /// overwritten per shard by create().
   EngineOptions worker;
   /// Steal when home_depth + 1 >= ratio * (min_depth + 1) (the +1 keeps
   /// the test meaningful at empty queues). 0 disables stealing.
@@ -85,12 +77,6 @@ struct ShardedEngineOptions {
   /// Never steal while the home shard's queue is shallower than this —
   /// a short burst is cheaper to absorb than a cold-cache diversion.
   std::size_t steal_min_depth = 8;
-  /// Pin each shard's dispatcher + pool to its hw::shard_core_assignment
-  /// slice of `topology` (best effort; a no-op on hosts lacking the CPUs).
-  bool core_affinity = false;
-  /// Topology for the affinity assignment. cores == 0 resolves to the
-  /// host's hardware_concurrency (one flat group).
-  hw::Topology topology;
   /// Single router-owned online tuner over the merged fleet traffic (see
   /// the header comment). Off by default: tuning spends CPU the
   /// dispatchers could use, so the embedder opts in.
@@ -157,8 +143,7 @@ class ShardedEngine {
 
   std::size_t shards() const { return engines_.size(); }
   Engine& shard_engine(std::size_t i) { return *engines_[i]; }
-  /// Shard i's Context; its options().pool_pin_cpus is the shard's core
-  /// slice (empty when core_affinity is off).
+  /// Shard i's Context, built from ShardedEngineOptions::context.
   Context& shard_context(std::size_t i) { return *contexts_[i]; }
 
   /// Aggregate + per-shard accounting snapshot.

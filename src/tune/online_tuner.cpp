@@ -20,13 +20,14 @@ namespace autogemm::tune {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Model-prune survivors actually measured: this fraction of the
+/// enumerated space, floored at kMinKeep — the paper's pruning step.
+constexpr double kKeepFraction = 0.02;
+constexpr int kMinKeep = 8;
 
 OnlineTunerOptions sanitized(OnlineTunerOptions opts) {
   if (opts.top_k == 0) opts.top_k = 1;
   if (opts.measure_reps < 1) opts.measure_reps = 1;
-  if (opts.min_keep < 1) opts.min_keep = 1;
-  if (!(opts.keep_fraction > 0)) opts.keep_fraction = 0.02;
-  if (opts.keep_fraction > 1) opts.keep_fraction = 1;
   return opts;
 }
 
@@ -305,9 +306,8 @@ bool OnlineTuner::tune_shape(const HotShape& hs) {
       candidate_from_config(ctx_.plan_for(m, n, k)->config());
   const double incumbent_cost = measure(incumbent);
 
-  const TuneResult result = tune_model_pruned(space, model, measure,
-                                              opts_.keep_fraction,
-                                              opts_.min_keep);
+  const TuneResult result =
+      tune_model_pruned(space, model, measure, kKeepFraction, kMinKeep);
 
   const bool win = std::isfinite(result.best_cost) &&
                    result.best_cost < incumbent_cost &&

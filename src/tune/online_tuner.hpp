@@ -84,10 +84,6 @@ struct OnlineTunerOptions {
   /// A shape is tunable only once this many requests hit it — tuning a
   /// one-off shape spends the budget on traffic that never returns.
   std::uint64_t min_requests = 16;
-  /// Model-prune survivors actually measured (fraction of the enumerated
-  /// space, floored at min_keep) — the paper's pruning step.
-  double keep_fraction = 0.02;
-  int min_keep = 8;
   /// Wall-clock repetitions per measured candidate (min is kept).
   int measure_reps = 3;
   /// Per-shape measurement budget: once this much wall-clock has been

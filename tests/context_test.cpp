@@ -145,7 +145,9 @@ TEST(Context, TunedRecordsResolveExactAndNearest) {
 }
 
 TEST(Context, RecordsFileConstructorThrowsOnMissingFile) {
-  EXPECT_THROW(Context("/nonexistent/dir/records.txt"), std::runtime_error);
+  ContextOptions opts;
+  opts.records_path = "/nonexistent/dir/records.txt";
+  EXPECT_THROW(Context{opts}, std::runtime_error);
 }
 
 TEST(Context, ConstBCachesPackedAndInvalidates) {

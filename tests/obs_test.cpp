@@ -334,9 +334,9 @@ TEST_F(ObsTrace, ContextRunFeedsDefaultRegistry) {
 }
 
 TEST_F(ObsTrace, TracedContextRunEmitsPhaseSpans) {
+  obs::set_trace_enabled(true);
   ContextOptions opts;
   opts.threads = 1;
-  opts.trace = true;  // flips the global switch on construction
   Context ctx(opts);
   ASSERT_TRUE(obs::trace_enabled());
   obs::Tracer::instance().clear();

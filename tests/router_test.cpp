@@ -20,7 +20,6 @@
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "hw/hardware_model.hpp"
 #include "obs/metrics.hpp"
 #include "serve/load_gen.hpp"
 #include "serve/router.hpp"
@@ -330,34 +329,6 @@ TEST(Router, QueueDepthGaugeSumsAcrossShards) {
   se->shutdown();
   for (auto& f : fs) EXPECT_TRUE(f.get().ok());
   EXPECT_EQ(r.gauge_total("autogemm_serve_queue_depth") - depth0, 0.0);
-}
-
-TEST(Hw, ShardCoreAssignmentSnapsToGroups) {
-  hw::Topology topo;
-  topo.cores = 48;
-  topo.cores_per_group = 12;  // A64FX: 4 CMGs
-  std::set<int> seen;
-  for (int s = 0; s < 4; ++s) {
-    const auto cpus = hw::shard_core_assignment(topo, 4, s);
-    ASSERT_EQ(cpus.size(), 12u) << "shard " << s;
-    EXPECT_EQ(cpus.front(), 12 * s);  // whole-CMG contiguous slice
-    for (int c : cpus) EXPECT_TRUE(seen.insert(c).second);  // disjoint
-  }
-  EXPECT_EQ(seen.size(), 48u);
-}
-
-TEST(Hw, ShardCoreAssignmentHandlesDegenerateShapes) {
-  hw::Topology topo;
-  topo.cores = 2;
-  topo.cores_per_group = 2;
-  // More shards than cores: round-robin single cores, never empty.
-  for (int s = 0; s < 5; ++s) {
-    const auto cpus = hw::shard_core_assignment(topo, 5, s);
-    ASSERT_EQ(cpus.size(), 1u);
-    EXPECT_EQ(cpus[0], s % 2);
-  }
-  // One shard: the whole machine.
-  EXPECT_EQ(hw::shard_core_assignment(topo, 1, 0).size(), 2u);
 }
 
 TEST(LoadGen, ScheduleIsDeterministicAndMonotonic) {

@@ -275,9 +275,9 @@ int cmd_trace(int argc, char** argv) {
       flag_value(argc, argv, "--out", "autogemm_trace.json");
   const char* metrics_out = flag_value(argc, argv, "--metrics", nullptr);
 
+  obs::set_trace_enabled(true);
   ContextOptions opts;
   opts.threads = threads;
-  opts.trace = true;
   if (strategy == "blocks") opts.parallel_strategy = ParallelStrategy::kBlocksOnly;
   else if (strategy == "ksplit") opts.parallel_strategy = ParallelStrategy::kKSplit;
   else if (strategy != "auto")

@@ -29,8 +29,8 @@
 # shard at the same offered load; its JSON is copied to
 # BENCH_serve_scale.json at the repo root. The serve tests also run under
 # the asan configuration via the regular ctest pass, and the asan
-# configuration repeats the 20-seed chaos pass plus the 6-seed sharded
-# chaos pass under the sanitizers.
+# configuration repeats the 4-worker pooled pass, the 20-seed chaos pass
+# and the 6-seed sharded chaos pass under the sanitizers.
 #
 # The release configuration ends with the backend matrix: the full ctest
 # suite re-runs under AUTOGEMM_BACKEND=neon and =sve_sim (kAuto contexts
@@ -266,6 +266,12 @@ for config in "${configs[@]}"; do
     asan)
       run_config asan build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DAUTOGEMM_SANITIZE=ON
+      echo "==== [asan] multi-thread pass (pooled, threads=4) ===="
+      # The release leg's 4-worker pass under the sanitizers: pool worker
+      # start-up and the shared operand validator on pooled single and
+      # batched calls must be clean of races-of-lifetime and UB too.
+      AUTOGEMM_TEST_THREADS=4 ./build-asan/tests/autogemm_tests \
+        --gtest_filter='Parallel*:KSplit*:PackedPadding*:ThreadPool*:Context*:Batched*:GemmEx*'
       echo "==== [asan] serve chaos pass (20 seeds) ===="
       # The same 20 chaos seeds under address/undefined sanitizers: the
       # crash/stall recovery and abandoned-thread bookkeeping must be
