@@ -33,7 +33,6 @@
 #include "common/timer.hpp"
 #include "core/gemm.hpp"
 #include "core/plan.hpp"
-#include "kernels/dispatch.hpp"
 #include "kernels/packing.hpp"
 #include "obs/trace.hpp"
 
@@ -112,13 +111,14 @@ struct Replica {
     }
 
     float* c_ptr = c.data + static_cast<long>(i0) * c.ld + j0;
-    const tiling::TilingResult& tiles = plan.block_tiling(bm, bn, bk);
-    for (const auto& t : tiles.tiles) {
-      kernels::run_tile(t.rows_used, t.cols_used,
-                        a_ptr + static_cast<long>(t.row) * lda, lda,
-                        b_ptr + t.col, ldb,
-                        c_ptr + static_cast<long>(t.row) * c.ld + t.col, c.ld,
-                        bk);
+    const BlockTiling& block = plan.block(bm, bn, bk);
+    for (std::size_t i = 0; i < block.tiling.tiles.size(); ++i) {
+      const tiling::MicroTile& t = block.tiling.tiles[i];
+      block.kernels[i].run(t.rows_used, t.cols_used,
+                           a_ptr + static_cast<long>(t.row) * lda, lda,
+                           b_ptr + t.col, ldb,
+                           c_ptr + static_cast<long>(t.row) * c.ld + t.col,
+                           c.ld, bk);
     }
   }
 

@@ -61,8 +61,8 @@ BackendId BackendRegistry::resolve(BackendId requested) const {
   }
   const auto ordered = all();
   if (ordered.empty()) throw std::out_of_range("registry: no backends");
-  // Highest-priority host-executable backend: keeps the default path on
-  // compiled kernels (and bitwise-identical to the pre-registry library).
+  // Highest-priority host-executable backend: x86_wide on a CPU that runs
+  // it, else neon (bitwise-identical to the pre-registry library).
   for (const KernelBackend* b : ordered)
     if (b->caps().host_executable) return b->caps().id;
   return ordered.front()->caps().id;
@@ -74,6 +74,7 @@ BackendRegistry& registry() {
   // after that point are lock-free over an effectively immutable set.
   static BackendRegistry* reg = [] {
     auto* r = new BackendRegistry();
+    r->register_backend(make_x86_wide_backend(kernels::detect_wide_isa()));
     r->register_backend(make_neon_backend());
     r->register_backend(make_sve_sim_backend());
     return r;
@@ -85,6 +86,11 @@ const KernelBackend& get_backend(BackendId id) { return registry().get(id); }
 
 BackendId resolve_backend(BackendId requested) {
   return registry().resolve(requested);
+}
+
+const KernelBackend& host_backend(BackendId id) {
+  const KernelBackend& b = get_backend(id);
+  return b.caps().host_executable ? b : get_backend(BackendId::kNeon);
 }
 
 }  // namespace autogemm::backend

@@ -11,16 +11,17 @@
 // The process-wide BackendRegistry owns one instance per BackendId with a
 // deterministic priority ordering. Context resolves ContextOptions::backend
 // through it: an explicit id passes through, kAuto honors AUTOGEMM_BACKEND
-// and otherwise picks the highest-priority host-executable backend — which
-// keeps the default NEON path bitwise-identical to the pre-registry code.
+// and otherwise picks the highest-priority host-executable backend. That is
+// x86_wide when the CPU has AVX2+FMA or AVX-512F, and neon (the 128-bit
+// tier, bitwise-identical to the pre-registry code) otherwise.
 //
 // Host-executable vs simulator-only: a backend whose caps().host_executable
-// is true serves compiled C++ kernels via find_microkernel (NEON); a
-// simulator-only backend (sve_sim) returns nullptr from find_microkernel
-// for every shape — its generated programs execute on sim::Interpreter /
-// sim::PipelineSimulator — and host execution under it falls back to the
-// portable kernels::run_tile path. DESIGN.md §4 has the layering diagram
-// and the "how to add a backend" checklist.
+// is true serves compiled C++ kernels via find_microkernel (neon, and
+// x86_wide on a CPU that has the ISA); a simulator-only backend (sve_sim,
+// or x86_wide on a CPU without it) returns nullptr from find_microkernel
+// for every shape, and host execution under it runs on the neon tier
+// (host_backend() below). DESIGN.md §4 has the layering diagram and the
+// "how to add a backend" checklist.
 #pragma once
 
 #include <memory>
@@ -29,7 +30,7 @@
 #include "backend/backend_id.hpp"
 #include "codegen/generator.hpp"
 #include "codegen/tile_sizes.hpp"
-#include "hw/chip_database.hpp"
+#include "hw/hardware_model.hpp"
 #include "kernels/microkernel.hpp"
 
 namespace autogemm::backend {
@@ -47,11 +48,12 @@ struct BackendCaps {
   /// Compiled host micro-kernels exist (find_microkernel can return
   /// non-null). false = simulator-only tier.
   bool host_executable = true;
+  /// Architectural vector registers the tiles are sized to (with
+  /// vl_default lanes this is the host model DMT tiles against).
+  int vector_registers = 32;
   /// Register-budget ceilings for this backend's tile shapes.
   int max_mr = 10;
   int max_nr = 28;
-  /// Chip whose hw model prices this backend under kAuto / tune::.
-  hw::Chip pricing_chip = hw::Chip::kGraviton2;
   /// Deterministic registry ordering: higher wins. kAuto resolution picks
   /// the highest-priority host-executable backend.
   int priority = 0;
@@ -73,9 +75,19 @@ class KernelBackend {
   virtual std::vector<codegen::TileSize> preferred_tiles() const = 0;
 
   /// Compiled host kernel for the exact tile, or nullptr. Always nullptr
-  /// for simulator-only backends; callers fall back to the portable
-  /// kernels::run_tile path.
+  /// for simulator-only backends, whose plans run on host_backend().
   virtual kernels::MicroKernelFn find_microkernel(int mr, int nr) const = 0;
+
+  /// Compiled kernel for an mr-row tile clipped to `cols` columns that
+  /// loads and stores only those columns, or nullptr (the executor then
+  /// runs kernels::generic_microkernel). Only tiers with masked vector
+  /// edges serve one.
+  virtual kernels::MaskedKernelFn find_masked_microkernel(int mr,
+                                                          int cols) const {
+    (void)mr;
+    (void)cols;
+    return nullptr;
+  }
 
   /// Generates the micro-kernel IR for the tile. Throws
   /// std::invalid_argument when !tile_feasible(mr, nr).
@@ -87,8 +99,8 @@ class KernelBackend {
   virtual hw::HardwareModel pricing_model() const = 0;
 };
 
-/// Process-wide registry. The two built-in backends (neon, sve_sim) are
-/// registered on first use; register_backend() admits future tiers (SME
+/// Process-wide registry. The built-in backends (x86_wide, neon, sve_sim)
+/// are registered on first use; register_backend() admits future tiers (SME
 /// fmopa, int8/bf16 widening) without touching dispatch sites.
 class BackendRegistry {
  public:
@@ -124,5 +136,10 @@ const KernelBackend& get_backend(BackendId id);
 
 /// Convenience: registry().resolve(requested).
 BackendId resolve_backend(BackendId requested);
+
+/// The backend whose compiled kernels execute plans made for `id` (a
+/// concrete id): `id` itself when host-executable, else neon. Its caps set
+/// the lanes and register budget a plan is tiled for.
+const KernelBackend& host_backend(BackendId id);
 
 }  // namespace autogemm::backend

@@ -21,15 +21,17 @@ enum class BackendId : std::int8_t {
   kAuto = -1,   ///< "pick for me" (ContextOptions default)
   kNeon = 0,    ///< fixed-width NEON A64 tier (host-executable)
   kSveSim = 1,  ///< SVE predicated VL-agnostic tier (simulator-only)
+  kX86Wide = 2,  ///< AVX-512 / AVX2 FMA tier (host-executable on AVX2 CPUs)
 };
 
-/// Stable lowercase name ("neon", "sve_sim", "auto") — the spelling used in
+/// Stable lowercase name ("neon", "sve_sim", "x86_wide", "auto") — the spelling used in
 /// tuning-record files, AUTOGEMM_BACKEND, and metrics labels.
 constexpr std::string_view backend_name(BackendId id) {
   switch (id) {
     case BackendId::kAuto: return "auto";
     case BackendId::kNeon: return "neon";
     case BackendId::kSveSim: return "sve_sim";
+    case BackendId::kX86Wide: return "x86_wide";
   }
   return "unknown";
 }
@@ -39,6 +41,7 @@ constexpr std::string_view backend_name(BackendId id) {
 constexpr BackendId parse_backend(std::string_view name) {
   if (name == backend_name(BackendId::kNeon)) return BackendId::kNeon;
   if (name == backend_name(BackendId::kSveSim)) return BackendId::kSveSim;
+  if (name == backend_name(BackendId::kX86Wide)) return BackendId::kX86Wide;
   return BackendId::kAuto;
 }
 

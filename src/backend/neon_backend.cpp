@@ -4,9 +4,12 @@
 // delegates to exactly the same kernel table (kernels::detail) and the same
 // Listing-1 generator at lanes=4, so a Context resolved to kNeon is
 // behavior-identical — bitwise-same C — to the code before the registry
-// existed.
+// existed. Its tiles are sized to the compiled 128-bit tier's register
+// file (simd::kVectorRegisters: 16 on x86-64, 32 on AArch64).
 #include "backend/builtin.hpp"
+#include "hw/chip_database.hpp"
 #include "kernels/dispatch.hpp"
+#include "simd/vec.hpp"
 
 namespace autogemm::backend {
 namespace {
@@ -19,9 +22,9 @@ class NeonBackend final : public KernelBackend {
     caps_.vl_default = 4;
     caps_.vl_agnostic = false;
     caps_.host_executable = true;
+    caps_.vector_registers = simd::kVectorRegisters;
     caps_.max_mr = 10;   // GP row-pointer budget of Listing 1
     caps_.max_nr = 80;   // widest compiled table shape (4x80)
-    caps_.pricing_chip = hw::Chip::kGraviton2;
     caps_.priority = 100;
   }
 
@@ -46,7 +49,7 @@ class NeonBackend final : public KernelBackend {
   }
 
   hw::HardwareModel pricing_model() const override {
-    return hw::chip_model(caps_.pricing_chip);
+    return hw::chip_model(hw::Chip::kGraviton2);
   }
 
  private:

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "backend/builtin.hpp"
+#include "hw/chip_database.hpp"
 
 namespace autogemm::backend {
 namespace {
@@ -25,9 +26,9 @@ class SveSimBackend final : public KernelBackend {
     caps_.vl_default = 16;  // SVE-512 fp32, the A64FX width
     caps_.vl_agnostic = true;
     caps_.host_executable = false;
+    caps_.vector_registers = 32;
     caps_.max_mr = 10;   // GP budget of the predicated kernel
     caps_.max_nr = 112;  // 7 groups x 16 lanes
-    caps_.pricing_chip = hw::Chip::kA64FX;
     caps_.priority = 50;
   }
 
@@ -64,7 +65,7 @@ class SveSimBackend final : public KernelBackend {
   }
 
   hw::HardwareModel pricing_model() const override {
-    return hw::chip_model(caps_.pricing_chip);
+    return hw::chip_model(hw::Chip::kA64FX);
   }
 
  private:

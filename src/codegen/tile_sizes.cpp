@@ -4,16 +4,6 @@
 
 namespace autogemm::codegen {
 
-int registers_needed(int mr, int nr, int lanes) {
-  const int vnr = (nr + lanes - 1) / lanes;
-  return mr * vnr + mr + vnr;
-}
-
-bool tile_feasible(int mr, int nr, int lanes, int max_registers) {
-  if (mr < 1 || nr < lanes || nr % lanes != 0) return false;
-  return registers_needed(mr, nr, lanes) <= max_registers;
-}
-
 std::vector<TileSize> enumerate_feasible_tiles(int lanes,
                                                int max_registers) {
   std::vector<TileSize> tiles;

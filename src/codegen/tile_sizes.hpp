@@ -20,11 +20,19 @@ inline constexpr int kVectorRegisters = 32;
 
 /// Vector registers a (mr x nr) tile needs at lane width `lanes`:
 /// mr*ceil(nr/lanes) accumulators + mr A registers + ceil(nr/lanes) B
-/// registers. Feasible iff this fits in the 32-register file. Reproduces
-/// exactly the dashes in Table II (e.g. 4x24 and 5x20 are infeasible).
-int registers_needed(int mr, int nr, int lanes);
-bool tile_feasible(int mr, int nr, int lanes,
-                   int max_registers = kVectorRegisters);
+/// registers. Feasible iff this fits in the register file (32 on the
+/// modeled Arm chips). Reproduces exactly the dashes in Table II (e.g.
+/// 4x24 and 5x20 are infeasible). constexpr so the compiled kernel tables
+/// (kernels/wide_kernel.hpp) are derived from the same rule.
+constexpr int registers_needed(int mr, int nr, int lanes) {
+  const int vnr = (nr + lanes - 1) / lanes;
+  return mr * vnr + mr + vnr;
+}
+constexpr bool tile_feasible(int mr, int nr, int lanes,
+                             int max_registers = kVectorRegisters) {
+  if (mr < 1 || nr < lanes || nr % lanes != 0) return false;
+  return registers_needed(mr, nr, lanes) <= max_registers;
+}
 
 /// All feasible tiles with mr >= 1 and nr a positive multiple of `lanes`,
 /// bounded by nr/lanes <= 30 (beyond which feasibility forces mr = 0).

@@ -6,6 +6,7 @@
 #include <functional>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -14,7 +15,6 @@
 #include "common/failpoint.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/timer.hpp"
-#include "kernels/dispatch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "quant/qgemm.hpp"
@@ -160,15 +160,29 @@ Status probe_generated(const backend::KernelBackend& be, int mr, int nr,
                    });
 }
 
-/// Probes the portable kernels:: path (the one Context actually executes
-/// through) for the same tile shape.
-Status probe_portable(int mr, int nr, int kc) {
-  return run_probe(mr, nr, kc, kc, kc, 31,
-                   "portable " + std::to_string(mr) + "x" + std::to_string(nr),
-                   [&](const float* a, const float* b, float* c) {
-                     kernels::run_tile(mr, nr, a, kc, b, nr, c, nr, kc);
-                     return Status::OK();
-                   });
+/// Probes the host kernels the executor will call: every distinct
+/// (rows x cols, kernel) the plan resolved for its tiles, run through the
+/// same kernels::TileKernel the executor's run_block calls.
+Status probe_host_kernels(const Plan& plan, int kc) {
+  using Probed = std::tuple<int, int, kernels::MicroKernelFn,
+                            kernels::MaskedKernelFn>;
+  std::set<Probed> seen;
+  for (const auto& [shape, block] : plan.blocks()) {
+    for (std::size_t i = 0; i < block.tiling.tiles.size(); ++i) {
+      const int rows = block.tiling.tiles[i].rows_used;
+      const int cols = block.tiling.tiles[i].cols_used;
+      const kernels::TileKernel& tk = block.kernels[i];
+      if (!seen.emplace(rows, cols, tk.exact, tk.masked).second) continue;
+      AUTOGEMM_RETURN_IF_ERROR(run_probe(
+          rows, cols, kc, kc, kc, 31,
+          "host " + std::to_string(rows) + "x" + std::to_string(cols),
+          [&](const float* a, const float* b, float* c) {
+            tk.run(rows, cols, a, kc, b, cols, c, cols, kc);
+            return Status::OK();
+          }));
+    }
+  }
+  return Status::OK();
 }
 
 std::string shape_string(int m, int n, int k) {
@@ -434,8 +448,7 @@ Status Context::verify_config(const Plan& plan) {
 
   if (failpoint::should_fail("verify.portable"))
     return InternalError("failpoint: verify.portable");
-  const auto& t0 = tiles.tiles.front();
-  return probe_portable(t0.mr, t0.nr, kc);
+  return probe_host_kernels(plan, kc);
 }
 
 Context::PlanEntry Context::entry_for(int m, int n, int k) {
@@ -497,7 +510,7 @@ Context::PlanEntry Context::entry_for(int m, int n, int k) {
       candidates.push_back({tune::config_from_candidate(m, n, k, *nearest), 1});
     }
   }
-  candidates.push_back({default_config(m, n, k), 2});
+  candidates.push_back({default_config(m, n, k, backend_), 2});
   // A context-level strategy override beats whatever the candidates carry
   // (tuned records may pin a strategy per shape; kAuto leaves them alone).
   // The backend is pinned unconditionally: it is a property of the
@@ -599,7 +612,8 @@ std::shared_ptr<const Plan> Context::plan_for(int m, int n, int k) {
   if (entry.plan != nullptr) return entry.plan;
   // Reference-pinned shape: legacy callers still need a Plan object to
   // hand to the free gemm() overloads; run() is where the pin is honored.
-  return std::make_shared<const Plan>(m, n, k, default_config(m, n, k));
+  return std::make_shared<const Plan>(m, n, k,
+                                      default_config(m, n, k, backend_));
 }
 
 void Context::note_strategy(const Plan* plan,

@@ -10,7 +10,6 @@
 
 #include "common/aligned_buffer.hpp"
 #include "core/context.hpp"
-#include "kernels/dispatch.hpp"
 #include "kernels/packing.hpp"
 #include "obs/trace.hpp"
 
@@ -23,18 +22,22 @@ using detail::GroupMember;
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
-// Executes every micro-tile of one cache block. a/b point at the block
-// origin (packed scratch or a window into the source matrices).
-void run_block(const tiling::TilingResult& tiles, const float* a, long lda,
+// Executes every micro-tile of one cache block on the kernels the plan
+// resolved for it. a/b point at the block origin (packed scratch or a
+// window into the source matrices).
+void run_block(const BlockTiling& block, const float* a, long lda,
                const float* b, long ldb, float* c, long ldc, int bk) {
+  const std::vector<tiling::MicroTile>& tiles = block.tiling.tiles;
   // Phase span at cache-block granularity: one per run_block call, not per
   // micro-tile — coarse enough that a disabled-tracing check costs one
   // branch per block (see bench_obs_overhead).
-  obs::SpanScope span("kernel", tiles.tiles.size(), static_cast<unsigned>(bk));
-  for (const auto& t : tiles.tiles) {
-    kernels::run_tile(t.rows_used, t.cols_used,
-                      a + static_cast<long>(t.row) * lda, lda, b + t.col, ldb,
-                      c + static_cast<long>(t.row) * ldc + t.col, ldc, bk);
+  obs::SpanScope span("kernel", tiles.size(), static_cast<unsigned>(bk));
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    const tiling::MicroTile& t = tiles[i];
+    block.kernels[i].run(t.rows_used, t.cols_used,
+                         a + static_cast<long>(t.row) * lda, lda, b + t.col,
+                         ldb, c + static_cast<long>(t.row) * ldc + t.col, ldc,
+                         bk);
   }
 }
 
@@ -134,8 +137,7 @@ void block_step(const Operands& op, MatrixView c, const Plan& plan,
   }
 
   float* c_ptr = c.data + static_cast<long>(i0) * c.ld + j0;
-  run_block(plan.block_tiling(bm, bn, bk), a_ptr, lda, b_ptr, ldb, c_ptr, c.ld,
-            bk);
+  run_block(plan.block(bm, bn, bk), a_ptr, lda, b_ptr, ldb, c_ptr, c.ld, bk);
 }
 
 // Maps the loop order to a (dim0, dim1, dim2) permutation of (M, N, K)

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "backend/backend.hpp"
 #include "hw/chip_database.hpp"
 
 namespace autogemm {
@@ -30,21 +31,35 @@ const char* parallel_strategy_name(ParallelStrategy s) {
   return "?";
 }
 
-GemmConfig default_config(int m, int n, int k) {
+GemmConfig default_config(int m, int n, int k, backend::BackendId id) {
   GemmConfig cfg;
-  cfg.hw = hw::host_model();  // tiles sized for the machine we run on
+  cfg.backend = backend::resolve_backend(id);
+  // Tiles sized for the kernels that will run: the executing tier's lanes
+  // and register file on the machine we run on.
+  const backend::KernelBackend& be = backend::host_backend(cfg.backend);
+  cfg.hw = hw::host_model(be.caps().vl_default, be.caps().vector_registers);
+  // The tier's widest register tile in working rows (mr + nr): 24 for the
+  // 128-bit tier's 4x20, 84 for AVX-512's 4x80.
+  int tile_rows = 1;
+  for (const codegen::TileSize& t : be.preferred_tiles())
+    tile_rows = std::max(tile_rows, t.mr + t.nr);
   // Goto's sizing rule derived from the actual cache hierarchy: the
   // streamed B panel rows (kc x nr) plus the A block (mc x kc) should
   // occupy about half of L1 so the C tile and the B stream never evict
   // each other, and the full B block (kc x nc) should fit comfortably in
   // L2. For the small/irregular shapes this library targets, clamping to
-  // the problem dominates these ceilings anyway.
+  // the problem dominates these ceilings anyway. The floor keeps a K block
+  // long enough to amortize reloading the C tile: the 128-bit tier's rule
+  // gives 170, while AVX-512's 84-row tiles would give 48. At the floor of
+  // 128 its blocks (mc 32, nc 256) also stay numerous enough for the pool
+  // without k-split partials; on resnet50 that measured faster and with a
+  // smaller peak RSS than kc = 64 with mc 64, nc 512.
   const long l1 = cfg.hw.caches.empty() ? 32 * 1024
                                         : cfg.hw.caches.front().size_bytes;
   const long l2 = cfg.hw.caches.size() > 1 ? cfg.hw.caches[1].size_bytes
                                            : 8 * l1;
-  const int kc_cap = static_cast<int>(std::clamp<long>(
-      l1 / (2 * 4 * 24 /* ~max(mr)+nr working rows */), 64, 512));
+  const int kc_cap = static_cast<int>(
+      std::clamp<long>(l1 / (2 * 4 * tile_rows), 128, 512));
   const int mc_cap = static_cast<int>(std::clamp<long>(
       l1 / (2 * 4 * kc_cap), 24, 256));
   const int nc_cap = static_cast<int>(std::clamp<long>(
@@ -84,6 +99,7 @@ Plan::Plan(int m, int n, int k, GemmConfig config)
     : m_(m), n_(n), k_(k), cfg_(std::move(config)) {
   if (m <= 0 || n <= 0 || k <= 0)
     throw std::invalid_argument("Plan: dimensions must be positive");
+  cfg_.backend = backend::resolve_backend(cfg_.backend);
   cfg_.mc = std::clamp(cfg_.mc, 1, m);
   cfg_.nc = std::clamp(cfg_.nc, 1, n);
   cfg_.kc = std::clamp(cfg_.kc, 1, k);
@@ -103,11 +119,28 @@ Plan::Plan(int m, int n, int k, GemmConfig config)
   }
 }
 
-const tiling::TilingResult& Plan::block_tiling(int bm, int bn, int bk) const {
+const BlockTiling& Plan::block(int bm, int bn, int bk) const {
   const std::array<int, 3> key{bm, bn, bk};
   auto it = tilings_.find(key);
   if (it != tilings_.end()) return it->second;
-  return tilings_.emplace(key, compute_tiling(bm, bn, bk)).first->second;
+  return tilings_.emplace(key, compute_block(bm, bn, bk)).first->second;
+}
+
+BlockTiling Plan::compute_block(int bm, int bn, int bk) const {
+  BlockTiling block{compute_tiling(bm, bn, bk), {}};
+  // Each placed tile runs the kernel for the rows and columns it covers:
+  // the exact shape, else a column-masked kernel for a clipped edge, else
+  // (both null) the generic loop.
+  const backend::KernelBackend& be = backend::host_backend(cfg_.backend);
+  block.kernels.reserve(block.tiling.tiles.size());
+  for (const tiling::MicroTile& t : block.tiling.tiles) {
+    kernels::TileKernel kernel;
+    kernel.exact = be.find_microkernel(t.rows_used, t.cols_used);
+    if (kernel.exact == nullptr)
+      kernel.masked = be.find_masked_microkernel(t.rows_used, t.cols_used);
+    block.kernels.push_back(kernel);
+  }
+  return block;
 }
 
 tiling::TilingResult Plan::compute_tiling(int bm, int bn, int bk) const {

@@ -17,6 +17,7 @@
 #include "common/matrix.hpp"
 #include "common/status.hpp"
 #include "hw/hardware_model.hpp"
+#include "kernels/microkernel.hpp"
 #include "kernels/packing.hpp"
 #include "tiling/micro_tiling.hpp"
 
@@ -63,17 +64,28 @@ struct GemmConfig {
   /// Hardware model that steers DMT's compute/memory-bound classification
   /// and the model costs; defaults to a host-neutral profile.
   hw::HardwareModel hw{};
-  /// Kernel backend the config is generated, verified and priced against
-  /// (see backend/backend.hpp). Host execution always runs the backend's
-  /// compiled kernels when it has them and the portable tile path
-  /// otherwise, so the NEON default keeps legacy behavior bit-for-bit.
+  /// Kernel backend the config is generated, verified, priced and run
+  /// against (see backend/backend.hpp). A Plan resolves every tile's kernel
+  /// from backend::host_backend(backend): the backend's own compiled
+  /// kernels when it is host-executable, neon's otherwise. kAuto resolves
+  /// when the Plan is built.
   backend::BackendId backend = backend::BackendId::kNeon;
 };
 
 /// Heuristic parameter choice for a problem shape (the fallback when no
-/// tuned record exists): blocks sized to the hardware model's cache
-/// hierarchy, clamped to the problem.
-GemmConfig default_config(int m, int n, int k);
+/// tuned record exists) on backend `id` (kAuto resolves as a Context
+/// does): the hardware model takes the executing tier's lanes and
+/// register budget, and blocks are sized to its cache hierarchy and
+/// register-tile width, clamped to the problem.
+GemmConfig default_config(int m, int n, int k,
+                          backend::BackendId id = backend::BackendId::kAuto);
+
+/// One cache-block shape's register tiling and the kernel each tile runs
+/// (kernels[i] runs tiling.tiles[i]), resolved once when the plan is built.
+struct BlockTiling {
+  tiling::TilingResult tiling;
+  std::vector<kernels::TileKernel> kernels;
+};
 
 class Plan {
  public:
@@ -93,13 +105,22 @@ class Plan {
   int k() const { return k_; }
   const GemmConfig& config() const { return cfg_; }
 
-  /// Micro-tile decomposition for a cache block of shape (bm x bn) at depth
-  /// bk (memoized across the at-most-eight distinct edge combinations).
-  /// The constructor visits every block of the problem, so all shapes the
-  /// executors will request are precomputed and concurrent gemm calls
-  /// sharing one Plan (e.g. through a Context's cache) only read the memo;
-  /// requesting a *novel* block shape from multiple threads is not safe.
-  const tiling::TilingResult& block_tiling(int bm, int bn, int bk) const;
+  /// Micro-tile decomposition and kernels for a cache block of shape
+  /// (bm x bn) at depth bk (memoized across the at-most-eight distinct edge
+  /// combinations). The constructor visits every block of the problem, so
+  /// all shapes the executors will request are precomputed and concurrent
+  /// gemm calls sharing one Plan (e.g. through a Context's cache) only read
+  /// the memo; requesting a *novel* block shape from multiple threads is
+  /// not safe.
+  const BlockTiling& block(int bm, int bn, int bk) const;
+  const tiling::TilingResult& block_tiling(int bm, int bn, int bk) const {
+    return block(bm, bn, bk).tiling;
+  }
+
+  /// Every block shape the problem has, keyed {bm, bn, bk}.
+  const std::map<std::array<int, 3>, BlockTiling>& blocks() const {
+    return tilings_;
+  }
 
   /// Model-projected cycles for the whole problem on the plan's hardware
   /// model (used by the tuner to rank candidate configurations).
@@ -108,10 +129,11 @@ class Plan {
  private:
   int m_, n_, k_;
   GemmConfig cfg_;
-  mutable std::map<std::array<int, 3>, tiling::TilingResult> tilings_;
+  mutable std::map<std::array<int, 3>, BlockTiling> tilings_;
   double projected_cycles_ = 0;
 
   tiling::TilingResult compute_tiling(int bm, int bn, int bk) const;
+  BlockTiling compute_block(int bm, int bn, int bk) const;
 };
 
 }  // namespace autogemm

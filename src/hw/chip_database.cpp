@@ -199,7 +199,7 @@ HardwareModel chip_model(Chip chip) {
   throw std::invalid_argument("unknown chip");
 }
 
-HardwareModel host_model() {
+HardwareModel host_model(int lanes, int vector_registers) {
   HardwareModel m;
   m.name = "host";
   m.lat_fma = 4.0;
@@ -208,15 +208,11 @@ HardwareModel host_model() {
   m.cpi_fma = 0.5;
   m.cpi_load = 0.5;
   m.cpi_store = 1.0;
-  m.lanes = 4;
-#if defined(__aarch64__)
-  m.vector_registers = 32;
-#else
-  // x86-64 baseline: 16 xmm registers. DMT sized for 32 registers picks
-  // tiles that spill here (measured 4x slowdowns); the budget is the one
-  // hardware fact the host plan must respect.
-  m.vector_registers = 16;
-#endif
+  m.lanes = lanes;
+  // DMT sized for more registers than the tier has picks tiles that spill
+  // (measured 4x slowdowns); the budget is the one hardware fact the host
+  // plan must respect.
+  m.vector_registers = vector_registers;
   m.sigma_ai = 4.5;
   m.ooo_window = 128;
   m.caches = {{32 * KiB, 64, 4, false},

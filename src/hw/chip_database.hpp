@@ -27,9 +27,11 @@ std::vector<Chip> evaluated_chips();
 
 /// A conservative model of the machine the library is *running on*, used
 /// to steer the host execution plans (register budget for DMT, cache-sized
-/// blocking). Detected from the compiled SIMD backend: 16 vector registers
-/// on x86-64/SSE, 32 on AArch64/NEON.
-HardwareModel host_model();
+/// blocking). The SIMD width and register file are those of the kernel
+/// tier that executes the plan, so the caller passes them in from its
+/// backend's caps (backend::host_backend): e.g. 4 lanes on 16 registers
+/// for the 128-bit tier on x86-64, 16 on 32 for AVX-512.
+HardwareModel host_model(int lanes, int vector_registers);
 
 /// Short display name ("KP920", "Graviton2", ...).
 const char* chip_name(Chip chip);

@@ -17,21 +17,23 @@ namespace detail {
 
 /// Internal lookup over the compiled NEON kernel table. Every entry is a
 /// host-executable C++ template instantiation composed from simd::vec4 —
-/// including the wide lane-scaled shapes (nr up to 80) that exist so
-/// SVE-width register tiles can be *executed on this host* while true SVE
-/// codegen remains simulator-only (the sve_sim backend has no compiled
-/// host kernels at all; see backend/backend.hpp). The NeonBackend and
-/// run_tile consult this directly; kernels/ cannot depend on backend/ (the
-/// registry sits above this layer). Returns nullptr when no template
-/// instantiation exists (callers fall back to generic_microkernel).
-/// Backend-neutral callers resolve a backend and use
-/// KernelBackend::find_microkernel (backend/backend.hpp) instead.
+/// including the lane-scaled shapes (nr up to 80) that let SVE-width
+/// register tiles run through the 128-bit tier while true SVE codegen
+/// remains simulator-only (the sve_sim backend has no compiled host
+/// kernels at all; see backend/backend.hpp). The NeonBackend and run_tile
+/// consult this directly; kernels/ cannot depend on backend/ (the registry
+/// sits above this layer). Returns nullptr when no template instantiation
+/// exists (callers fall back to generic_microkernel). The executor does
+/// not call this: a Plan resolves each tile's kernel once from its
+/// backend's find_microkernel (core/plan.hpp).
 MicroKernelFn neon_table_lookup(int mr, int nr);
 
 }  // namespace detail
 
-/// Executes one (possibly clipped) tile: uses the specialized kernel when
-/// rows==mr and cols==nr match an instantiation, otherwise the generic one.
+/// Executes one (possibly clipped) tile on the NEON table: uses the
+/// specialized kernel when rows x cols match an instantiation, otherwise
+/// the generic one. A direct entry for benches and tools; Context and the
+/// executor run the kernels their plan resolved.
 void run_tile(int rows, int cols, const float* a, long lda, const float* b,
               long ldb, float* c, long ldc, int kc);
 

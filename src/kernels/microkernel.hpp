@@ -5,8 +5,9 @@
 // MR x NR accumulator block in registers and vectorizes the inner loop —
 // the same register-tiling structure Listing 1 encodes in assembly. On an
 // AArch64 build the generated assembly kernels would slot in behind the
-// same function-pointer signature; on this x86 host the templates carry
-// the end-to-end library.
+// same function-pointer signature. On x86-64 these vec4 templates are the
+// 128-bit SSE2 tier the NEON backend serves; the AVX2/AVX-512 FMA tier is
+// x86_wide (kernels/wide.hpp), chosen at run time when the CPU has it.
 #pragma once
 
 #include <cstring>
@@ -55,5 +56,31 @@ void microkernel(const float* a, long lda, const float* b, long ldb, float* c,
 /// any register tile, or shapes outside the dispatch table).
 void generic_microkernel(int rows, int cols, const float* a, long lda,
                          const float* b, long ldb, float* c, long ldc, int kc);
+
+/// Column-masked kernel for a fixed row count: C(mr, cols) += A * B(kc,
+/// cols), touching only the `cols` live columns of B and C (DMT's
+/// padding-free edge, Fig 5). A backend serves one for a column count
+/// that is not a multiple of its lane width.
+using MaskedKernelFn = void (*)(const float* a, long lda, const float* b,
+                                long ldb, float* c, long ldc, int kc,
+                                int cols);
+
+/// The kernel one placed tile runs, resolved once when a plan builds its
+/// tiling (core/plan.hpp): the exact-shape kernel, else a column-masked
+/// one, else generic_microkernel.
+struct TileKernel {
+  MicroKernelFn exact = nullptr;
+  MaskedKernelFn masked = nullptr;
+
+  void run(int rows, int cols, const float* a, long lda, const float* b,
+           long ldb, float* c, long ldc, int kc) const {
+    if (exact != nullptr)
+      exact(a, lda, b, ldb, c, ldc, kc);
+    else if (masked != nullptr)
+      masked(a, lda, b, ldb, c, ldc, kc, cols);
+    else
+      generic_microkernel(rows, cols, a, lda, b, ldb, c, ldc, kc);
+  }
+};
 
 }  // namespace autogemm::kernels

@@ -40,7 +40,10 @@ struct vec4 {
   static vec4 broadcast(float x) { return {_mm_set1_ps(x)}; }
   static vec4 zero() { return {_mm_setzero_ps()}; }
   void store(float* p) const { _mm_storeu_ps(p, v); }
-  /// this += a * b (the compiler contracts mul+add into FMA where legal).
+  /// this += a * b as a separate multiply and add, each rounded: baseline
+  /// x86-64 (SSE2) has no FMA instruction, and the ISO build (-std=c++20,
+  /// no GNU extensions) compiles with -ffp-contract=off, so nothing fuses
+  /// them. The fused tier is x86_wide (kernels/wide_kernel.hpp).
   void fma(vec4 a, vec4 b) { v = _mm_add_ps(v, _mm_mul_ps(a.v, b.v)); }
 #elif defined(AUTOGEMM_SIMD_NEON)
   float32x4_t v;
@@ -64,5 +67,15 @@ struct vec4 {
 };
 
 inline constexpr int kLanes = 4;
+
+/// Architectural vector registers of the compiled 128-bit tier: 16 xmm on
+/// x86-64, 32 v registers on AArch64. The NEON backend's tiles are sized
+/// to this budget (DMT sized for 32 registers spills on x86; measured 4x
+/// slowdowns).
+#if defined(__aarch64__)
+inline constexpr int kVectorRegisters = 32;
+#else
+inline constexpr int kVectorRegisters = 16;
+#endif
 
 }  // namespace autogemm::simd

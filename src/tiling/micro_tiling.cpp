@@ -158,39 +158,41 @@ TilingResult tile_dmt(int mc, int nc, int kc, const hw::HardwareModel& hw,
   if (mc <= 0 || nc <= 0) throw std::invalid_argument("tile_dmt: empty block");
   const Candidates cand(kc, hw, opts);
 
+  // T(m, n) depends on n only through q = ceil(n / lanes): every candidate
+  // nr is a lane multiple vnr * lanes, and ceil(n / nr) = ceil(q / vnr).
+  // So tabulate, per lane count q, the best row split of an m x (q lanes)
+  // part — Algorithm 1's min over m_up of T(m_up, n) + T(mc - m_up, n) —
+  // once, instead of once per n_front.
+  const int lanes = std::max(1, hw.lanes);
+  const int qmax = (nc + lanes - 1) / lanes;
+  std::vector<double> split_cost(qmax + 1);
+  std::vector<int> split_arg(qmax + 1);
+  std::vector<double> cost(mc + 1);
+  for (int q = 0; q <= qmax; ++q) {
+    for (int m = 0; m <= mc; ++m) cost[m] = cand.part(m, q * lanes);
+    split_cost[q] = std::numeric_limits<double>::infinity();
+    for (int m_up = 0; m_up <= mc; ++m_up) {
+      const double c = cost[m_up] + cost[mc - m_up];
+      if (c < split_cost[q]) {
+        split_cost[q] = c;
+        split_arg[q] = m_up;
+      }
+    }
+  }
+
+  // Given n_front, the front and back row splits are independent, so the
+  // cubic search of Algorithm 1 factors into the two tabulated splits.
   double best = std::numeric_limits<double>::infinity();
   int best_nf = nc, best_mfu = mc, best_mbu = mc;
-  std::vector<double> cost_front(mc + 1), cost_back(mc + 1);
   for (int n_front = 0; n_front <= nc; ++n_front) {
-    const int n_back = nc - n_front;
-    for (int m = 0; m <= mc; ++m) {
-      cost_front[m] = cand.part(m, n_front);
-      cost_back[m] = cand.part(m, n_back);
-    }
-    // Given n_front, the front and back row splits are independent, so the
-    // cubic search of Algorithm 1 factors into two linear scans.
-    double front_best = std::numeric_limits<double>::infinity();
-    int front_arg = 0;
-    double back_best = std::numeric_limits<double>::infinity();
-    int back_arg = 0;
-    for (int m_up = 0; m_up <= mc; ++m_up) {
-      const double f = cost_front[m_up] + cost_front[mc - m_up];
-      if (f < front_best) {
-        front_best = f;
-        front_arg = m_up;
-      }
-      const double b = cost_back[m_up] + cost_back[mc - m_up];
-      if (b < back_best) {
-        back_best = b;
-        back_arg = m_up;
-      }
-    }
-    const double total = front_best + back_best;
+    const int qf = (n_front + lanes - 1) / lanes;
+    const int qb = (nc - n_front + lanes - 1) / lanes;
+    const double total = split_cost[qf] + split_cost[qb];
     if (total < best) {
       best = total;
       best_nf = n_front;
-      best_mfu = front_arg;
-      best_mbu = back_arg;
+      best_mfu = split_arg[qf];
+      best_mbu = split_arg[qb];
     }
   }
   return materialize_dmt(mc, nc, kc, hw, opts, cand, best_nf, best_mfu,

@@ -30,14 +30,13 @@ constexpr const char* kChecksumTag = " c=";
 }  // namespace
 
 GemmConfig config_from_candidate(int m, int n, int k, const Candidate& c) {
-  GemmConfig cfg = default_config(m, n, k);
+  GemmConfig cfg = default_config(m, n, k, c.backend);
   cfg.mc = c.mc;
   cfg.nc = c.nc;
   cfg.kc = c.kc;
   cfg.loop_order = c.loop_order;
   cfg.packing = c.packing;
   cfg.parallel_strategy = c.strategy;
-  cfg.backend = c.backend;
   return cfg;
 }
 
@@ -178,7 +177,7 @@ Status TuningRecords::load(std::istream& is, LoadReport* report) {
     bool backend_valid = true;
     if (parsed && strategy_ok && (ls >> backend_int))
       backend_valid = backend_int >= 0 &&
-                      backend_int <= static_cast<int>(backend::BackendId::kSveSim);
+                      backend_int <= static_cast<int>(backend::BackendId::kX86Wide);
     // Optional trailing dtype field, introduced with the quantized tier:
     // every line written before it loads as fp32 (the only tier that
     // existed); a present field must name a known dtype.

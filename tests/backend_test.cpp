@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "core/context.hpp"
 #include "isa/asm_printer.hpp"
 #include "kernels/dispatch.hpp"
+#include "kernels/wide.hpp"
 #include "obs/metrics.hpp"
 #include "sim/interpreter.hpp"
 #include "tune/search_space.hpp"
@@ -65,13 +67,20 @@ TEST(BackendRegistry, BuiltinsRegisteredInPriorityOrder) {
   EXPECT_EQ(reg.find(BackendId::kAuto), nullptr);
   EXPECT_THROW(reg.get(BackendId::kAuto), std::out_of_range);
 
+  ASSERT_NE(reg.find(BackendId::kX86Wide), nullptr);
+
   const auto all = reg.all();
-  ASSERT_GE(all.size(), 2u);
-  // Deterministic ordering: priority descending. NEON (the host tier)
-  // outranks the simulator-only SVE tier.
+  ASSERT_GE(all.size(), 3u);
+  // Deterministic ordering: priority descending. x86_wide outranks neon
+  // (the 128-bit host tier), which outranks the simulator-only SVE tier.
   for (std::size_t i = 1; i < all.size(); ++i)
     EXPECT_GE(all[i - 1]->caps().priority, all[i]->caps().priority);
-  EXPECT_EQ(all.front()->caps().id, BackendId::kNeon);
+  EXPECT_EQ(all[0]->caps().id, BackendId::kX86Wide);
+  EXPECT_EQ(all[1]->caps().id, BackendId::kNeon);
+  EXPECT_EQ(all[2]->caps().id, BackendId::kSveSim);
+  // x86_wide is host-executable exactly when this CPU runs a wide tier.
+  EXPECT_EQ(all[0]->caps().host_executable,
+            kernels::detect_wide_isa() != kernels::WideIsa::kNone);
 }
 
 TEST(BackendRegistry, NamesRoundTrip) {
@@ -90,6 +99,11 @@ TEST(BackendRegistry, ExplicitIdsPassThroughResolve) {
 }
 
 TEST(BackendRegistry, AutoResolutionHonorsEnvThenHostPriority) {
+  // Without an override kAuto is neon exactly when x86_wide is unsupported.
+  const BackendId host =
+      kernels::detect_wide_isa() != kernels::WideIsa::kNone
+          ? BackendId::kX86Wide
+          : BackendId::kNeon;
   {
     ScopedEnv env("AUTOGEMM_BACKEND", "sve_sim");
     EXPECT_EQ(backend::resolve_backend(BackendId::kAuto), BackendId::kSveSim);
@@ -99,14 +113,18 @@ TEST(BackendRegistry, AutoResolutionHonorsEnvThenHostPriority) {
     EXPECT_EQ(backend::resolve_backend(BackendId::kAuto), BackendId::kNeon);
   }
   {
+    ScopedEnv env("AUTOGEMM_BACKEND", "x86_wide");
+    EXPECT_EQ(backend::resolve_backend(BackendId::kAuto), BackendId::kX86Wide);
+  }
+  {
     // An unrecognized spelling is ignored, not honored: kAuto falls back to
-    // the highest-priority host-executable backend (NEON).
+    // the highest-priority host-executable backend.
     ScopedEnv env("AUTOGEMM_BACKEND", "vax_sim");
-    EXPECT_EQ(backend::resolve_backend(BackendId::kAuto), BackendId::kNeon);
+    EXPECT_EQ(backend::resolve_backend(BackendId::kAuto), host);
   }
   {
     ScopedEnv env("AUTOGEMM_BACKEND", nullptr);
-    EXPECT_EQ(backend::resolve_backend(BackendId::kAuto), BackendId::kNeon);
+    EXPECT_EQ(backend::resolve_backend(BackendId::kAuto), host);
   }
 }
 
@@ -163,18 +181,23 @@ TEST(NeonBackend, GeneratesIdenticalProgramToLegacyGenerator) {
 
 TEST(NeonBackend, ContextProducesBitwiseIdenticalResultToDefaultPath) {
   // Acceptance gate: routing the pinned NEON tier through the registry
-  // must not perturb a single bit of C relative to the default context.
+  // must not perturb a single bit of C relative to the pre-registry path
+  // (a plan run directly on the vec4 kernel table), whether NEON is asked
+  // for by id or through the AUTOGEMM_BACKEND override of kAuto.
   const int m = 37, n = 29, k = 23;
-  common::Matrix a(m, k), b(k, n), c_default(m, n), c_neon(m, n);
+  common::Matrix a(m, k), b(k, n), c_direct(m, n), c_env(m, n), c_neon(m, n);
   common::fill_random(a.view(), 11);
   common::fill_random(b.view(), 12);
 
-  ContextOptions default_opts;
-  default_opts.threads = 1;
-  ScopedEnv env("AUTOGEMM_BACKEND", nullptr);  // kAuto -> NEON
-  Context by_auto(default_opts);
-  ASSERT_TRUE(by_auto.run(a.view(), b.view(), c_default.view()).ok());
-  EXPECT_EQ(by_auto.backend_id(), BackendId::kNeon);
+  gemm(a.view(), b.view(), c_direct.view(),
+       Plan(m, n, k, default_config(m, n, k, BackendId::kNeon)));
+
+  ContextOptions env_opts;
+  env_opts.threads = 1;
+  ScopedEnv env("AUTOGEMM_BACKEND", "neon");  // kAuto -> NEON
+  Context by_env(env_opts);
+  ASSERT_TRUE(by_env.run(a.view(), b.view(), c_env.view()).ok());
+  EXPECT_EQ(by_env.backend_id(), BackendId::kNeon);
 
   ContextOptions neon_opts;
   neon_opts.threads = 1;
@@ -182,9 +205,9 @@ TEST(NeonBackend, ContextProducesBitwiseIdenticalResultToDefaultPath) {
   Context by_id(neon_opts);
   ASSERT_TRUE(by_id.run(a.view(), b.view(), c_neon.view()).ok());
 
-  EXPECT_EQ(std::memcmp(c_default.data(), c_neon.data(),
-                        sizeof(float) * static_cast<std::size_t>(m) * n),
-            0);
+  const std::size_t bytes = sizeof(float) * static_cast<std::size_t>(m) * n;
+  EXPECT_EQ(std::memcmp(c_direct.data(), c_neon.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(c_env.data(), c_neon.data(), bytes), 0);
 }
 
 TEST(SveBackend, CapsDescribeSimulatorOnlyVlaTier) {
@@ -368,19 +391,24 @@ TEST(TuneBackendAxis, ExhaustiveTunerPicksCrossBackendWinner) {
   };
   const tune::TuneResult result = tune::tune_exhaustive(space, cost);
 
-  double best_neon = std::numeric_limits<double>::infinity();
-  double best_sve = std::numeric_limits<double>::infinity();
+  std::map<BackendId, double> best;
   for (const auto& c : space) {
     const double v = cost(c);
-    if (c.backend == BackendId::kNeon) best_neon = std::min(best_neon, v);
-    if (c.backend == BackendId::kSveSim) best_sve = std::min(best_sve, v);
+    auto [it, inserted] = best.try_emplace(c.backend, v);
+    if (!inserted) it->second = std::min(it->second, v);
   }
-  EXPECT_DOUBLE_EQ(result.best_cost, std::min(best_neon, best_sve));
-  // With the current chip database the A64FX-priced SVE tier wins every
-  // compute-bound cube (its 4x width beats Graviton2's clock edge); the
-  // axis's job is that the tuner arbitrates that in one search.
-  EXPECT_EQ(result.best.backend, BackendId::kSveSim);
-  EXPECT_LT(best_sve, best_neon);
+  ASSERT_EQ(best.count(BackendId::kNeon), 1u);
+  ASSERT_EQ(best.count(BackendId::kSveSim), 1u);
+  double best_any = std::numeric_limits<double>::infinity();
+  for (const auto& [id, v] : best) best_any = std::min(best_any, v);
+  // The axis's job: one search arbitrates every registered tier and
+  // returns the cheapest. On a compute-bound cube the 16-lane tiers (the
+  // A64FX-priced SVE tier, and x86_wide priced on the host model) beat
+  // Graviton2-priced NEON's 4 lanes, so the winner is never NEON.
+  EXPECT_DOUBLE_EQ(result.best_cost, best_any);
+  EXPECT_DOUBLE_EQ(result.best_cost, best.at(result.best.backend));
+  EXPECT_NE(result.best.backend, BackendId::kNeon);
+  EXPECT_LT(best.at(BackendId::kSveSim), best.at(BackendId::kNeon));
 }
 
 }  // namespace

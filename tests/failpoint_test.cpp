@@ -14,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "backend/backend.hpp"
 #include "codegen/generator.hpp"
 #include "common/failpoint.hpp"
 #include "common/matrix.hpp"
@@ -135,8 +136,9 @@ TEST_F(Failpoints, AllocFailureFallsBackToReferenceServingTheCall) {
 TEST_F(Failpoints, WorkerFaultRetiresPoolAndSubsequentCallsRunSerial) {
   // Small cache blocks so the 64^3 problem spans 16 parallel chunks.
   tune::TuningRecords recs;
-  recs.add({64, 64, 64},
-           {16, 16, 16, LoopOrder::kKNM, kernels::Packing::kOnline}, 100.0);
+  tune::Candidate cand{16, 16, 16, LoopOrder::kKNM, kernels::Packing::kOnline};
+  cand.backend = backend::resolve_backend(backend::BackendId::kAuto);
+  recs.add({64, 64, 64}, cand, 100.0);
   ContextOptions opts;
   opts.threads = 4;
   Context ctx(std::move(recs), opts);
@@ -276,7 +278,7 @@ TEST_F(Failpoints, CycleBudgetInjectionSurfacesAsDeadlineExceeded) {
   opts.ldb = 8;
   opts.ldc = 8;
   sim::SimStats stats;
-  const hw::HardwareModel hw = hw::host_model();
+  const hw::HardwareModel hw = hw::host_model(4, 16);
 
   failpoint::arm("sim.cycle_budget", 1);
   EXPECT_EQ(sim::simulate_checked(mk.program, hw, opts, stats).code(),

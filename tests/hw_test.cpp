@@ -2,7 +2,10 @@
 // quantities every other module consumes.
 #include <gtest/gtest.h>
 
+#include "backend/backend.hpp"
+#include "core/plan.hpp"
 #include "hw/chip_database.hpp"
+#include "kernels/wide.hpp"
 
 namespace autogemm::hw {
 namespace {
@@ -60,15 +63,41 @@ TEST(ChipDatabase, ReferenceMachineMatchesFigThree) {
   EXPECT_EQ(hw.ooo_window, 1);  // strictly in-order
 }
 
+// The host model carries the SIMD width and register file of the tier that
+// executes the plan. The 128-bit neon tier keeps the compiled width (4
+// lanes; 16 xmm registers on x86-64, 32 on AArch64); the kAuto default
+// plan is tiled for x86_wide's width when this CPU runs it and for neon's
+// exactly when it does not or AUTOGEMM_BACKEND overrides it.
 TEST(ChipDatabase, HostModelRespectsCompiledSimdWidth) {
-  const auto hw = host_model();
-#if defined(__aarch64__)
-  EXPECT_EQ(hw.vector_registers, 32);
-#else
+  const auto hw = host_model(8, 16);
+  EXPECT_EQ(hw.lanes, 8);
   EXPECT_EQ(hw.vector_registers, 16);
-#endif
-  EXPECT_EQ(hw.lanes, 4);
   EXPECT_FALSE(hw.caches.empty());
+
+  using backend::BackendId;
+  const backend::BackendCaps& neon =
+      backend::get_backend(BackendId::kNeon).caps();
+  EXPECT_EQ(neon.vl_default, 4);
+#if defined(__aarch64__)
+  EXPECT_EQ(neon.vector_registers, 32);
+#else
+  EXPECT_EQ(neon.vector_registers, 16);
+#endif
+
+  const BackendId resolved = backend::resolve_backend(BackendId::kAuto);
+  const backend::BackendCaps& tier = backend::host_backend(resolved).caps();
+  const GemmConfig cfg = default_config(64, 64, 64);
+  EXPECT_EQ(cfg.backend, resolved);
+  EXPECT_EQ(cfg.hw.lanes, tier.vl_default);
+  EXPECT_EQ(cfg.hw.vector_registers, tier.vector_registers);
+  const kernels::WideIsa isa = kernels::detect_wide_isa();
+  if (tier.id == BackendId::kX86Wide) {
+    EXPECT_EQ(cfg.hw.lanes, kernels::wide_lanes(isa));
+    EXPECT_EQ(cfg.hw.vector_registers, kernels::wide_registers(isa));
+  } else {
+    EXPECT_EQ(cfg.hw.lanes, 4);
+    EXPECT_EQ(cfg.hw.vector_registers, neon.vector_registers);
+  }
 }
 
 TEST(ChipDatabase, PeakGflopsSanity) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "backend/backend.hpp"
 #include "common/matrix.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
@@ -347,8 +348,9 @@ TEST(ContextStrategy, TunedRecordStrategySurvivesResolution) {
   // A tuned record carrying small blocks makes 128^3 a 16-C-block problem:
   // auto resolves it to blocks-only on a 4-worker pool.
   tune::TuningRecords records;
-  records.add({128, 128, 128},
-              {32, 32, 128, LoopOrder::kNKM, kernels::Packing::kOnline}, 1.0);
+  tune::Candidate cand{32, 32, 128, LoopOrder::kNKM, kernels::Packing::kOnline};
+  cand.backend = backend::resolve_backend(backend::BackendId::kAuto);
+  records.add({128, 128, 128}, cand, 1.0);
   ContextOptions opts;
   opts.threads = test_threads();
   Context ctx(std::move(records), opts);

@@ -285,22 +285,29 @@ TEST(Records, UnknownBackendFieldSkippedNotMisfiled) {
 }
 
 TEST(Records, MixedBackendRecordsCoexistAndRoundTrip) {
-  // One shape, two backends: separate slots, both survive save/load, and
+  // One shape, three backends: separate slots, all survive save/load, and
   // each lookup resolves strictly within its requested backend.
   TuningRecords records;
   Candidate neon = make_candidate(16);
   Candidate sve = make_candidate(24);
   sve.backend = backend::BackendId::kSveSim;
+  Candidate wide = make_candidate(32);
+  wide.backend = backend::BackendId::kX86Wide;
   EXPECT_TRUE(records.add({64, 64, 64}, neon, 10.0));
   EXPECT_TRUE(records.add({64, 64, 64}, sve, 4.0));  // not an "improvement"
                                                      // race: distinct keys
-  EXPECT_EQ(records.size(), 2u);
+  EXPECT_TRUE(records.add({64, 64, 64}, wide, 3.0));
+  EXPECT_EQ(records.size(), 3u);
 
   std::stringstream ss;
   ASSERT_TRUE(records.save(ss).ok());
   TuningRecords loaded;
   ASSERT_TRUE(loaded.load(ss).ok());
-  EXPECT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.size(), 3u);
+  const auto got_wide =
+      loaded.lookup({64, 64, 64}, backend::BackendId::kX86Wide);
+  ASSERT_TRUE(got_wide.has_value());
+  EXPECT_EQ(got_wide->mc, 32);
 
   const auto got_neon = loaded.lookup({64, 64, 64});
   ASSERT_TRUE(got_neon.has_value());

@@ -408,7 +408,7 @@ TEST_F(Robustness, InterpreterStepBudgetStopsRunawayKernels) {
 
 TEST_F(Robustness, PipelineCycleAndInstructionBudgets) {
   const auto mk = codegen::generate_microkernel(4, 8, 32, 4, {});
-  const hw::HardwareModel hw = hw::host_model();
+  const hw::HardwareModel hw = hw::host_model(4, 16);
   sim::SimOptions opts;
   opts.lda = codegen::padded_k_a(32, 4);
   opts.ldb = 8;

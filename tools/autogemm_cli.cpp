@@ -32,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -49,6 +50,7 @@
 #include "hw/chip_database.hpp"
 #include "isa/asm_printer.hpp"
 #include "kernels/dispatch.hpp"
+#include "kernels/wide.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "quant/qgemm.hpp"
@@ -208,6 +210,39 @@ int cmd_price(int argc, char** argv) {
   return 0;
 }
 
+// The instruction set the kernels of a plan on backend `id` run on.
+const char* kernel_isa(backend::BackendId id) {
+  if (backend::host_backend(id).caps().id == backend::BackendId::kX86Wide)
+    return kernels::wide_isa_name(kernels::detect_wide_isa());
+#if defined(AUTOGEMM_SIMD_SSE)
+  return "sse2";
+#elif defined(AUTOGEMM_SIMD_NEON)
+  return "neon";
+#else
+  return "scalar";
+#endif
+}
+
+// The plan's main register tile: the (mr, nr) covering the most of C.
+codegen::TileSize main_tile(const Plan& plan) {
+  std::map<std::pair<int, int>, double> area;
+  const GemmConfig& cfg = plan.config();
+  for (int i0 = 0; i0 < plan.m(); i0 += cfg.mc)
+    for (int j0 = 0; j0 < plan.n(); j0 += cfg.nc) {
+      const auto& tiling =
+          plan.block_tiling(std::min(cfg.mc, plan.m() - i0),
+                            std::min(cfg.nc, plan.n() - j0),
+                            std::min(cfg.kc, plan.k()));
+      for (const auto& t : tiling.tiles)
+        area[{t.mr, t.nr}] += double(t.rows_used) * t.cols_used;
+    }
+  codegen::TileSize best{0, 0};
+  double best_area = -1;
+  for (const auto& [tile, a] : area)
+    if (a > best_area) best_area = a, best = {tile.first, tile.second};
+  return best;
+}
+
 int cmd_run(int argc, char** argv) {
   if (argc < 3) return usage();
   const int m = std::atoi(argv[0]);
@@ -225,9 +260,13 @@ int cmd_run(int argc, char** argv) {
   common::Timer t;
   for (int i = 0; i < reps; ++i) gemm(a.view(), b.view(), c.view(), plan);
   const double seconds = t.seconds() / reps;
-  std::printf("%.3f ms/call, %.2f GFLOPS (plan mc=%d nc=%d kc=%d)\n",
+  const codegen::TileSize tile = main_tile(plan);
+  std::printf("%.3f ms/call, %.2f GFLOPS (plan mc=%d nc=%d kc=%d) "
+              "backend=%s isa=%s tile=%dx%d\n",
               seconds * 1e3, common::gemm_flops(m, n, k) / seconds / 1e9,
-              plan.config().mc, plan.config().nc, plan.config().kc);
+              plan.config().mc, plan.config().nc, plan.config().kc,
+              std::string(backend::backend_name(plan.config().backend)).c_str(),
+              kernel_isa(plan.config().backend), tile.mr, tile.nr);
   return 0;
 }
 
@@ -693,7 +732,10 @@ int cmd_crosscheck_i8(int kc, const int (*tiles)[2], std::size_t n_tiles) {
 //     scalar edge columns) must match it;
 //   * the SVE backend's generated VL-agnostic kernel, executed by the
 //     functional interpreter at every VL from its generation width up to
-//     the A64FX's 16 lanes, must match it at each VL.
+//     the A64FX's 16 lanes, must match it at each VL;
+//   * on a CPU that runs x86_wide, the tile as an x86_wide plan: DMT
+//     covers it with the tier's register tiles, the clipped right edge on
+//     the masked (opmask / maskload) kernels, and the result must match.
 // Exit 0 and a final `crosscheck: ... failures=0` line on success — this
 // is the CI gate tools/ci.sh greps for. `--dtype int8` swaps in the
 // quantized-tier leg above over the same tiles.
@@ -719,6 +761,7 @@ int cmd_crosscheck(int argc, char** argv) {
   const backend::KernelBackend& sve =
       backend::get_backend(backend::BackendId::kSveSim);
   const int vl_max = sve.caps().vl_default;
+  const kernels::WideIsa wide_isa = kernels::detect_wide_isa();
   int failures = 0, checks = 0;
   for (const auto& t : tiles) {
     const int mr = t.mr, nr = t.nr;
@@ -773,9 +816,30 @@ int cmd_crosscheck(int argc, char** argv) {
       ok = false;
       sve_report = std::string(" sve_error=") + e.what();
     }
+    // x86_wide host kernels, through the plan that resolves them.
+    std::string wide_report = " x86_wide=unsupported";
+    if (wide_isa != kernels::WideIsa::kNone) {
+      const Plan plan(mr, nr, kc,
+                      default_config(mr, nr, kc, backend::BackendId::kX86Wide));
+      int masked = 0;
+      for (const auto& [shape, block] : plan.blocks())
+        for (const kernels::TileKernel& tk : block.kernels)
+          masked += tk.masked != nullptr;
+      std::vector<float> c_wide(c_ref.size(), 0.0f);
+      gemm(common::ConstMatrixView{a.data(), mr, kc, kc},
+           common::ConstMatrixView{b.data(), kc, nr, nr},
+           common::MatrixView{c_wide.data(), mr, nr, nr}, plan);
+      const float err = max_err(c_wide);
+      ++checks;
+      if (!(err <= tol)) ok = false;
+      wide_report = " x86_wide_" + std::string(kernels::wide_isa_name(wide_isa)) +
+                    "_err=" + std::to_string(err) +
+                    " masked_tiles=" + std::to_string(masked);
+    }
     if (!ok) ++failures;
-    std::printf("crosscheck %dx%dx%d neon_err=%g%s %s\n", mr, nr, kc,
-                neon_err, sve_report.c_str(), ok ? "OK" : "FAIL");
+    std::printf("crosscheck %dx%dx%d neon_err=%g%s%s %s\n", mr, nr, kc,
+                neon_err, sve_report.c_str(), wide_report.c_str(),
+                ok ? "OK" : "FAIL");
   }
   std::printf("crosscheck: tiles=%zu checks=%d failures=%d\n",
               sizeof(tiles) / sizeof(tiles[0]), checks, failures);

@@ -32,11 +32,17 @@
 # configuration repeats the 4-worker pooled pass, the 20-seed chaos pass
 # and the 6-seed sharded chaos pass under the sanitizers.
 #
-# The release configuration ends with the backend matrix: the full ctest
-# suite re-runs under AUTOGEMM_BACKEND=neon and =sve_sim (kAuto contexts
-# resolve through the env, so every registered tier serves the whole test
-# load), followed by the NEON vs simulated-SVE vs reference_gemm
-# crosscheck over an irregular-tile sweep (tools/autogemm crosscheck).
+# Right after its build the release configuration checks, on x86-64, that
+# only the x86_wide kernel units (kernels/wide_avx512.cpp, wide_avx2.cpp)
+# hold ymm/zmm instructions and that they define no weak symbols, so no
+# wide instruction can reach a CPU that lacks it. It ends with the backend
+# matrix: the full ctest suite re-runs under AUTOGEMM_BACKEND=neon,
+# =sve_sim and =x86_wide (kAuto contexts resolve through the env, so every
+# registered tier serves the whole test load), followed by the NEON vs
+# simulated-SVE vs x86_wide vs reference_gemm crosscheck over an
+# irregular-tile sweep (tools/autogemm crosscheck). The asan configuration
+# repeats its pooled pass under AUTOGEMM_BACKEND=neon, so the 128-bit path
+# keeps sanitizer coverage now that kAuto picks x86_wide on wide CPUs.
 # Last, it runs every workload of the repository benchmark
 # (perfbench/run.py) for two seconds, which compiles the benchmark driver
 # against the public entry points and fails on any correctness check.
@@ -83,6 +89,24 @@ for config in "${configs[@]}"; do
   case "$config" in
     release)
       run_config release build -DCMAKE_BUILD_TYPE=Release
+      if [[ $(uname -m) == x86_64 ]]; then
+        echo "==== [release] wide-ISA isolation (objdump, nm) ===="
+        # Baseline x86-64 everywhere but the x86_wide units: a ymm/zmm
+        # instruction elsewhere could execute on a CPU without AVX, and a
+        # weak symbol in a wide unit could be merged into baseline callers.
+        leaks=$(objdump -d --no-show-raw-insn build/src/*/libautogemm_*.a |
+          awk '/file format/ { obj = $1; sub(/:$/, "", obj); next }
+               /%zmm/ && obj != "wide_avx512.cpp.o" { print obj; next }
+               /%ymm/ && obj !~ /^wide_avx(512|2)\.cpp\.o$/ { print obj }' |
+          sort -u)
+        weak=$(nm -A build/src/kernels/libautogemm_kernels.a |
+          grep -E 'wide_avx(512|2)\.cpp\.o:.* [WVu] ' || true)
+        if [[ -n $leaks || -n $weak ]]; then
+          echo "wide instructions outside the x86_wide units: ${leaks:-none}" >&2
+          echo "weak symbols in the x86_wide units: ${weak:-none}" >&2
+          exit 1
+        fi
+      fi
       fault_injection_pass build
       echo "==== [release] multi-thread pass (pooled, threads=4) ===="
       # Re-run the parallel-path suites with an explicit 4-worker pool: the
@@ -206,19 +230,23 @@ for config in "${configs[@]}"; do
         | tee build/serve_scale_bench.txt
       grep -Eq 'scale acceptance.*PASS' build/serve_scale_bench.txt
       cp build/bench_serve_scale.json BENCH_serve_scale.json
-      echo "==== [release] backend matrix (AUTOGEMM_BACKEND=neon|sve_sim) ===="
+      echo "==== [release] backend matrix (AUTOGEMM_BACKEND=neon|sve_sim|x86_wide) ===="
       # The tier-1 suite must hold under every registered backend: kAuto
       # contexts resolve through the env override, so this exercises the
-      # compiled-NEON and portable-fallback-plus-SVE-probe paths end to end.
-      for backend in neon sve_sim; do
+      # compiled-NEON, portable-fallback-plus-SVE-probe and AVX-512/AVX2
+      # paths end to end (x86_wide runs on NEON's kernels on a CPU
+      # without AVX2+FMA).
+      for backend in neon sve_sim x86_wide; do
         echo "---- backend=$backend ----"
         AUTOGEMM_BACKEND=$backend ctest --test-dir build --output-on-failure \
           -j "$jobs" --timeout "$test_timeout"
       done
-      echo "==== [release] backend crosscheck (neon vs sve_sim vs reference) ===="
-      # Irregular-tile sweep: the compiled NEON host kernels and the
-      # generated predicated SVE programs (interpreted at every VL from the
-      # generation width up to 512-bit) must all agree with reference_gemm.
+      echo "==== [release] backend crosscheck (neon vs sve_sim vs x86_wide vs reference) ===="
+      # Irregular-tile sweep: the compiled NEON host kernels, the generated
+      # predicated SVE programs (interpreted at every VL from the
+      # generation width up to 512-bit) and, on a CPU that runs it, the
+      # x86_wide plan with its masked edge kernels must all agree with
+      # reference_gemm.
       ./build/tools/autogemm crosscheck | tee build/backend_crosscheck.txt
       grep -Eq 'crosscheck: tiles=[0-9]+ checks=[0-9]+ failures=0' \
         build/backend_crosscheck.txt
@@ -271,6 +299,12 @@ for config in "${configs[@]}"; do
       # start-up and the shared operand validator on pooled single and
       # batched calls must be clean of races-of-lifetime and UB too.
       AUTOGEMM_TEST_THREADS=4 ./build-asan/tests/autogemm_tests \
+        --gtest_filter='Parallel*:KSplit*:PackedPadding*:ThreadPool*:Context*:Batched*:GemmEx*'
+      echo "==== [asan] multi-thread pass on the 128-bit tier (AUTOGEMM_BACKEND=neon) ===="
+      # kAuto picks x86_wide on an AVX2/AVX-512 CPU; the same pooled
+      # suites on neon keep the SSE2 kernels under the sanitizers.
+      AUTOGEMM_BACKEND=neon AUTOGEMM_TEST_THREADS=4 \
+        ./build-asan/tests/autogemm_tests \
         --gtest_filter='Parallel*:KSplit*:PackedPadding*:ThreadPool*:Context*:Batched*:GemmEx*'
       echo "==== [asan] serve chaos pass (20 seeds) ===="
       # The same 20 chaos seeds under address/undefined sanitizers: the
