@@ -53,8 +53,14 @@ __attribute__((always_inline)) inline void body(const float* a, long lda,
     const float* brow = b + static_cast<long>(p) * ldb;
     typename V::Reg bv[VN];
 #pragma GCC unroll 16
-    for (int j = 0; j < VN; ++j)
+    for (int j = 0; j < VN; ++j) {
       bv[j] = load_vec<V, VN, kMasked>(brow + j * L, j, tail);
+      // Keep the B vector in a register: left alone, GCC folds it into
+      // every row's fmadd as a memory operand, loading it MR times per k
+      // (measured 2-3x slower on the VN >= 6 tiles, which then run out of
+      // load bandwidth).
+      asm("" : "+v"(bv[j]));
+    }
 #pragma GCC unroll 16
     for (int r = 0; r < MR; ++r) {
       const typename V::Reg av = V::broadcast(a[r * lda + p]);
