@@ -57,7 +57,7 @@ __attribute__((always_inline)) inline void body(const float* a, long lda,
       bv[j] = load_vec<V, VN, kMasked>(brow + j * L, j, tail);
       // Keep the B vector in a register: left alone, GCC folds it into
       // every row's fmadd as a memory operand, loading it MR times per k
-      // (measured 2-3x slower on the VN >= 6 tiles, which then run out of
+      // (measured up to 2x slower on the VN >= 6 tiles, which then run out of
       // load bandwidth).
       asm("" : "+v"(bv[j]));
     }
