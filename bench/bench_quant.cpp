@@ -24,6 +24,7 @@
 #include "core/context.hpp"
 #include "core/gemm.hpp"
 #include "kernels/qkernel.hpp"
+#include "kernels/qwide.hpp"
 #include "quant/qgemm.hpp"
 
 namespace {
@@ -52,8 +53,11 @@ constexpr double kSpeedupGate = 1.3;
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv, 1, 5);
   bench::header("quantized GEMM: int8 widening tier vs fp32 host tier");
+  const kernels::QWideIsa qwide = kernels::detect_qwide_isa();
   std::printf("simd widening path: %s\n",
-              kernels::qgemm_has_simd() ? "yes (pmaddwd)" : "no (portable)");
+              qwide != kernels::QWideIsa::kNone ? kernels::qwide_isa_name(qwide)
+              : kernels::qgemm_has_simd()       ? "sse2 (pmaddwd)"
+                                                : "no (portable)");
 
   bool pass = true;
   std::string rows_json;

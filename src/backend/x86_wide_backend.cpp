@@ -14,6 +14,8 @@
 // models A64 and has no x86 emitter, so the first-use probe checks the
 // register-tile schedule on the interpreter exactly as it does for neon,
 // and checks the compiled x86 kernels separately.
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -48,11 +50,18 @@ class X86WideBackend final : public KernelBackend {
   std::vector<codegen::TileSize> preferred_tiles() const override {
     // 32 registers of 16 lanes is A64FX's budget: Table II's blue cells
     // scaled to 16 lanes. AVX2's 16 registers fit none of those; its
-    // family is each vnr's largest mr that leaves a register spare.
+    // family is, per vector count, the tallest feasible tile, wherever
+    // that is still more than one row (7x8, 4x16, 3x24, 2x32).
     if (caps_.vector_registers >= 32)
       return codegen::preferred_tiles(caps_.vl_min);
-    const int l = caps_.vl_min;
-    return {{7, l}, {4, 2 * l}, {3, 3 * l}, {2, 4 * l}};
+    std::map<int, int> tallest;  // nr -> largest feasible mr
+    for (const codegen::TileSize& t : codegen::enumerate_feasible_tiles(
+             caps_.vl_min, caps_.vector_registers))
+      tallest[t.nr] = std::max(tallest[t.nr], t.mr);
+    std::vector<codegen::TileSize> tiles;
+    for (const auto& [nr, mr] : tallest)
+      if (mr > 1) tiles.push_back({mr, nr});
+    return tiles;
   }
 
   kernels::MicroKernelFn find_microkernel(int mr, int nr) const override {

@@ -50,10 +50,13 @@ GemmConfig default_config(int m, int n, int k, backend::BackendId id) {
   // L2. For the small/irregular shapes this library targets, clamping to
   // the problem dominates these ceilings anyway. The floor keeps a K block
   // long enough to amortize reloading the C tile: the 128-bit tier's rule
-  // gives 170, while AVX-512's 84-row tiles would give 48. At the floor of
-  // 128 its blocks (mc 32, nc 256) also stay numerous enough for the pool
-  // without k-split partials; on resnet50 that measured faster and with a
-  // smaller peak RSS than kc = 64 with mc 64, nc 512.
+  // gives 170, while AVX-512's 84-row tiles would give 48 and AVX2's 34-row
+  // ones 120, so on the host model's 32 KB L1 both wide tiers sit at the
+  // floor of 128. Their blocks (mc 32, nc 256) then stay numerous enough
+  // for the pool without k-split partials. On resnet50 (4-core AVX-512
+  // Xeon, 10 alternating pairs) kc = 128 ran at 153 GFLOPS median against
+  // 144 with the 128-bit tier's kc = 170 (faster in 10 of 10 pairs, peak
+  // RSS 137 against 147 MB), and beat kc = 64 with mc 64, nc 512 too.
   const long l1 = cfg.hw.caches.empty() ? 32 * 1024
                                         : cfg.hw.caches.front().size_bytes;
   const long l2 = cfg.hw.caches.size() > 1 ? cfg.hw.caches[1].size_bytes

@@ -91,13 +91,6 @@ void qgemm_block_portable(int rows, int cols, int kc, const std::int8_t* a,
 
 namespace {
 
-/// Sign-extends 16 int8 lanes into two int16x8 registers. The unpack-with-
-/// self + arithmetic-shift idiom is the SSE2 spelling of sxtl/sxtl2.
-inline void widen_i8_to_i16(__m128i v, __m128i* lo, __m128i* hi) {
-  *lo = _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8);
-  *hi = _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8);
-}
-
 inline std::int32_t hsum_epi32(__m128i v) {
   v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
   v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
@@ -107,133 +100,6 @@ inline std::int32_t hsum_epi32(__m128i v) {
 }  // namespace
 
 bool qgemm_has_simd() { return true; }
-
-void qgemm_block(int rows, int cols, int kc, const std::int8_t* a, long lda,
-                 const std::int8_t* b, long ldb, std::int32_t* acc,
-                 long ldacc) {
-  // The packers pad both leading dimensions to kQKStep and zero the tails,
-  // so streaming ceil(kc / 16) whole chunks is exact — zero lanes
-  // contribute nothing.
-  const int kchunks = static_cast<int>((kc + kQKStep - 1) / kQKStep);
-  assert(lda >= static_cast<long>(kchunks) * kQKStep);
-  assert(ldb >= static_cast<long>(kchunks) * kQKStep);
-  // 2x4 register block: per k chunk the four widened B columns are reused
-  // across two A rows, so the widening cost (the SSE2 tax pmaddwd does not
-  // pay on sdot/smmla hardware) amortizes over 8 accumulators; each
-  // pmaddwd retires 8 multiply-accumulates.
-  int r = 0;
-  for (; r + 2 <= rows; r += 2) {
-    const std::int8_t* a0 = a + static_cast<long>(r) * lda;
-    const std::int8_t* a1 = a0 + lda;
-    std::int32_t* acc0row = acc + static_cast<long>(r) * ldacc;
-    std::int32_t* acc1row = acc0row + ldacc;
-    int c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      const std::int8_t* bp[4] = {b + static_cast<long>(c) * ldb,
-                                  b + static_cast<long>(c + 1) * ldb,
-                                  b + static_cast<long>(c + 2) * ldb,
-                                  b + static_cast<long>(c + 3) * ldb};
-      __m128i s0[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                       _mm_setzero_si128(), _mm_setzero_si128()};
-      __m128i s1[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                       _mm_setzero_si128(), _mm_setzero_si128()};
-      for (int ch = 0; ch < kchunks; ++ch) {
-        const long off = static_cast<long>(ch) * kQKStep;
-        __m128i a0lo, a0hi, a1lo, a1hi;
-        widen_i8_to_i16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a0 + off)),
-            &a0lo, &a0hi);
-        widen_i8_to_i16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a1 + off)),
-            &a1lo, &a1hi);
-        for (int j = 0; j < 4; ++j) {
-          __m128i blo, bhi;
-          widen_i8_to_i16(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(bp[j] + off)),
-              &blo, &bhi);
-          s0[j] = _mm_add_epi32(s0[j], _mm_madd_epi16(a0lo, blo));
-          s0[j] = _mm_add_epi32(s0[j], _mm_madd_epi16(a0hi, bhi));
-          s1[j] = _mm_add_epi32(s1[j], _mm_madd_epi16(a1lo, blo));
-          s1[j] = _mm_add_epi32(s1[j], _mm_madd_epi16(a1hi, bhi));
-        }
-      }
-      for (int j = 0; j < 4; ++j) {
-        acc0row[c + j] = hsum_epi32(s0[j]);
-        acc1row[c + j] = hsum_epi32(s1[j]);
-      }
-    }
-    for (; c < cols; ++c) {
-      const std::int8_t* bcol = b + static_cast<long>(c) * ldb;
-      __m128i sv0 = _mm_setzero_si128(), sv1 = _mm_setzero_si128();
-      for (int ch = 0; ch < kchunks; ++ch) {
-        const long off = static_cast<long>(ch) * kQKStep;
-        __m128i alo, ahi, blo, bhi;
-        widen_i8_to_i16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bcol + off)),
-            &blo, &bhi);
-        widen_i8_to_i16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a0 + off)), &alo,
-            &ahi);
-        sv0 = _mm_add_epi32(sv0, _mm_madd_epi16(alo, blo));
-        sv0 = _mm_add_epi32(sv0, _mm_madd_epi16(ahi, bhi));
-        widen_i8_to_i16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a1 + off)), &alo,
-            &ahi);
-        sv1 = _mm_add_epi32(sv1, _mm_madd_epi16(alo, blo));
-        sv1 = _mm_add_epi32(sv1, _mm_madd_epi16(ahi, bhi));
-      }
-      acc0row[c] = hsum_epi32(sv0);
-      acc1row[c] = hsum_epi32(sv1);
-    }
-  }
-  // Remainder row: 1x4 blocking, the widened A chunk reused across columns.
-  for (; r < rows; ++r) {
-    const std::int8_t* arow = a + static_cast<long>(r) * lda;
-    std::int32_t* accrow = acc + static_cast<long>(r) * ldacc;
-    int c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      const std::int8_t* bp[4] = {b + static_cast<long>(c) * ldb,
-                                  b + static_cast<long>(c + 1) * ldb,
-                                  b + static_cast<long>(c + 2) * ldb,
-                                  b + static_cast<long>(c + 3) * ldb};
-      __m128i sv[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                       _mm_setzero_si128(), _mm_setzero_si128()};
-      for (int ch = 0; ch < kchunks; ++ch) {
-        const long off = static_cast<long>(ch) * kQKStep;
-        __m128i alo, ahi;
-        widen_i8_to_i16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + off)),
-            &alo, &ahi);
-        for (int j = 0; j < 4; ++j) {
-          __m128i blo, bhi;
-          widen_i8_to_i16(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(bp[j] + off)),
-              &blo, &bhi);
-          sv[j] = _mm_add_epi32(sv[j], _mm_madd_epi16(alo, blo));
-          sv[j] = _mm_add_epi32(sv[j], _mm_madd_epi16(ahi, bhi));
-        }
-      }
-      for (int j = 0; j < 4; ++j) accrow[c + j] = hsum_epi32(sv[j]);
-    }
-    for (; c < cols; ++c) {
-      const std::int8_t* bcol = b + static_cast<long>(c) * ldb;
-      __m128i accv = _mm_setzero_si128();
-      for (int ch = 0; ch < kchunks; ++ch) {
-        const long off = static_cast<long>(ch) * kQKStep;
-        __m128i alo, ahi, blo, bhi;
-        widen_i8_to_i16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + off)),
-            &alo, &ahi);
-        widen_i8_to_i16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bcol + off)),
-            &blo, &bhi);
-        accv = _mm_add_epi32(accv, _mm_madd_epi16(alo, blo));
-        accv = _mm_add_epi32(accv, _mm_madd_epi16(ahi, bhi));
-      }
-      accrow[c] = hsum_epi32(accv);
-    }
-  }
-}
 
 void qgemm_block_i16(int rows, int cols, int kc, const std::int16_t* a,
                      long lda, const std::int16_t* b, long ldb,
@@ -341,12 +207,6 @@ void qgemm_block_i16(int rows, int cols, int kc, const std::int16_t* a,
 #else  // !AUTOGEMM_SIMD_SSE
 
 bool qgemm_has_simd() { return false; }
-
-void qgemm_block(int rows, int cols, int kc, const std::int8_t* a, long lda,
-                 const std::int8_t* b, long ldb, std::int32_t* acc,
-                 long ldacc) {
-  qgemm_block_portable(rows, cols, kc, a, lda, b, ldb, acc, ldacc);
-}
 
 void qgemm_block_i16(int rows, int cols, int kc, const std::int16_t* a,
                      long lda, const std::int16_t* b, long ldb,

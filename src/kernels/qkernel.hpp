@@ -6,9 +6,11 @@
 // single fp32 requantization epilogue applies alpha/beta and the per-channel
 // scales. This is the same widening outer/inner-product structure ARM's
 // integer matrix extensions expose (smmla/sdot on NEON, the SME integer
-// fmopa family); on this x86 host the widening pair is int8 -> int16
-// sign-extension + pmaddwd (8 multiply-accumulates per instruction on
-// SSE2), with a portable scalar path as the reference semantics.
+// fmopa family). On baseline x86-64 the widening pair is int8 -> int16
+// sign-extension (done at pack time) + pmaddwd, 8 multiply-accumulates
+// per SSE2 instruction, with a portable scalar path as the reference
+// semantics; a CPU with AVX2 or better runs the register-tiled wide tier
+// of kernels/qwide.hpp instead.
 //
 // Packed-layout contract (dtype-generic mirror of packing.hpp): a packed
 // buffer holds `count * ld` *elements* of the packed element type — int8_t
@@ -64,15 +66,6 @@ void qgemm_block_portable(int rows, int cols, int kc, const std::int8_t* a,
                           long lda, const std::int8_t* b, long ldb,
                           std::int32_t* acc, long ldacc);
 
-/// SIMD widening-accumulate kernel (pmaddwd on SSE2 hosts); identical
-/// results to qgemm_block_portable — integer accumulation is exact, so the
-/// two paths agree bit-for-bit. Requires lda/ldb >= qpacked_ld(kc) with
-/// zeroed tails (the packers guarantee this). Falls back to the portable
-/// path when the host has no SIMD tier.
-void qgemm_block(int rows, int cols, int kc, const std::int8_t* a, long lda,
-                 const std::int8_t* b, long ldb, std::int32_t* acc,
-                 long ldacc);
-
 /// Quantize-and-pack rows directly into the *widened* int16 kernel image:
 /// same values as qpack_rows (int8 range), stored sign-extended so the
 /// multiply kernel skips the in-loop widening step entirely. Same
@@ -86,16 +79,17 @@ void qpack_rows_i16(common::ConstMatrixView src, const float* row_scales,
 void qwiden_pack(const std::int8_t* src, std::int16_t* dst, long count,
                  long ld);
 
-/// The fast path on SSE2 hosts: both operands already widened to int16
-/// (values still in int8 range, so pmaddwd pair-sums cannot overflow), so
-/// every iteration is load + pmaddwd + paddd with no widening tax.
-/// Bit-identical to the int8 kernels. Portable fallback casts per element.
+/// The SSE2 tier's kernel: both operands already widened to int16 (values
+/// still in int8 range, so pmaddwd pair-sums cannot overflow), so every
+/// iteration is load + pmaddwd + paddd with no widening tax. Bit-identical
+/// to qgemm_block_portable — integer accumulation is exact. Requires
+/// lda/ldb >= qpacked_ld(kc) with zeroed tails (the packers guarantee
+/// this). Portable fallback casts per element.
 void qgemm_block_i16(int rows, int cols, int kc, const std::int16_t* a,
                      long lda, const std::int16_t* b, long ldb,
                      std::int32_t* acc, long ldacc);
 
-/// True when qgemm_block / qgemm_block_i16 run vectorized widening paths
-/// on this host.
+/// True when qgemm_block_i16 runs a vectorized widening path on this host.
 bool qgemm_has_simd();
 
 /// Requantization epilogue:

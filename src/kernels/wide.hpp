@@ -60,8 +60,6 @@ struct WideEntry {
 /// 1 <= mr <= max_mr, 1 <= nr / lanes <= max_vn; null where the tile is
 /// not register-feasible.
 struct WideTable {
-  int lanes;
-  int registers;
   int max_mr;
   int max_vn;
   const WideEntry* entries;

@@ -37,8 +37,7 @@ constexpr auto kEntries = wide_detail::table_entries<Avx2>();
 namespace detail {
 
 constinit const WideTable kAvx2Table{
-    Avx2::kLanes, Avx2::kRegisters, wide_detail::kMaxDim<Avx2>,
-    wide_detail::kMaxDim<Avx2>, kEntries.e};
+    wide_detail::kMaxDim<Avx2>, wide_detail::kMaxDim<Avx2>, kEntries.e};
 
 }  // namespace detail
 }  // namespace autogemm::kernels

@@ -36,8 +36,7 @@ constexpr auto kEntries = wide_detail::table_entries<Avx512>();
 namespace detail {
 
 constinit const WideTable kAvx512Table{
-    Avx512::kLanes, Avx512::kRegisters, wide_detail::kMaxDim<Avx512>,
-    wide_detail::kMaxDim<Avx512>, kEntries.e};
+    wide_detail::kMaxDim<Avx512>, wide_detail::kMaxDim<Avx512>, kEntries.e};
 
 }  // namespace detail
 }  // namespace autogemm::kernels

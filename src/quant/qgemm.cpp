@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "kernels/qkernel.hpp"
+#include "kernels/qwide.hpp"
 #include "quant/quantize.hpp"
 
 namespace autogemm::quant {
@@ -57,6 +58,27 @@ Status qgemm_packed_i16(const std::int16_t* a, long lda,
                               opts.beta);
   }
   return {};
+}
+
+/// The wide tier: `a` is the tier's A operand (kernels::QWideProblem::a);
+/// the kernels requantize straight into C.
+void qgemm_wide(kernels::QWideIsa isa, const std::uint8_t* a, long lda,
+                const float* a_scales, const QPackedB& qb, int k,
+                common::MatrixView c, const QGemmOptions& opts) {
+  kernels::QWideProblem p;
+  p.m = c.rows;
+  p.n = c.cols;
+  p.k = k;
+  p.a = a;
+  p.lda = lda;
+  p.b_image = qb.wide_image();
+  p.b_offset_sums = qb.wide_offset_sums();
+  p.a_scales = a_scales;
+  p.b_scales = qb.scales();
+  p.alpha = opts.alpha;
+  p.beta = opts.beta;
+  p.c = c;
+  kernels::qwide_gemm(isa, p);
 }
 
 /// Reference driver over the canonical int8 blocks (force_portable /
@@ -119,6 +141,13 @@ Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
       return qgemm_packed_i8(qa.data(), lda, a_scales.data(), qb.col(0),
                              qb.col_ld(), qb.scales(), a.cols, c, opts);
     }
+    if (const kernels::QWideIsa isa = kernels::detect_qwide_isa();
+        isa != kernels::QWideIsa::kNone) {
+      std::vector<std::uint8_t> qa(count);
+      kernels::qwide_quantize_a(isa, a, a_scales.data(), qa.data(), lda);
+      qgemm_wide(isa, qa.data(), lda, a_scales.data(), qb, a.cols, c, opts);
+      return {};
+    }
     std::vector<std::int16_t> qa(count);
     kernels::qpack_rows_i16(a, a_scales.data(), qa.data(), lda);
     return qgemm_packed_i16(qa.data(), lda, a_scales.data(), qb.col16(0),
@@ -142,6 +171,25 @@ Status qgemm(const QPackedA& qa, const QPackedB& qb, common::MatrixView c,
   if (opts.force_portable)
     return qgemm_packed_i8(qa.row(0), qa.row_ld(), qa.scales(), qb.col(0),
                            qb.col_ld(), qb.scales(), qa.cols(), c, opts);
+  if (const kernels::QWideIsa isa = kernels::detect_qwide_isa();
+      isa != kernels::QWideIsa::kNone) {
+    // The tier's A operand is the canonical pack plus its offset.
+    const std::size_t count = static_cast<std::size_t>(qa.rows()) *
+                              static_cast<std::size_t>(qa.row_ld());
+    const int offset = kernels::qwide_a_offset(isa);
+    std::vector<std::uint8_t> a;
+    try {
+      a.resize(count);
+    } catch (const std::bad_alloc&) {
+      return ResourceExhaustedError("qgemm: A operand allocation failed");
+    }
+    const std::int8_t* src = qa.row(0);
+    for (std::size_t i = 0; i < count; ++i)
+      a[i] = static_cast<std::uint8_t>(src[i] + offset);
+    qgemm_wide(isa, a.data(), qa.row_ld(), qa.scales(), qb, qa.cols(), c,
+               opts);
+    return {};
+  }
   return qgemm_packed_i16(qa.row16(0), qa.row_ld(), qa.scales(), qb.col16(0),
                           qb.col_ld(), qb.scales(), qa.cols(), c, opts);
 }

@@ -12,10 +12,14 @@
 // rows and QPackedB columns are k-contiguous, leading dimension padded to
 // kernels::kQKStep with zeroed tails (dtype-generic packing contract —
 // buffers hold count * ld int8 *elements*). Alongside the canonical int8
-// blocks each pack carries the sign-extended int16 *kernel image* the host
-// SIMD tier consumes (pmaddwd has no in-register widening the way sdot
-// does, so widening at pack time removes it from the inner loop; 1 + 2
-// bytes per element still undercuts fp32's 4).
+// blocks each pack carries the *kernel image* of the int8 tier this CPU
+// runs. On the wide tier (kernels/qwide.hpp: AVX2, AVX-VNNI, AVX-512 VNNI)
+// QPackedB holds B's 16-column panel image and its per-column offset sums,
+// and QPackedA needs none (its operand is rebuilt per call). On the SSE2
+// tier both hold the sign-extended int16 image pmaddwd consumes (it has no
+// in-register widening the way sdot does, so widening at pack time removes
+// it from the inner loop; 1 + 2 bytes per element still undercuts fp32's
+// 4).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +49,8 @@ class QPackedA {
                                    Granularity g = Granularity::kPerChannel);
 
   const std::int8_t* row(int r) const { return data_.data() + r * ld_; }
-  /// Widened int16 kernel image of row r (same values, same ld).
+  /// Widened int16 kernel image of row r (same values, same ld); only on
+  /// the SSE2 tier (kernels::detect_qwide_isa() == kNone).
   const std::int16_t* row16(int r) const { return data16_.data() + r * ld_; }
   long row_ld() const { return ld_; }
   /// Per-row scales, rows() entries (per-tensor replicates one value).
@@ -73,8 +78,13 @@ class QPackedB {
                                    Granularity g = Granularity::kPerChannel);
 
   const std::int8_t* col(int c) const { return data_.data() + c * ld_; }
-  /// Widened int16 kernel image of column c (same values, same ld).
+  /// Widened int16 kernel image of column c (same values, same ld); only on
+  /// the SSE2 tier (kernels::detect_qwide_isa() == kNone).
   const std::int16_t* col16(int c) const { return data16_.data() + c * ld_; }
+  /// The wide tier's panel image (kernels::qwide_pack_b) and its
+  /// per-column offset sums; empty on the SSE2 tier.
+  const std::int8_t* wide_image() const { return image_.data(); }
+  const std::int32_t* wide_offset_sums() const { return offset_sums_.data(); }
   long col_ld() const { return ld_; }
   /// Per-column scales, cols() entries.
   const float* scales() const { return scales_.data(); }
@@ -85,6 +95,8 @@ class QPackedB {
  private:
   std::vector<std::int8_t> data_;
   std::vector<std::int16_t> data16_;
+  std::vector<std::int8_t> image_;
+  std::vector<std::int32_t> offset_sums_;
   std::vector<float> scales_;
   int rows_ = 0, cols_ = 0;
   long ld_ = 0;

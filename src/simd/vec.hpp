@@ -41,9 +41,10 @@ struct vec4 {
   static vec4 zero() { return {_mm_setzero_ps()}; }
   void store(float* p) const { _mm_storeu_ps(p, v); }
   /// this += a * b as a separate multiply and add, each rounded: baseline
-  /// x86-64 (SSE2) has no FMA instruction, and the ISO build (-std=c++20,
-  /// no GNU extensions) compiles with -ffp-contract=off, so nothing fuses
-  /// them. The fused tier is x86_wide (kernels/wide_kernel.hpp).
+  /// x86-64 (SSE2) has no FMA instruction, so the compiler cannot fuse
+  /// them (GCC's C++ default is -ffp-contract=fast, but there is nothing
+  /// to contract into). The fused tier is x86_wide
+  /// (kernels/wide_kernel.hpp).
   void fma(vec4 a, vec4 b) { v = _mm_add_ps(v, _mm_mul_ps(a.v, b.v)); }
 #elif defined(AUTOGEMM_SIMD_NEON)
   float32x4_t v;

@@ -72,6 +72,17 @@ double model_cost_seconds(const Candidate& c, long m, long n, long k) {
   return model_cost(c, m, n, k, hw) / (hw.freq_ghz * 1e9);
 }
 
+TuneResult tune_for_backend(int m, int n, int k, backend::BackendId backend) {
+  const backend::BackendId id = backend::resolve_backend(backend);
+  std::vector<Candidate> space = enumerate_space(m, n, k, false);
+  for (Candidate& c : space) c.backend = id;
+  const hw::HardwareModel hw = backend::get_backend(id).pricing_model();
+  const CostFn model = [&](const Candidate& c) {
+    return model_cost(c, m, n, k, hw);
+  };
+  return tune_model_pruned(space, model, model, 0.02, 16);
+}
+
 TuneResult tune_exhaustive(const std::vector<Candidate>& space, CostFn cost) {
   if (space.empty()) throw std::invalid_argument("tune: empty space");
   cost = instrumented(std::move(cost));

@@ -46,6 +46,15 @@ double model_cost_seconds(const Candidate& c, long m, long n, long k);
 
 TuneResult tune_exhaustive(const std::vector<Candidate>& space, CostFn cost);
 
+/// The model-pruned search `autogemm tune` runs for (m, n, k): every
+/// candidate targets `backend` resolved (kAuto: the backend a default
+/// Context runs on this host) and is priced on that backend's pricing
+/// model, so the record it yields applies to such a Context — records
+/// resolve only for the context's own backend.
+TuneResult tune_for_backend(int m, int n, int k,
+                            backend::BackendId backend =
+                                backend::BackendId::kAuto);
+
 /// Ranks by `model`, evaluates only the best `keep_fraction` (at least
 /// `min_keep` candidates) with `cost`.
 TuneResult tune_model_pruned(const std::vector<Candidate>& space,

@@ -6,8 +6,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "backend/backend.hpp"
+#include "common/matrix.hpp"
+#include "common/rng.hpp"
+#include "core/context.hpp"
 #include "core/plan.hpp"
 #include "tune/records.hpp"
+#include "tune/tuner.hpp"
 
 namespace autogemm::tune {
 namespace {
@@ -156,6 +161,30 @@ TEST(Records, FileRoundTrip) {
   std::remove(path.c_str());
   EXPECT_EQ(loaded.load_file("/nonexistent/dir/records.txt").code(),
             StatusCode::kUnavailable);
+}
+
+TEST(Records, TunePathRecordIsAppliedByADefaultContext) {
+  // `autogemm tune M N K --out FILE`, then ContextOptions::records_path:
+  // the record targets the backend a default Context resolves on this
+  // host (x86_wide or neon), so the Context resolves it instead of
+  // silently falling back to default_config.
+  const int m = 48, n = 80, k = 96;
+  const TuneResult tuned = tune_for_backend(m, n, k);
+  EXPECT_EQ(tuned.best.backend,
+            backend::resolve_backend(backend::BackendId::kAuto));
+  TuningRecords records;
+  records.add({m, n, k}, tuned.best, tuned.best_cost);
+  const std::string path = "/tmp/autogemm_tune_path_records_test.txt";
+  ASSERT_TRUE(records.save_file(path).ok());
+  ContextOptions opts;
+  opts.records_path = path;
+  Context ctx(opts);
+  std::remove(path.c_str());
+  common::Matrix a(m, k), b(k, n), c(m, n);
+  common::fill_random(a.view(), 1);
+  common::fill_random(b.view(), 2);
+  ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
+  EXPECT_EQ(ctx.stats().resolved_exact, 1u);
 }
 
 TEST(Records, SaveFileLeavesNoTempBehind) {

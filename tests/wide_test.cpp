@@ -197,6 +197,25 @@ class ScopedX86Wide {
   }
 };
 
+TEST(X86WideBackend, PreferredTilesFollowTheRegisterBudget) {
+  // AVX-512's 32 registers of 16 lanes are A64FX's: Table II's first
+  // choices at 16 lanes. AVX2's 16 registers of 8 lanes: per vector count,
+  // the tallest tile enumerate_feasible_tiles(8, 16) admits, while it has
+  // more than one row.
+  const auto shapes = [](const backend::KernelBackend& be) {
+    std::vector<std::array<int, 2>> out;
+    for (const codegen::TileSize& t : be.preferred_tiles())
+      out.push_back({t.mr, t.nr});
+    return out;
+  };
+  EXPECT_EQ(shapes(*backend::make_x86_wide_backend(WideIsa::kAvx512)),
+            (std::vector<std::array<int, 2>>{
+                {8, 32}, {6, 48}, {5, 64}, {4, 80}}));
+  EXPECT_EQ(shapes(*backend::make_x86_wide_backend(WideIsa::kAvx2)),
+            (std::vector<std::array<int, 2>>{
+                {7, 8}, {4, 16}, {3, 24}, {2, 32}}));
+}
+
 TEST(X86WideBackend, UnsupportedCpuFallsBackToNeonBitIdentical) {
   // A CPU without AVX2+FMA or AVX-512F: x86_wide stays registered but is
   // not host-executable, kAuto resolves to neon, and an explicit x86_wide

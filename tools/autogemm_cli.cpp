@@ -276,18 +276,16 @@ int cmd_tune(int argc, char** argv) {
   const int n = std::atoi(argv[1]);
   const int k = std::atoi(argv[2]);
   const char* out = flag_value(argc, argv, "--out", nullptr);
-  const auto h = hw::chip_model(hw::Chip::kGraviton2);
-  const auto space = tune::enumerate_space(m, n, k, /*divisors_only=*/false);
-  const auto model = [&](const tune::Candidate& c) {
-    return tune::model_cost(c, m, n, k, h);
-  };
-  const auto result = tune::tune_model_pruned(space, model, model, 0.02, 16);
+  // Tuned for, and tagged with, the backend a default Context runs here.
+  const auto result = tune::tune_for_backend(m, n, k);
   std::printf("space %zu candidates, %ld evaluated, best %.0f model cycles\n",
-              space.size(), result.evaluations, result.best_cost);
-  std::printf("best: mc=%d nc=%d kc=%d order=%s packing=%d\n", result.best.mc,
-              result.best.nc, result.best.kc,
+              tune::space_size(m, n, k, /*divisors_only=*/false),
+              result.evaluations, result.best_cost);
+  std::printf("best: mc=%d nc=%d kc=%d order=%s packing=%d backend=%s\n",
+              result.best.mc, result.best.nc, result.best.kc,
               loop_order_name(result.best.loop_order),
-              static_cast<int>(result.best.packing));
+              static_cast<int>(result.best.packing),
+              std::string(backend::backend_name(result.best.backend)).c_str());
   if (out != nullptr) {
     tune::TuningRecords records;
     if (!records.load_file(out)) { /* start fresh */ }

@@ -33,9 +33,10 @@
 # and the 6-seed sharded chaos pass under the sanitizers.
 #
 # Right after its build the release configuration checks, on x86-64, that
-# only the x86_wide kernel units (kernels/wide_avx512.cpp, wide_avx2.cpp)
-# hold ymm/zmm instructions and that they define no weak symbols, so no
-# wide instruction can reach a CPU that lacks it. It ends with the backend
+# only the wide kernel units (kernels/wide_avx512.cpp, wide_avx2.cpp and
+# the int8 qwide_avx512.cpp, qwide_avxvnni.cpp, qwide_avx2.cpp) hold
+# ymm/zmm instructions (zmm only the two avx512 units) and that they define
+# no weak symbols, so no wide instruction can reach a CPU that lacks it. It ends with the backend
 # matrix: the full ctest suite re-runs under AUTOGEMM_BACKEND=neon,
 # =sve_sim and =x86_wide (kAuto contexts resolve through the env, so every
 # registered tier serves the whole test load), followed by the NEON vs
@@ -91,19 +92,19 @@ for config in "${configs[@]}"; do
       run_config release build -DCMAKE_BUILD_TYPE=Release
       if [[ $(uname -m) == x86_64 ]]; then
         echo "==== [release] wide-ISA isolation (objdump, nm) ===="
-        # Baseline x86-64 everywhere but the x86_wide units: a ymm/zmm
+        # Baseline x86-64 everywhere but the wide units: a ymm/zmm
         # instruction elsewhere could execute on a CPU without AVX, and a
         # weak symbol in a wide unit could be merged into baseline callers.
         leaks=$(objdump -d --no-show-raw-insn build/src/*/libautogemm_*.a |
           awk '/file format/ { obj = $1; sub(/:$/, "", obj); next }
-               /%zmm/ && obj != "wide_avx512.cpp.o" { print obj; next }
-               /%ymm/ && obj !~ /^wide_avx(512|2)\.cpp\.o$/ { print obj }' |
+               /%zmm/ && obj !~ /^q?wide_avx512\.cpp\.o$/ { print obj; next }
+               /%ymm/ && obj !~ /^(wide_avx(512|2)|qwide_avx(512|2|vnni))\.cpp\.o$/ { print obj }' |
           sort -u)
         weak=$(nm -A build/src/kernels/libautogemm_kernels.a |
-          grep -E 'wide_avx(512|2)\.cpp\.o:.* [WVu] ' || true)
+          grep -E '(wide_avx(512|2)|qwide_avx(512|2|vnni))\.cpp\.o:.* [WVu] ' || true)
         if [[ -n $leaks || -n $weak ]]; then
-          echo "wide instructions outside the x86_wide units: ${leaks:-none}" >&2
-          echo "weak symbols in the x86_wide units: ${weak:-none}" >&2
+          echo "wide instructions outside the wide units: ${leaks:-none}" >&2
+          echo "weak symbols in the wide units: ${weak:-none}" >&2
           exit 1
         fi
       fi
