@@ -735,8 +735,21 @@ Status Context::execute(const Call& call) {
       quant::QGemmOptions qopts;
       qopts.alpha = params.alpha;
       qopts.beta = params.beta;
-      s = packed.qb != nullptr ? quant::qgemm(call.a, *packed.qb, call.c, qopts)
-                               : quant::qgemm(call.a, call.b, call.c, qopts);
+      common::ThreadPool* pool = effective_pool();
+      try {
+        s = packed.qb != nullptr
+                ? quant::qgemm(call.a, *packed.qb, call.c, qopts, pool)
+                : quant::qgemm(call.a, call.b, call.c, qopts, pool);
+      } catch (const std::exception& e) {
+        // qgemm reports its own allocation failures through Status; what
+        // escapes was thrown while the kernels ran, so C is partly written.
+        const bool pooled = pool != nullptr;
+        s = execution_fault(pooled, StatusCode::kInternal,
+                            std::string(pooled ? "worker fault: "
+                                               : "execution fault: ") +
+                                e.what(),
+                            shape_string(m, n, k));
+      }
     }
     seconds = static_cast<double>(common::now_ns() - t0) * 1e-9;
   }
@@ -766,19 +779,8 @@ Status Context::execute_plan(const Plan* plan,
   const auto shape = [plan] {
     return shape_string(plan->m(), plan->n(), plan->k());
   };
-  // A fault after some C was written cannot be repaired in place. On the
-  // pool it may have hit any worker, so the pool is retired and later
-  // calls run serial.
   const auto fault = [&](StatusCode code, const std::string& what) {
-    if (pooled) {
-      pool_degraded_.store(true);
-      record_event(HealthEvent::Kind::kPoolDegraded,
-                   what + "; pool retired, subsequent calls run serial");
-    }
-    return Status(code, "gemm: " + what + " for shape " + shape() +
-                            "; C contents are unspecified for this call" +
-                            (pooled ? " (subsequent calls degrade to serial)"
-                                    : ""));
+    return execution_fault(pooled, code, what, shape());
   };
   std::size_t began = 0;
   try {
@@ -805,6 +807,21 @@ Status Context::execute_plan(const Plan* plan,
                  std::string(pooled ? "worker fault: " : "execution fault: ") +
                      e.what());
   }
+}
+
+Status Context::execution_fault(bool pooled, StatusCode code,
+                                const std::string& what,
+                                const std::string& shape) {
+  // A fault after some C was written cannot be repaired in place.
+  if (pooled) {
+    pool_degraded_.store(true);
+    record_event(HealthEvent::Kind::kPoolDegraded,
+                 what + "; pool retired, subsequent calls run serial");
+  }
+  return Status(code, "gemm: " + what + " for shape " + shape +
+                          "; C contents are unspecified for this call" +
+                          (pooled ? " (subsequent calls degrade to serial)"
+                                  : ""));
 }
 
 StatusOr<Context::PackedOperand> Context::packed_for(const Call& call,

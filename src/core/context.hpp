@@ -426,6 +426,11 @@ class Context {
                       std::size_t count, const PackedA* packed_a,
                       const PackedB* packed_b, const GemmExParams& params,
                       common::ThreadPool* pool);
+  /// The Status of a fault that may have come after some C was written:
+  /// C is unspecified for the call. On a pool the fault may have hit any
+  /// worker, so `pooled` also retires the pool and later calls run serial.
+  Status execution_fault(bool pooled, StatusCode code,
+                         const std::string& what, const std::string& shape);
   /// Cached packing of the call's constant operand for `plan` (fp32) or
   /// for the int8 tier (plan unused).
   StatusOr<PackedOperand> packed_for(const Call& call, const Plan* plan);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "kernels/qwide.hpp"
 #include "simd/vec.hpp"  // for the AUTOGEMM_SIMD_* platform guards
 
 namespace autogemm::kernels {
@@ -71,17 +72,21 @@ void qwiden_pack(const std::int8_t* src, std::int16_t* dst, long count,
 }
 
 void qgemm_block_portable(int rows, int cols, int kc, const std::int8_t* a,
-                          long lda, const std::int8_t* b, long ldb,
+                          long lda, const std::int8_t* b_image,
                           std::int32_t* acc, long ldacc) {
+  const long panel_bytes = qwide_panel_bytes(kc);
   for (int r = 0; r < rows; ++r) {
     const std::int8_t* arow = a + static_cast<long>(r) * lda;
     std::int32_t* accrow = acc + static_cast<long>(r) * ldacc;
     for (int c = 0; c < cols; ++c) {
-      const std::int8_t* bcol = b + static_cast<long>(c) * ldb;
+      const std::int8_t* bcol = b_image + c / kQWidePanel * panel_bytes +
+                                c % kQWidePanel * kQWideGroup;
       std::int32_t sum = 0;
       for (int k = 0; k < kc; ++k)
         sum += static_cast<std::int32_t>(arow[k]) *
-               static_cast<std::int32_t>(bcol[k]);
+               static_cast<std::int32_t>(
+                   bcol[k / kQWideGroup * kQWidePanel * kQWideGroup +
+                        k % kQWideGroup]);
       accrow[c] = sum;
     }
   }

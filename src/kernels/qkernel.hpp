@@ -1,12 +1,13 @@
 // Widening-accumulate int8 micro-kernels and quantize-as-you-pack routines.
 //
-// The int8 tier uses the dot-product formulation: packed A rows and packed
-// B *columns* are both k-contiguous, so one int8x int8 inner product per
-// C element accumulates exactly in int32 (no intermediate rounding), and a
-// single fp32 requantization epilogue applies alpha/beta and the per-channel
-// scales. This is the same widening outer/inner-product structure ARM's
-// integer matrix extensions expose (smmla/sdot on NEON, the SME integer
-// fmopa family). On baseline x86-64 the widening pair is int8 -> int16
+// The int8 tier uses the dot-product formulation: one int8 x int8 inner
+// product per C element accumulates exactly in int32 (no intermediate
+// rounding), and a single fp32 requantization epilogue applies alpha/beta
+// and the per-channel scales. Packed A rows are k-contiguous; the portable
+// kernel reads B from the wide tier's panel image (kernels/qwide.hpp), the
+// SSE2 kernel from k-contiguous int16 columns. This is the same widening
+// outer/inner-product structure ARM's integer matrix extensions expose
+// (smmla/sdot on NEON, the SME integer fmopa family). On baseline x86-64 the widening pair is int8 -> int16
 // sign-extension (done at pack time) + pmaddwd, 8 multiply-accumulates
 // per SSE2 instruction, with a portable scalar path as the reference
 // semantics; a CPU with AVX2 or better runs the register-tiled wide tier
@@ -58,12 +59,13 @@ void qpack_rows(common::ConstMatrixView src, const float* row_scales,
 void qpack_cols(common::ConstMatrixView src, const float* col_scales,
                 std::int8_t* dst, long dst_ld);
 
-/// Portable reference kernel: acc(r, c) = sum_k a[r*lda + k] * b[c*ldb + k]
+/// Portable reference kernel: acc(r, c) = sum_k a[r*lda + k] * B(k, c)
 /// over k in [0, kc), widening every product to int32. Overwrites acc
-/// (rows x cols, leading dimension ldacc). Both operands are packed
-/// k-contiguous (b rows are logical B columns).
+/// (rows x cols, leading dimension ldacc). A is packed k-contiguous; B is
+/// read from a depth-kc panel image (kernels/qwide.hpp, qwide_pack_b)
+/// starting at one of its panels.
 void qgemm_block_portable(int rows, int cols, int kc, const std::int8_t* a,
-                          long lda, const std::int8_t* b, long ldb,
+                          long lda, const std::int8_t* b_image,
                           std::int32_t* acc, long ldacc);
 
 /// Quantize-and-pack rows directly into the *widened* int16 kernel image:

@@ -36,7 +36,7 @@ const detail::QWideTable& table(QWideIsa isa) {
   if (isa == QWideIsa::kAvxVnni) return detail::kQAvxVnniTable;
   return detail::kQAvx2Table;
 #else
-  static const detail::QWideTable none{nullptr, nullptr};
+  static const detail::QWideTable none{nullptr, nullptr, nullptr};
   return none;
 #endif
 }
@@ -80,10 +80,11 @@ long qwide_b_image_bytes(int k, int n) {
   return round_up(k, kQWideGroup) * round_up(n, kQWidePanel);
 }
 
+long qwide_panel_bytes(int k) { return round_up(k, kQWideGroup) * kQWidePanel; }
+
 void qwide_pack_b(const std::int8_t* cols, long ld, int k, int n,
                   std::int8_t* image, std::int32_t* offset_sums) {
-  const long groups = round_up(k, kQWideGroup) / kQWideGroup;
-  const long panel_bytes = groups * kQWidePanel * kQWideGroup;
+  const long panel_bytes = qwide_panel_bytes(k);
   std::memset(image, 0, static_cast<std::size_t>(qwide_b_image_bytes(k, n)));
   for (int c = 0; c < n; ++c) {
     const std::int8_t* col = cols + static_cast<long>(c) * ld;
@@ -103,6 +104,10 @@ void qwide_pack_b(const std::int8_t* cols, long ld, int k, int n,
 void qwide_quantize_a(QWideIsa isa, common::ConstMatrixView src,
                       const float* row_scales, std::uint8_t* dst, long ld) {
   table(isa).quantize_a(src, row_scales, dst, ld);
+}
+
+float qwide_max_abs(QWideIsa isa, const float* x, int n) {
+  return table(isa).max_abs(x, n);
 }
 
 void qwide_gemm(QWideIsa isa, const QWideProblem& p) { table(isa).gemm(p); }

@@ -48,12 +48,18 @@ inline constexpr int kQWidePanel = 16;
 inline constexpr int kQWideGroup = 4;
 
 /// Bytes of the panel image of a k x n B: whole panels of whole groups,
-/// padded with zeros.
+/// padded with zeros. B(k, c) sits at byte (c / 16) * qwide_panel_bytes(k)
+/// + (k / 4) * 64 + (c % 16) * 4 + k % 4.
 long qwide_b_image_bytes(int k, int n);
+
+/// Bytes of one panel of a depth-k image: the step from panel to panel.
+long qwide_panel_bytes(int k);
 
 /// Builds B's panel image from its canonical int8 column pack (qpack_cols:
 /// column c at cols + c * ld, k-contiguous) and writes
 /// offset_sums[c] = 128 * sum_k b(k, c) for the VNNI tiers' correction.
+/// The image is every int8 tier's stored B: qgemm_block_portable reads it
+/// too.
 void qwide_pack_b(const std::int8_t* cols, long ld, int k, int n,
                   std::int8_t* image, std::int32_t* offset_sums);
 
@@ -83,7 +89,15 @@ struct QWideProblem {
 void qwide_quantize_a(QWideIsa isa, common::ConstMatrixView src,
                       const float* row_scales, std::uint8_t* dst, long ld);
 
+/// max |x[i]| over n floats, NaNs ignored, on `isa`'s vectors. Max is
+/// exact, so it equals the scalar pass bit for bit. `isa` must be
+/// supported.
+float qwide_max_abs(QWideIsa isa, const float* x, int n);
+
 /// Runs the whole product on `isa`'s kernels. `isa` must be supported.
+/// `b_image` may start at any panel of a larger image (with the matching
+/// offset_sums / b_scales / c columns), which is how qgemm splits one
+/// product into column tasks.
 void qwide_gemm(QWideIsa isa, const QWideProblem& p);
 
 namespace detail {
@@ -93,6 +107,7 @@ struct QWideTable {
   void (*gemm)(const QWideProblem& p);
   void (*quantize_a)(common::ConstMatrixView src, const float* row_scales,
                      std::uint8_t* dst, long ld);
+  float (*max_abs)(const float* x, int n);
 };
 
 extern const QWideTable kQAvx512VnniTable;

@@ -37,6 +37,8 @@ struct Avx512Vnni {
   static FReg mul(FReg a, FReg b) { return _mm512_mul_ps(a, b); }
   static FReg add(FReg a, FReg b) { return _mm512_add_ps(a, b); }
   static FReg broadcast_f(float x) { return _mm512_set1_ps(x); }
+  static FReg abs_f(FReg x) { return _mm512_abs_ps(x); }
+  static FReg max_f(FReg a, FReg b) { return _mm512_max_ps(a, b); }
   static FReg load_f(const float* p) { return _mm512_loadu_ps(p); }
   static void store_f(float* p, FReg v) { _mm512_storeu_ps(p, v); }
   static Reg load_i(const std::int32_t* p) { return _mm512_loadu_si512(p); }

@@ -12,7 +12,8 @@
 // quantized value), kMR x kNV (the main register tile), and static
 // load_b / pin_b / broadcast_a / dot / zero / sub / to_float / mul / add /
 // broadcast_f / load_f / store_f / load_i / tail_mask / load_f_tail /
-// store_f_tail / load_i_tail / quantize (kLanes floats to kLanes bytes).
+// store_f_tail / load_i_tail / abs_f / max_f (its second operand when
+// either is NaN) / quantize (kLanes floats to kLanes bytes).
 #pragma once
 
 #include <cmath>
@@ -163,10 +164,37 @@ void quantize_a(common::ConstMatrixView src, const float* row_scales,
   }
 }
 
+/// max |x[i]| over n floats. max_f keeps the running maximum when x[i] is
+/// NaN, as the scalar pass (quant::row_max_abs) does, and max is exact, so
+/// the two agree bit for bit.
+template <class Q>
+float max_abs(const float* x, int n) {
+  constexpr int L = Q::kLanes;
+  typename Q::FReg m0 = Q::broadcast_f(0.0f), m1 = m0;
+  int i = 0;
+  for (; i + 2 * L <= n; i += 2 * L) {
+    m0 = Q::max_f(Q::abs_f(Q::load_f(x + i)), m0);
+    m1 = Q::max_f(Q::abs_f(Q::load_f(x + i + L)), m1);
+  }
+  if (i + L <= n) {
+    m0 = Q::max_f(Q::abs_f(Q::load_f(x + i)), m0);
+    i += L;
+  }
+  float lanes[L];
+  Q::store_f(lanes, Q::max_f(m0, m1));
+  float out = 0.0f;
+  for (int j = 0; j < L; ++j) out = lanes[j] > out ? lanes[j] : out;
+  for (; i < n; ++i) {
+    const float v = x[i] < 0.0f ? -x[i] : x[i];
+    out = v > out ? v : out;
+  }
+  return out;
+}
+
 /// The tier's exported table.
 template <class Q>
 constexpr detail::QWideTable table() {
-  return {&gemm<Q>, &quantize_a<Q>};
+  return {&gemm<Q>, &quantize_a<Q>, &max_abs<Q>};
 }
 
 }  // namespace autogemm::kernels::qwide_detail

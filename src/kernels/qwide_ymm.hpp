@@ -28,6 +28,10 @@ struct YmmInt8 {
   static FReg mul(FReg a, FReg b) { return _mm256_mul_ps(a, b); }
   static FReg add(FReg a, FReg b) { return _mm256_add_ps(a, b); }
   static FReg broadcast_f(float x) { return _mm256_set1_ps(x); }
+  static FReg abs_f(FReg x) {
+    return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), x);
+  }
+  static FReg max_f(FReg a, FReg b) { return _mm256_max_ps(a, b); }
   static FReg load_f(const float* p) { return _mm256_loadu_ps(p); }
   static void store_f(float* p, FReg v) { _mm256_storeu_ps(p, v); }
   static Reg load_i(const std::int32_t* p) {

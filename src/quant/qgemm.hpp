@@ -26,19 +26,31 @@
 // Per-tensor granularity keeps correctness but loosens per-channel's
 // error whenever channel magnitudes differ.
 //
+// ## How a call runs
+//
+// One driver serves every tier: tasks of (up to 64 rows) x (whole
+// 16-column panels of B), each exact int32 dot products over the full K,
+// run on `pool` when it has workers (Context passes its own) and on the
+// caller otherwise. With no k-split, C is the same bits either way. An
+// exception thrown on a worker propagates out of qgemm (ThreadPool's
+// parallel_for re-throws it) with C unspecified; Context turns it into
+// kInternal and retires its pool.
+//
 // ## When int8 wins
 //
-// At compute-bound shapes the widening path retires 8 MACs per pmaddwd
-// against fp32's 4-lane mul+add, and moves 4x fewer operand bytes; the
-// bench gate (bench_quant) requires >= 1.3x over the fp32 tier on the CI
-// host. Memory-bound skinny shapes win mostly on bytes moved. int8 loses
-// when operands are ill-conditioned (heavy cancellation) or K is tiny
-// (quantize cost dominates) — serve keeps fp32 and int8 requests in
-// separate buckets precisely so callers choose per request.
+// At compute-bound shapes vpdpbusd retires 4 MACs per int32 lane against
+// one per fp32 FMA lane, and int8 moves 4x fewer operand bytes; the bench
+// gate (bench_quant) requires >= 1.3x over the fp32 tier the same CPU
+// runs. Memory-bound skinny shapes (decode, M = 1) win on bytes moved:
+// the weight streams at one byte per element. int8 loses when operands
+// are ill-conditioned (heavy cancellation) or K is tiny (quantize cost
+// dominates) — serve keeps fp32 and int8 requests in separate buckets
+// precisely so callers choose per request.
 #pragma once
 
 #include "common/matrix.hpp"
 #include "common/status.hpp"
+#include "common/threadpool.hpp"
 #include "quant/qpacked.hpp"
 
 namespace autogemm::quant {
@@ -55,15 +67,18 @@ struct QGemmOptions {
 /// Both operands quantized on the fly. A is (M x K) fp32, B (K x N) fp32,
 /// C (M x N) fp32.
 Status qgemm(common::ConstMatrixView a, common::ConstMatrixView b,
-             common::MatrixView c, const QGemmOptions& opts = {});
+             common::MatrixView c, const QGemmOptions& opts = {},
+             common::ThreadPool* pool = nullptr);
 
 /// Constant-B path: B already quantized+packed (the LLM-serving case — the
 /// weight matrix is packed once, activations quantize per call).
 Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
-             common::MatrixView c, const QGemmOptions& opts = {});
+             common::MatrixView c, const QGemmOptions& opts = {},
+             common::ThreadPool* pool = nullptr);
 
 /// Both operands pre-packed.
 Status qgemm(const QPackedA& qa, const QPackedB& qb, common::MatrixView c,
-             const QGemmOptions& opts = {});
+             const QGemmOptions& opts = {},
+             common::ThreadPool* pool = nullptr);
 
 }  // namespace autogemm::quant

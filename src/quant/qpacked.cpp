@@ -50,23 +50,21 @@ StatusOr<QPackedA> QPackedA::create(common::ConstMatrixView a, Granularity g) {
 
 StatusOr<QPackedB> QPackedB::create(common::ConstMatrixView b, Granularity g) {
   if (Status s = validate_view(b, "QPackedB"); !s.ok()) return s;
-  const bool wide = kernels::detect_qwide_isa() != kernels::QWideIsa::kNone;
+  const bool sse2 = kernels::detect_qwide_isa() == kernels::QWideIsa::kNone;
   QPackedB out;
   out.rows_ = b.rows;
   out.cols_ = b.cols;
   out.ld_ = kernels::qpacked_ld(b.rows);
+  // The canonical column pack lives only while the images are built.
+  std::vector<std::int8_t> cols;
   try {
     const std::size_t count = static_cast<std::size_t>(b.cols) *
                               static_cast<std::size_t>(out.ld_);
-    out.data_.resize(count);
-    if (wide) {
-      out.image_.resize(
-          static_cast<std::size_t>(
-              kernels::qwide_b_image_bytes(b.rows, b.cols)));
-      out.offset_sums_.resize(static_cast<std::size_t>(b.cols));
-    } else {
-      out.data16_.resize(count);
-    }
+    cols.resize(count);
+    out.image_.resize(static_cast<std::size_t>(
+        kernels::qwide_b_image_bytes(b.rows, b.cols)));
+    out.offset_sums_.resize(static_cast<std::size_t>(b.cols));
+    if (sse2) out.data16_.resize(count);
     out.scales_ = g == Granularity::kPerChannel
                       ? per_col_scales(b)
                       : std::vector<float>(static_cast<std::size_t>(b.cols),
@@ -74,13 +72,11 @@ StatusOr<QPackedB> QPackedB::create(common::ConstMatrixView b, Granularity g) {
   } catch (const std::bad_alloc&) {
     return ResourceExhaustedError("QPackedB: allocation failed");
   }
-  kernels::qpack_cols(b, out.scales_.data(), out.data_.data(), out.ld_);
-  if (wide)
-    kernels::qwide_pack_b(out.data_.data(), out.ld_, b.rows, b.cols,
-                          out.image_.data(), out.offset_sums_.data());
-  else
-    kernels::qwiden_pack(out.data_.data(), out.data16_.data(), b.cols,
-                         out.ld_);
+  kernels::qpack_cols(b, out.scales_.data(), cols.data(), out.ld_);
+  kernels::qwide_pack_b(cols.data(), out.ld_, b.rows, b.cols,
+                        out.image_.data(), out.offset_sums_.data());
+  if (sse2) kernels::qwiden_pack(cols.data(), out.data16_.data(), b.cols,
+                                 out.ld_);
   return out;
 }
 

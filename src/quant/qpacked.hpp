@@ -8,18 +8,16 @@
 // happens at pack time, so a cached weight matrix is quantized exactly
 // once no matter how many requests hit it.
 //
-// Layout is the dot-product formulation of kernels/qkernel.hpp: QPackedA
-// rows and QPackedB columns are k-contiguous, leading dimension padded to
+// QPackedA rows are k-contiguous, leading dimension padded to
 // kernels::kQKStep with zeroed tails (dtype-generic packing contract —
-// buffers hold count * ld int8 *elements*). Alongside the canonical int8
-// blocks each pack carries the *kernel image* of the int8 tier this CPU
-// runs. On the wide tier (kernels/qwide.hpp: AVX2, AVX-VNNI, AVX-512 VNNI)
-// QPackedB holds B's 16-column panel image and its per-column offset sums,
-// and QPackedA needs none (its operand is rebuilt per call). On the SSE2
-// tier both hold the sign-extended int16 image pmaddwd consumes (it has no
-// in-register widening the way sdot does, so widening at pack time removes
-// it from the inner loop; 1 + 2 bytes per element still undercuts fp32's
-// 4).
+// buffers hold count * ld int8 *elements*); the wide tier builds its A
+// operand from them per call. QPackedB stores one image of B: the
+// 16-column panel image of kernels/qwide.hpp with its per-column offset
+// sums, which the wide tier (AVX2, AVX-VNNI, AVX-512 VNNI) and the
+// portable reference kernel both read, so a weight is resident at one byte
+// per element. The SSE2 tier, which has no in-register widening the way
+// sdot does, reads sign-extended int16 images of both operands instead
+// (widening at pack time removes it from pmaddwd's inner loop).
 #pragma once
 
 #include <cstdint>
@@ -67,8 +65,8 @@ class QPackedA {
   long ld_ = 0;
 };
 
-/// B (K x N) quantized symmetric int8 with per-column scales, columns
-/// packed k-contiguous (stored transposed).
+/// B (K x N) quantized symmetric int8 with per-column scales, stored as
+/// its panel image.
 class QPackedB {
  public:
   QPackedB() = default;
@@ -77,23 +75,22 @@ class QPackedB {
   static StatusOr<QPackedB> create(common::ConstMatrixView b,
                                    Granularity g = Granularity::kPerChannel);
 
-  const std::int8_t* col(int c) const { return data_.data() + c * ld_; }
-  /// Widened int16 kernel image of column c (same values, same ld); only on
-  /// the SSE2 tier (kernels::detect_qwide_isa() == kNone).
+  /// Widened int16 kernel image of column c (k-contiguous, col_ld()
+  /// elements per column); only on the SSE2 tier
+  /// (kernels::detect_qwide_isa() == kNone).
   const std::int16_t* col16(int c) const { return data16_.data() + c * ld_; }
-  /// The wide tier's panel image (kernels::qwide_pack_b) and its
-  /// per-column offset sums; empty on the SSE2 tier.
-  const std::int8_t* wide_image() const { return image_.data(); }
-  const std::int32_t* wide_offset_sums() const { return offset_sums_.data(); }
+  /// The panel image (kernels::qwide_pack_b) and its per-column offset
+  /// sums, on every tier.
+  const std::int8_t* panel_image() const { return image_.data(); }
+  const std::int32_t* offset_sums() const { return offset_sums_.data(); }
   long col_ld() const { return ld_; }
   /// Per-column scales, cols() entries.
   const float* scales() const { return scales_.data(); }
   int rows() const { return rows_; }
   int cols() const { return cols_; }
-  bool empty() const { return data_.empty(); }
+  bool empty() const { return image_.empty(); }
 
  private:
-  std::vector<std::int8_t> data_;
   std::vector<std::int16_t> data16_;
   std::vector<std::int8_t> image_;
   std::vector<std::int32_t> offset_sums_;

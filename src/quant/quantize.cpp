@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "kernels/qkernel.hpp"
+#include "kernels/qwide.hpp"
 
 namespace autogemm::quant {
 
@@ -15,12 +15,13 @@ float compute_scale(float max_abs) {
   return s > kMinScale ? s : kMinScale;
 }
 
-namespace {
-
-/// max |x[i]| over n floats, NaNs ignored. Eight running maxima instead of
-/// one serial chain, so the compiler can vectorize it; max picks one of
-/// its inputs exactly, so the order does not change the result.
 float row_max_abs(const float* x, int n) {
+  if (const kernels::QWideIsa isa = kernels::detect_qwide_isa();
+      isa != kernels::QWideIsa::kNone)
+    return kernels::qwide_max_abs(isa, x, n);
+  // Eight running maxima instead of one serial chain, so the compiler can
+  // vectorize it; max picks one of its inputs exactly, so the order does
+  // not change the result.
   constexpr int kWays = 8;
   float m[kWays] = {};
   int c = 0;
@@ -32,8 +33,6 @@ float row_max_abs(const float* x, int n) {
   return max_abs;
 }
 
-}  // namespace
-
 std::vector<float> per_row_scales(common::ConstMatrixView a) {
   std::vector<float> scales(static_cast<std::size_t>(a.rows));
   for (int r = 0; r < a.rows; ++r)
@@ -43,15 +42,12 @@ std::vector<float> per_row_scales(common::ConstMatrixView a) {
 }
 
 std::vector<float> per_col_scales(common::ConstMatrixView b) {
-  std::vector<float> max_abs(static_cast<std::size_t>(b.cols), 0.0f);
+  std::vector<float> scales(static_cast<std::size_t>(b.cols), 0.0f);
   for (int r = 0; r < b.rows; ++r)
     for (int c = 0; c < b.cols; ++c)
-      max_abs[static_cast<std::size_t>(c)] =
-          std::max(max_abs[static_cast<std::size_t>(c)], std::fabs(b.at(r, c)));
-  std::vector<float> scales(static_cast<std::size_t>(b.cols));
-  for (int c = 0; c < b.cols; ++c)
-    scales[static_cast<std::size_t>(c)] =
-        compute_scale(max_abs[static_cast<std::size_t>(c)]);
+      scales[static_cast<std::size_t>(c)] =
+          std::max(scales[static_cast<std::size_t>(c)], std::fabs(b.at(r, c)));
+  for (float& s : scales) s = compute_scale(s);  // each column's max |b|
   return scales;
 }
 
@@ -61,31 +57,6 @@ float per_tensor_scale(common::ConstMatrixView m) {
     max_abs = std::max(
         max_abs, row_max_abs(m.data + static_cast<long>(r) * m.ld, m.cols));
   return compute_scale(max_abs);
-}
-
-void quantize_rows(common::ConstMatrixView src, const float* scales,
-                   std::int8_t* dst, long dst_ld) {
-  for (int r = 0; r < src.rows; ++r) {
-    std::int8_t* drow = dst + static_cast<long>(r) * dst_ld;
-    for (int c = 0; c < src.cols; ++c)
-      drow[c] = kernels::quantize_value(src.at(r, c), scales[r]);
-  }
-}
-
-void dequantize_rows(const std::int8_t* src, long src_ld, const float* scales,
-                     common::MatrixView dst) {
-  for (int r = 0; r < dst.rows; ++r) {
-    const std::int8_t* srow = src + static_cast<long>(r) * src_ld;
-    for (int c = 0; c < dst.cols; ++c)
-      dst.at(r, c) = scales[r] * static_cast<float>(srow[c]);
-  }
-}
-
-float round_trip_bound(const float* scales, std::size_t count) {
-  float max_scale = 0.0f;
-  for (std::size_t i = 0; i < count; ++i)
-    max_scale = std::max(max_scale, scales[i]);
-  return 0.5f * max_scale;
 }
 
 }  // namespace autogemm::quant

@@ -7,7 +7,7 @@
 //
 //     |x - s * q(x)| <= s / 2        (round-to-nearest, no saturation)
 //
-// per element — the bound round_trip_bound() reports. Per-channel
+// per element, with the scale of x's own channel. Per-channel
 // granularity (one scale per row of A / per column of B) keeps that bound
 // tied to each channel's own magnitude, which is why per-channel error is
 // never worse than per-tensor on the same data (the property the tests
@@ -16,7 +16,6 @@
 // plain widening dot product (kernels/qkernel.hpp).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -31,6 +30,10 @@ inline constexpr float kQMax = 127.0f;
 /// (every value then quantizes to 0, which is exact).
 float compute_scale(float max_abs);
 
+/// max |x[i]| over n floats, NaNs ignored; on the wide int8 tier's
+/// vectors when the CPU has them (max is exact, so every path agrees).
+float row_max_abs(const float* x, int n);
+
 /// Per-row scales of a (one per row — the A-operand granularity).
 std::vector<float> per_row_scales(common::ConstMatrixView a);
 
@@ -39,20 +42,5 @@ std::vector<float> per_col_scales(common::ConstMatrixView b);
 
 /// Single per-tensor scale over the whole view.
 float per_tensor_scale(common::ConstMatrixView m);
-
-/// Quantizes src row-major into dst (same shape, leading dimension dst_ld)
-/// with one scale per row; `scales` has src.rows entries. Use a vector
-/// filled with per_tensor_scale() for per-tensor granularity.
-void quantize_rows(common::ConstMatrixView src, const float* scales,
-                   std::int8_t* dst, long dst_ld);
-
-/// Dequantizes src (rows x cols int8, leading dimension src_ld) into dst
-/// with one scale per row.
-void dequantize_rows(const std::int8_t* src, long src_ld, const float* scales,
-                     common::MatrixView dst);
-
-/// The guaranteed per-element round-trip bound for the given scales:
-/// max_i scales[i] / 2.
-float round_trip_bound(const float* scales, std::size_t count);
 
 }  // namespace autogemm::quant

@@ -166,6 +166,40 @@ TEST_F(Failpoints, WorkerFaultRetiresPoolAndSubsequentCallsRunSerial) {
             testutil::gemm_tolerance(64));
 }
 
+TEST_F(Failpoints, Int8WorkerFaultRetiresPoolAndSubsequentCallsRunSerial) {
+  // 64 x 256 spans 16 column panels, so the int8 call runs many tasks on
+  // the pool.
+  ContextOptions opts;
+  opts.threads = 4;
+  Context ctx(opts);
+  ContextOptions serial_opts;
+  serial_opts.threads = 1;
+  Context serial(serial_opts);
+
+  Matrix a(64, 96), b(96, 256), c(64, 256), c_serial(64, 256);
+  common::fill_random(a.view(), 1);
+  common::fill_random(b.view(), 2);
+  ASSERT_TRUE(
+      serial.run_const_b_i8(a.view(), b.view(), c_serial.view(), 1, 0).ok());
+
+  failpoint::arm("threadpool.worker", /*budget=*/1);
+  const Status s = ctx.run_const_b_i8(a.view(), b.view(), c.view(), 1, 0);
+  // The fault is reported through Status, not thrown; C is unspecified.
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_EQ(ctx.health().last_error.code(), StatusCode::kInternal);
+  EXPECT_GE(failpoint::hits("threadpool.worker"), 1);
+  EXPECT_TRUE(ctx.health().pool_degraded);
+  EXPECT_EQ(ctx.pool(), nullptr);
+
+  // The next call runs serially and gives the serial Context's bits.
+  Matrix c2(64, 256);
+  const Status s2 = ctx.run_const_b_i8(a.view(), b.view(), c2.view(), 1, 0);
+  ASSERT_TRUE(s2.ok()) << s2.to_string();
+  for (int r = 0; r < 64; ++r)
+    for (int col = 0; col < 256; ++col)
+      ASSERT_EQ(c2.view().at(r, col), c_serial.view().at(r, col));
+}
+
 TEST_F(Failpoints, SpawnFailureDegradesToSerialExecution) {
   failpoint::arm("threadpool.spawn");  // every spawn attempt fails
   common::ThreadPool pool(4);

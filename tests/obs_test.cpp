@@ -356,6 +356,29 @@ TEST_F(ObsTrace, TracedContextRunEmitsPhaseSpans) {
   EXPECT_NE(j.find("\"pack_b\""), std::string::npos);
 }
 
+TEST_F(ObsTrace, PooledInt8RunRecordsTasksOnWorkerLanes) {
+  obs::set_trace_enabled(true);
+  ContextOptions opts;
+  opts.threads = 3;
+  Context ctx(opts);
+  obs::Tracer::instance().clear();
+  // A prefill-sized FFN GEMM: 16 column tasks of about 75 us each, so the
+  // workers wake long before the caller could run them all; repeat a few
+  // calls in case a loaded host delays them anyway.
+  const int m = 51, n = 3072, k = 768;
+  common::Matrix a(m, k), b(k, n), c(m, n);
+  common::fill_random(a.view(), 5);
+  common::fill_random(b.view(), 6);
+  for (int call = 0; call < 20 && obs::Tracer::instance().active_lane_count() < 2;
+       ++call)
+    ASSERT_TRUE(ctx.run_const_b_i8(a.view(), b.view(), c.view(), 1, 0).ok());
+  EXPECT_GE(obs::Tracer::instance().active_lane_count(), 2u);
+  const std::string j = obs::Tracer::instance().chrome_json();
+  EXPECT_NE(j.find("\"qgemm.tasks\""), std::string::npos);
+  EXPECT_NE(j.find("\"qgemm.task\""), std::string::npos);
+  EXPECT_NE(j.find("\"worker-"), std::string::npos);
+}
+
 TEST_F(ObsTrace, SimulatorEmitsVirtualTimeline) {
   obs::set_trace_enabled(true);
   obs::Tracer::instance().clear();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -16,8 +17,10 @@
 #include "common/matrix.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
+#include "common/threadpool.hpp"
 #include "core/context.hpp"
 #include "dnn/transformer.hpp"
+#include "kernels/qkernel.hpp"
 #include "obs/metrics.hpp"
 #include "quant/qgemm.hpp"
 #include "quant/qpacked.hpp"
@@ -61,14 +64,15 @@ TEST(Quantize, RoundTripStaysWithinReportedBound) {
   Matrix a(9, 37);
   common::fill_random(a.view(), 11);
   const std::vector<float> scales = quant::per_row_scales(a.view());
-  std::vector<std::int8_t> q(9 * 37);
-  quant::quantize_rows(a.view(), scales.data(), q.data(), 37);
-  Matrix back(9, 37);
-  quant::dequantize_rows(q.data(), 37, scales.data(), back.view());
-  const float bound = quant::round_trip_bound(scales.data(), scales.size());
+  const long ld = kernels::qpacked_ld(37);
+  std::vector<std::int8_t> q(9 * ld);
+  kernels::qpack_rows(a.view(), scales.data(), q.data(), ld);
+  // Dequantized x~ = s * q stays within s / 2 of x (no saturation: the
+  // scale covers each row's range).
   for (int r = 0; r < a.rows(); ++r)
     for (int c = 0; c < a.cols(); ++c)
-      EXPECT_LE(std::fabs(a.at(r, c) - back.at(r, c)), bound + 1e-7f)
+      EXPECT_LE(std::fabs(a.at(r, c) - scales[r] * q[r * ld + c]),
+                0.5f * scales[r] + 1e-7f)
           << "(" << r << "," << c << ")";
 }
 
@@ -76,8 +80,8 @@ TEST(Quantize, AllZeroChannelQuantizesExactly) {
   Matrix a(3, 8);  // Matrix storage zero-initializes
   const std::vector<float> scales = quant::per_row_scales(a.view());
   for (float s : scales) EXPECT_GT(s, 0.0f);  // division always defined
-  std::vector<std::int8_t> q(3 * 8, 99);
-  quant::quantize_rows(a.view(), scales.data(), q.data(), 8);
+  std::vector<std::int8_t> q(3 * kernels::qpacked_ld(8), 99);
+  kernels::qpack_rows(a.view(), scales.data(), q.data(), kernels::qpacked_ld(8));
   for (std::int8_t v : q) EXPECT_EQ(v, 0);
 }
 
@@ -150,6 +154,82 @@ TEST(QGemm, BetaZeroOverwritesGarbageAndAlphaScales) {
   for (int r = 0; r < 4; ++r)
     for (int cc = 0; cc < 6; ++cc) ref2.at(r, cc) = 2.0f * ref.at(r, cc);
   EXPECT_LE(common::rel_frobenius_error(c.view(), ref2.view()), 1e-2);
+}
+
+// ---------------------------------------------------------------------
+// The driver on a pool: tasks never split K, so C is the same bits at any
+// worker count
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  for (int r = 0; r < x.rows(); ++r)
+    if (std::memcmp(&x.at(r, 0), &y.at(r, 0),
+                    sizeof(float) * static_cast<std::size_t>(x.cols())) != 0)
+      return false;
+  return true;
+}
+
+TEST(QGemmPool, BitIdenticalAtAnyWorkerCount) {
+  // Row counts straddle the 64-row block, column counts the 16-column
+  // panel; K = 37 leaves a partial 4-group. beta = 0 starts from NaN C,
+  // which must never be read.
+  common::ThreadPool pool1(1), pool2(2), pool4(4);
+  common::ThreadPool* const pools[] = {&pool1, &pool2, &pool4};
+  const int k = 37;
+  const float betas[] = {0.0f, 1.0f, 0.5f};
+  int case_index = 0;
+  for (const bool portable : {false, true}) {
+    for (const int m : {1, 5, 51, 64, 65, 130}) {
+      for (const int n : {1, 15, 16, 17, 33, 770, 3072}) {
+        Matrix a(m, k), b(k, n), c0(m, n);
+        common::fill_random(a.view(), 90u + static_cast<unsigned>(m));
+        common::fill_random(b.view(), 91u + static_cast<unsigned>(n));
+        auto qb = quant::QPackedB::create(b.view());
+        ASSERT_TRUE(qb.ok());
+        quant::QGemmOptions o;
+        o.alpha = 1.5f;
+        o.beta = betas[case_index++ % 3];
+        o.force_portable = portable;
+        common::fill_random(c0.view(), 92);
+        if (o.beta == 0.0f) c0.at(m - 1, n - 1) = std::nanf("");
+        Matrix serial(m, n);
+        std::memcpy(serial.data(), c0.data(),
+                    sizeof(float) * static_cast<std::size_t>(m) * n);
+        ASSERT_TRUE(quant::qgemm(a.view(), *qb, serial.view(), o).ok());
+        EXPECT_FALSE(std::isnan(serial.at(m - 1, n - 1)));
+        for (common::ThreadPool* pool : pools) {
+          Matrix pooled(m, n);
+          std::memcpy(pooled.data(), c0.data(),
+                      sizeof(float) * static_cast<std::size_t>(m) * n);
+          ASSERT_TRUE(
+              quant::qgemm(a.view(), *qb, pooled.view(), o, pool).ok());
+          EXPECT_TRUE(same_bits(serial, pooled))
+              << (portable ? "portable " : "detected tier ") << m << "x" << n
+              << "x" << k << " beta " << o.beta << " workers "
+              << pool->size();
+        }
+      }
+    }
+  }
+}
+
+TEST(ContextQuant, PooledContextMatchesSerialContextExactly) {
+  ContextOptions pooled_opts, serial_opts;
+  pooled_opts.threads = 4;
+  serial_opts.threads = 1;
+  Context pooled(pooled_opts), serial(serial_opts);
+  for (const Shape& s : {Shape{1, 3072, 768}, Shape{51, 768, 3072},
+                         Shape{130, 770, 37}}) {
+    Matrix a(s.m, s.k), b(s.k, s.n), c_pool(s.m, s.n), c_serial(s.m, s.n);
+    common::fill_random(a.view(), 81);
+    common::fill_random(b.view(), 82);
+    ASSERT_TRUE(
+        pooled.run_const_b_i8(a.view(), b.view(), c_pool.view(), 1, 0).ok());
+    ASSERT_TRUE(
+        serial.run_const_b_i8(a.view(), b.view(), c_serial.view(), 1, 0)
+            .ok());
+    EXPECT_TRUE(same_bits(c_pool, c_serial))
+        << s.m << "x" << s.n << "x" << s.k;
+  }
 }
 
 TEST(QPacked, CreateValidatesLikePackedB) {

@@ -6,7 +6,9 @@
 // no longer pick it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -38,7 +40,7 @@ void portable_product(const Matrix& a, const quant::QPackedB& qb,
   kernels::qpack_rows(a.view(), a_scales.data(), qa.data(), lda);
   std::vector<std::int32_t> acc(static_cast<std::size_t>(a.rows()) * c.cols());
   kernels::qgemm_block_portable(a.rows(), c.cols(), a.cols(), qa.data(), lda,
-                                qb.col(0), qb.col_ld(), acc.data(), c.cols());
+                                qb.panel_image(), acc.data(), c.cols());
   kernels::requantize_block(c.view(), acc.data(), c.cols(), a_scales.data(),
                             qb.scales(), alpha, beta);
 }
@@ -56,8 +58,8 @@ void wide_product(QWideIsa isa, const Matrix& a, const quant::QPackedB& qb,
   p.k = a.cols();
   p.a = qa.data();
   p.lda = lda;
-  p.b_image = qb.wide_image();
-  p.b_offset_sums = qb.wide_offset_sums();
+  p.b_image = qb.panel_image();
+  p.b_offset_sums = qb.offset_sums();
   p.a_scales = a_scales.data();
   p.b_scales = qb.scales();
   p.alpha = alpha;
@@ -151,6 +153,36 @@ TEST(QWide, QuantizerMatchesTheScalarPackerPlusOffset) {
   if (!any) GTEST_SKIP() << "CPU has no AVX2: no wide int8 tier to check";
 }
 
+TEST(QWide, MaxAbsMatchesTheScalarPassBitForBit) {
+  // Lengths around every vector width and unroll, a NaN that must be
+  // skipped, -0.0, a negative maximum and an all-zero row.
+  bool any = false;
+  for (const QWideIsa isa : kIsas) {
+    if (!kernels::qwide_isa_supported(isa)) continue;
+    any = true;
+    for (int n : {0, 1, 7, 8, 15, 16, 17, 31, 32, 33, 47, 64, 100, 768}) {
+      for (int variant = 0; variant < 3; ++variant) {
+        std::vector<float> x(static_cast<std::size_t>(n));
+        common::fill_random(
+            common::MatrixView{x.data(), 1, n, n > 0 ? n : 1}, 7u + n);
+        if (variant == 1 && n > 0) {
+          x[static_cast<std::size_t>(n) / 2] = -3.5f;
+          x[0] = std::nanf("");
+          x[static_cast<std::size_t>(n) - 1] = -0.0f;
+        }
+        if (variant == 2) std::fill(x.begin(), x.end(), 0.0f);
+        float want = 0.0f;
+        for (float v : x) want = std::max(want, std::fabs(v));
+        const float got = kernels::qwide_max_abs(isa, x.data(), n);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << kernels::qwide_isa_name(isa) << " n=" << n << " variant "
+            << variant << ": " << got << " vs " << want;
+      }
+    }
+  }
+  if (!any) GTEST_SKIP() << "CPU has no AVX2: no wide int8 tier to check";
+}
+
 TEST(QWide, EveryTierIsBitIdenticalToThePortableKernel) {
   // Row counts 1..13 cover every remainder tile below each tier's main
   // tile (6, 3 rows) and past it; column counts cover every tail width of
@@ -222,9 +254,13 @@ TEST(QWide, Sse2FallbackKernelStaysBitIdentical) {
     std::vector<std::int16_t> wa(qa.size()), wb(qb.size());
     kernels::qwiden_pack(qa.data(), wa.data(), m, ld);
     kernels::qwiden_pack(qb.data(), wb.data(), n, ld);
+    std::vector<std::int8_t> image(
+        static_cast<std::size_t>(kernels::qwide_b_image_bytes(k, n)));
+    std::vector<std::int32_t> sums(static_cast<std::size_t>(n));
+    kernels::qwide_pack_b(qb.data(), ld, k, n, image.data(), sums.data());
     std::vector<std::int32_t> want(static_cast<std::size_t>(m) * n),
         got(want.size());
-    kernels::qgemm_block_portable(m, n, k, qa.data(), ld, qb.data(), ld,
+    kernels::qgemm_block_portable(m, n, k, qa.data(), ld, image.data(),
                                   want.data(), n);
     kernels::qgemm_block_i16(m, n, k, wa.data(), ld, wb.data(), ld,
                              got.data(), n);

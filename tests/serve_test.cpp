@@ -220,11 +220,14 @@ TEST(Serve, BulkAgingZeroServesBulkFirst) {
 }
 
 TEST(Serve, FreshBulkWaitsBehindInteractive) {
-  // Default aging: a just-submitted bulk request has not aged, so the
-  // interactive lane goes first even though bulk was queued earlier.
+  // A bulk request younger than bulk_aging_ns has not aged, so the
+  // interactive lane goes first even though bulk was queued earlier. The
+  // 60 s window keeps bulk "fresh" however late the resumed dispatcher
+  // gets scheduled (the 2 ms default does not under a loaded host).
   EngineOptions opts;
   opts.start_paused = true;
   opts.max_batch_delay_ns = 0;
+  opts.bulk_aging_ns = 60'000'000'000;
   Engine engine(test_ctx(), opts);
   Problem bulk(8, 8, 8, 65), inter(12, 12, 12, 66);
   std::mutex mu;
