@@ -8,6 +8,13 @@
 // one persistent region the workers re-arm on a generation counter and
 // claims iterations through an atomic cursor: a parallel_for call performs
 // no allocation beyond what the caller's closure already did.
+//
+// Waking a sleeping worker costs a futex wake plus, under a hypervisor, an
+// interrupt to an idle virtual CPU: about 15 us per region on a 4-vCPU KVM
+// guest, and more when the host is busy, which makes back-to-back small
+// regions (a decode step's GEMMs) both slow and unsteady. So when every
+// participant has a core of its own, an idle worker (and the caller waiting
+// for the region to finish) polls for a short while before it sleeps.
 #pragma once
 
 #include <atomic>
@@ -60,28 +67,42 @@ class ThreadPool {
 
  private:
   void worker_loop(unsigned index);
-  void run_chunks();
+  /// Claims and runs chunks of region `region` until none is left; returns
+  /// at once if that region has already finished.
+  void run_chunks(std::uint64_t region);
 
   std::vector<std::thread> workers_;
   unsigned spawn_failures_ = 0;
+  // Whether idle participants poll before sleeping: only when the workers
+  // plus the caller fit on the host's cores, so polling never takes a core
+  // from a thread with work.
+  bool poll_ = false;
 
   // Serializes whole regions submitted from different caller threads.
   std::mutex submit_mu_;
 
-  // Region state. parallel_for publishes body_/count_/grain_, bumps
-  // region_ under mu_, and workers claim [next_, next_ + grain_) slices
-  // until the range is exhausted; the last worker out signals done_cv_.
+  // Region state. parallel_for publishes body_/count_/grain_, resets
+  // cursor_ to (region, 0) and bumps region_ under mu_. Participants claim
+  // [i, i + grain_) by compare-and-swap on cursor_, which carries the
+  // region number in its high 32 bits, and add what they ran to done_;
+  // the region ends when done_ reaches count_. The caller then closes the
+  // cursor, so a worker that arrives late (its core was busy) claims
+  // nothing and the caller never waits for it.
   std::mutex mu_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  std::uint64_t region_ = 0;
-  bool stopping_ = false;
-
-  const std::function<void(int)>* body_ = nullptr;
-  int count_ = 0;
-  int grain_ = 1;
-  std::atomic<int> next_{0};
-  std::atomic<unsigned> in_flight_{0};
+  // Written under mu_ (so the condition variables see them) and read
+  // without it by polling participants. The fields written once per
+  // region, the claim cursor and the completion count sit on separate
+  // cache lines, so claims and completions do not bounce the lines the
+  // other participants poll.
+  alignas(64) std::atomic<std::uint64_t> region_{0};
+  std::atomic<bool> stopping_{false};
+  std::atomic<const std::function<void(int)>*> body_{nullptr};
+  std::atomic<int> count_{0};
+  std::atomic<int> grain_{1};
+  alignas(64) std::atomic<std::uint64_t> cursor_{0};
+  alignas(64) std::atomic<int> done_{0};
 
   std::mutex error_mu_;
   std::exception_ptr error_;

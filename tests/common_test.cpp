@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -171,6 +172,31 @@ TEST(ThreadPool, ManySequentialRegions) {
     pool.parallel_for(round % 13 + 1, [&](int i) { sum += i + 1; });
     const int n = round % 13 + 1;
     EXPECT_EQ(sum.load(), n * (n + 1) / 2) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, LateWorkersNeverRunAnEndedRegion) {
+  // More workers than cores, so some reach a region only after it ended
+  // and the next one (with a different body and count) was published.
+  // Every region must run each of its indices exactly once, with its own
+  // body; a stale claim would run an index twice, miss one, or touch a
+  // closure that no longer exists.
+  ThreadPool pool(2 * std::max(2u, std::thread::hardware_concurrency()));
+  for (int round = 0; round < 3000; ++round) {
+    const int n = round % 2 == 0 ? round % 5 + 2 : 64 + round % 7;
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    std::atomic<int> foreign{0};
+    pool.parallel_for(n, [&, round](int i) {
+      if (i < 0 || i >= n) {
+        foreign.fetch_add(1);
+        return;
+      }
+      hits[static_cast<std::size_t>(i)].fetch_add(round + 1);
+    });
+    ASSERT_EQ(foreign.load(), 0) << "round " << round;
+    for (int i = 0; i < n; ++i)
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), round + 1)
+          << "round " << round << " index " << i;
   }
 }
 
