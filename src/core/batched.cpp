@@ -131,14 +131,21 @@ Status validate_operands(ConstMatrixView a, ConstMatrixView b,
   return Status::OK();
 }
 
-Status validate_batch_item(const BatchItem& item) {
-  return validate_operands(item.a, item.b, item.c);
+Status validate_batch_item(const BatchItem& item, long index) {
+  AUTOGEMM_RETURN_IF_ERROR(
+      validate_operands(item.a, item.b, item.c, {}, index));
+  if (item.dtype == common::DType::kF32 || item.dtype == common::DType::kI8)
+    return Status::OK();
+  return InvalidArgumentError(
+      (index < 0 ? "" : "batch item " + std::to_string(index) + ": ") +
+      "dtype \"" + common::dtype_name(item.dtype) +
+      "\" has no execution path (executable: f32, i8)");
 }
 
 Status validate_batch(const std::vector<BatchItem>& items) {
   for (std::size_t i = 0; i < items.size(); ++i)
-    AUTOGEMM_RETURN_IF_ERROR(validate_operands(
-        items[i].a, items[i].b, items[i].c, {}, static_cast<long>(i)));
+    AUTOGEMM_RETURN_IF_ERROR(
+        validate_batch_item(items[i], static_cast<long>(i)));
   // Cross-member aliasing: every C must be disjoint from every *other*
   // member's operands. Shared read operands (the common case the batched
   // path optimizes for) are explicitly legal.

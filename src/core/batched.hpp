@@ -15,16 +15,21 @@
 
 #include <vector>
 
+#include "common/dtype.hpp"
 #include "common/matrix.hpp"
 #include "common/status.hpp"
 #include "core/gemm_ex.hpp"
 
 namespace autogemm {
 
+/// One member: C += A * B at `dtype`. An int8 member is
+/// C += deq(q(A) * q(B)) with B promised constant, exactly as
+/// Context::run_const_b_i8 at alpha = beta = 1.
 struct BatchItem {
   common::ConstMatrixView a;
   common::ConstMatrixView b;
   common::MatrixView c;
+  common::DType dtype = common::DType::kF32;
 };
 
 /// True when the two views' element ranges can overlap in memory. The
@@ -50,8 +55,10 @@ Status validate_operands(common::ConstMatrixView a, common::ConstMatrixView b,
                          long item = -1);
 
 /// validate_operands for one canonical batch member (no transposes,
-/// alpha = beta = 1) — what the serve engine checks at admission.
-Status validate_batch_item(const BatchItem& item);
+/// alpha = beta = 1), plus its dtype: only f32 and i8 have an execution
+/// path. What the serve engine checks at admission; a non-negative
+/// `index` prefixes messages as validate_operands' `item` does.
+Status validate_batch_item(const BatchItem& item, long index = -1);
 
 /// Validates a whole batch: every member individually, then cross-member
 /// aliasing — no member's C may overlap another member's A, B or C

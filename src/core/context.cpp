@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <tuple>
@@ -616,13 +617,14 @@ std::shared_ptr<const Plan> Context::plan_for(int m, int n, int k) {
                                       default_config(m, n, k, backend_));
 }
 
-void Context::note_strategy(const Plan* plan,
-                            const common::ThreadPool* pool) {
+void Context::note_strategy(const Plan* plan, const common::ThreadPool* pool,
+                            std::size_t count) {
   const bool serial = plan == nullptr || pool == nullptr || pool->size() <= 1;
   const ParallelStrategy chosen =
-      serial ? ParallelStrategy::kBlocksOnly
-             : choose_parallel_strategy(*plan, pool->size());
+      serial || count > 1 ? ParallelStrategy::kBlocksOnly
+                          : choose_parallel_strategy(*plan, pool->size());
   const BackendObs& bo = backend_obs(backend_);
+  bo.dispatch->add(count);
   std::lock_guard lock(mu_);
   if (serial) {
     bo.strategy_serial->add(1);
@@ -679,134 +681,115 @@ Status Context::execute(const Call& call) {
     return Status::OK();
   }
 
-  // int8 calls never consult the plan cache: the quantized kernels carry
-  // no blocking, so there is nothing to resolve or verify.
-  const bool f32 = call.dtype == common::DType::kF32;
-  PlanEntry entry;
-  if (f32) entry = entry_for(m, n, k);
+  const detail::GroupMember member{call.a, call.b, call.c};
+  Group g{&member, 1, call.dtype, m, n, k, params};
+  // int8 calls never consult the plan cache (the quantized kernels carry
+  // no blocking) and run_group finds their packed B.
+  if (call.dtype != common::DType::kF32) return run_group(g);
 
+  g.entry = entry_for(m, n, k);
   // The fp32 packed layouts need canonical operands (no transposes,
-  // alpha = 1) and a plan (a reference-pinned shape has none); other fp32
-  // calls ignore the constant hint. The int8 packing folds alpha into the
-  // epilogue, so it serves any int8 call.
+  // alpha = 1) and a plan (a reference-pinned shape has none); other
+  // calls ignore the constant hint.
   const bool canonical = params.trans_a == Trans::kNo &&
                          params.trans_b == Trans::kNo && params.alpha == 1.0f;
   PackedOperand packed;
-  if (call.constant != Constant::kNone &&
-      (!f32 || (canonical && entry.plan != nullptr))) {
-    StatusOr<PackedOperand> packed_or = packed_for(call, entry.plan.get());
-    if (packed_or.ok()) {
-      packed = std::move(packed_or).value();
-    } else if (packed_or.status().code() == StatusCode::kResourceExhausted) {
-      // Packing scratch did not fit; the unpacked path (which may itself
-      // degrade further) serves the call.
-      record_event(HealthEvent::Kind::kAllocFallback,
-                   "packing allocation failed for shape " +
-                       shape_string(m, n, k) + "; serving unpacked");
-    } else {
-      return record_error(packed_or.status());  // C untouched
-    }
+  if (call.constant != Constant::kNone && canonical &&
+      g.entry.plan != nullptr) {
+    StatusOr<PackedOperand> packed_or =
+        packed_for(call.constant == Constant::kA ? call.a : call.b,
+                   call.constant, call.dtype, g.entry.plan.get());
+    // A packing error leaves C untouched.
+    if (!packed_or.ok()) return record_error(packed_or.status());
+    packed = std::move(packed_or).value();
+    g.packed_a = packed.a.get();
+    g.packed_b = packed.b.get();
   }
-
   // beta is applied exactly once: every fp32 tier accumulates into a
-  // pre-scaled C (and ignores params.beta), while the int8 requantization
-  // epilogue folds beta in.
-  if (f32 && params.beta != 1.0f) detail::scale_c(call.c, params.beta);
+  // pre-scaled C (and ignores params.beta).
+  if (params.beta != 1.0f) detail::scale_c(call.c, params.beta);
+  return run_group(g);
+}
 
+Status Context::run_group(const Group& g) {
+  const bool f32 = g.dtype == common::DType::kF32;
+  const Plan* plan = g.entry.plan.get();
+  common::ThreadPool* pool =
+      f32 && plan == nullptr ? nullptr : effective_pool();
+  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
+  const bool pooled = pool != nullptr;
+  if (f32) note_strategy(plan, pool, g.count);
   obs::Histogram& latency =
-      f32 ? *entry.latency : shape_latency_histogram(m, n, k, call.dtype);
-  const std::uint64_t flops = 2ull * static_cast<std::uint64_t>(m) *
-                              static_cast<std::uint64_t>(n) *
-                              static_cast<std::uint64_t>(k);
+      f32 ? *g.entry.latency : shape_latency_histogram(g.m, g.n, g.k, g.dtype);
+  const auto reference = [&] {
+    for (std::size_t i = 0; i < g.count; ++i)
+      accumulate_reference(g.members[i].a, g.members[i].b, g.members[i].c,
+                           g.params);
+  };
+  const auto fault = [&](StatusCode code, const std::string& what) {
+    return execution_fault(pooled, code, what, shape_string(g.m, g.n, g.k));
+  };
+
   Status s;
   double seconds = 0;
   {
     obs::SpanScope exec_span("context.execute",
-                             static_cast<std::uint64_t>(m) * n,
-                             static_cast<std::uint64_t>(k));
+                             static_cast<std::uint64_t>(g.m) * g.n,
+                             static_cast<std::uint64_t>(g.k));
     const std::uint64_t t0 = common::now_ns();
-    if (f32) {
-      common::ThreadPool* pool = entry.plan ? effective_pool() : nullptr;
-      note_strategy(entry.plan.get(), pool);
-      const detail::GroupMember member{call.a, call.b, call.c};
-      s = execute_plan(entry.plan.get(), &member, 1, packed.a.get(),
-                       packed.b.get(), params, pool);
-    } else {
-      quant::QGemmOptions qopts;
-      qopts.alpha = params.alpha;
-      qopts.beta = params.beta;
-      common::ThreadPool* pool = effective_pool();
-      try {
-        s = packed.qb != nullptr
-                ? quant::qgemm(call.a, *packed.qb, call.c, qopts, pool)
-                : quant::qgemm(call.a, call.b, call.c, qopts, pool);
-      } catch (const std::exception& e) {
-        // qgemm reports its own allocation failures through Status; what
-        // escapes was thrown while the kernels ran, so C is partly written.
-        const bool pooled = pool != nullptr;
-        s = execution_fault(pooled, StatusCode::kInternal,
-                            std::string(pooled ? "worker fault: "
-                                               : "execution fault: ") +
-                                e.what(),
-                            shape_string(m, n, k));
+    std::size_t began = 0;
+    try {
+      if (!f32) {
+        quant::QGemmOptions qopts;
+        qopts.alpha = g.params.alpha;
+        qopts.beta = g.params.beta;
+        for (std::size_t i = 0; i < g.count && s.ok(); ++i) {
+          const detail::GroupMember& m = g.members[i];
+          StatusOr<PackedOperand> packed =
+              packed_for(m.b, Constant::kB, g.dtype, nullptr);
+          if (!packed.ok()) s = packed.status();
+          else if (packed->qb != nullptr)
+            s = quant::qgemm(m.a, *packed->qb, m.c, qopts, pool);
+          else
+            s = quant::qgemm(m.a, m.b, m.c, qopts, pool);
+        }
+      } else if (plan == nullptr) {
+        reference();
+      } else {
+        detail::execute(g.members, g.count, g.packed_a, g.packed_b, g.params,
+                        *plan, pool, &began);
       }
+    } catch (const std::bad_alloc&) {
+      if (began > 0 || !f32) {
+        s = fault(StatusCode::kResourceExhausted, "allocation failed");
+      } else {
+        // The scratch allocation failed before any C was touched, so C
+        // still holds exactly beta*C and the reference tier finishes the
+        // call with a correct answer.
+        {
+          std::lock_guard lock(mu_);
+          ++health_.alloc_fallbacks;
+        }
+        record_event(HealthEvent::Kind::kAllocFallback,
+                     "scratch allocation failed for shape " +
+                         shape_string(g.m, g.n, g.k) +
+                         "; call served by the reference path");
+        reference();
+      }
+    } catch (const std::exception& e) {
+      s = fault(StatusCode::kInternal,
+                std::string(pooled ? "worker fault: " : "execution fault: ") +
+                    e.what());
     }
     seconds = static_cast<double>(common::now_ns() - t0) * 1e-9;
   }
   ObsHandles& h = obs_handles();
-  if (f32) backend_obs(backend_).dispatch->add(1);
-  h.calls->add(1);
-  h.flops->add(flops);
-  latency.observe(seconds);
+  h.calls->add(g.count);
+  h.flops->add(2ull * static_cast<std::uint64_t>(g.m) *
+               static_cast<std::uint64_t>(g.n) *
+               static_cast<std::uint64_t>(g.k) * g.count);
+  latency.observe(seconds / static_cast<double>(g.count), g.count);
   return record_error(s);
-}
-
-Status Context::execute_plan(const Plan* plan,
-                             const detail::GroupMember* members,
-                             std::size_t count, const PackedA* packed_a,
-                             const PackedB* packed_b,
-                             const GemmExParams& params,
-                             common::ThreadPool* pool) {
-  const auto reference = [&] {
-    for (std::size_t i = 0; i < count; ++i)
-      accumulate_reference(members[i].a, members[i].b, members[i].c, params);
-  };
-  if (plan == nullptr) {
-    reference();
-    return Status::OK();
-  }
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  const auto shape = [plan] {
-    return shape_string(plan->m(), plan->n(), plan->k());
-  };
-  const auto fault = [&](StatusCode code, const std::string& what) {
-    return execution_fault(pooled, code, what, shape());
-  };
-  std::size_t began = 0;
-  try {
-    detail::execute(members, count, packed_a, packed_b, params, *plan, pool,
-                    &began);
-    return Status::OK();
-  } catch (const std::bad_alloc&) {
-    if (began > 0)
-      return fault(StatusCode::kResourceExhausted, "allocation failed");
-    // The scratch allocation failed before any C was touched, so C still
-    // holds exactly beta*C and the reference tier finishes the call with
-    // a correct answer.
-    {
-      std::lock_guard lock(mu_);
-      ++health_.alloc_fallbacks;
-    }
-    record_event(HealthEvent::Kind::kAllocFallback,
-                 "scratch allocation failed for shape " + shape() +
-                     "; call served by the reference path");
-    reference();
-    return Status::OK();
-  } catch (const std::exception& e) {
-    return fault(StatusCode::kInternal,
-                 std::string(pooled ? "worker fault: " : "execution fault: ") +
-                     e.what());
-  }
 }
 
 Status Context::execution_fault(bool pooled, StatusCode code,
@@ -824,11 +807,12 @@ Status Context::execution_fault(bool pooled, StatusCode code,
                                   : ""));
 }
 
-StatusOr<Context::PackedOperand> Context::packed_for(const Call& call,
+StatusOr<Context::PackedOperand> Context::packed_for(ConstMatrixView v,
+                                                     Constant operand,
+                                                     common::DType dtype,
                                                      const Plan* plan) {
-  const bool is_a = call.constant == Constant::kA;
-  const ConstMatrixView v = is_a ? call.a : call.b;
-  PackedKey key{v.data, v.rows, v.cols, v.ld, call.constant, call.dtype};
+  const bool is_a = operand == Constant::kA;
+  PackedKey key{v.data, v.rows, v.cols, v.ld, operand, dtype};
   if (plan != nullptr) {
     key.block_mn = is_a ? plan->config().mc : plan->config().nc;
     key.block_k = plan->config().kc;
@@ -846,19 +830,33 @@ StatusOr<Context::PackedOperand> Context::packed_for(const Call& call,
     obs_handles().packed_misses->add(1);
   }
   PackedOperand packed;
-  if (call.dtype == common::DType::kI8) {
+  Status s;
+  if (dtype == common::DType::kI8) {
     StatusOr<quant::QPackedB> q = quant::QPackedB::create(v);
-    if (!q.ok()) return q.status();
-    packed.qb = std::make_shared<const quant::QPackedB>(std::move(q).value());
+    if (q.ok())
+      packed.qb = std::make_shared<const quant::QPackedB>(std::move(q).value());
+    s = q.status();
   } else if (is_a) {
     StatusOr<PackedA> p = PackedA::create(v, *plan);
-    if (!p.ok()) return p.status();
-    packed.a = std::make_shared<const PackedA>(std::move(p).value());
+    if (p.ok())
+      packed.a = std::make_shared<const PackedA>(std::move(p).value());
+    s = p.status();
   } else {
     StatusOr<PackedB> p = PackedB::create(v, *plan);
-    if (!p.ok()) return p.status();
-    packed.b = std::make_shared<const PackedB>(std::move(p).value());
+    if (p.ok())
+      packed.b = std::make_shared<const PackedB>(std::move(p).value());
+    s = p.status();
   }
+  if (s.code() == StatusCode::kResourceExhausted) {
+    // Packing scratch did not fit; the unpacked path (which may itself
+    // degrade further) serves the call.
+    record_event(HealthEvent::Kind::kAllocFallback,
+                 "packing allocation failed for a " +
+                     std::to_string(v.rows) + "x" + std::to_string(v.cols) +
+                     " operand; serving unpacked");
+    return PackedOperand{};
+  }
+  if (!s.ok()) return s;
   std::lock_guard lock(mu_);
   auto it = packed_index_.find(key);
   if (it != packed_index_.end()) {  // a racing miss packed it first
@@ -899,116 +897,67 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
     const Status v = validate_batch(items);
     if (!v.ok()) return record_error(v);
   }
-  if (items.empty()) return Status::OK();
 
-  // Bucket members by shape and resolve each distinct shape's entry up
-  // front (workers must only read). Degenerate members (M, N or K of
-  // zero) are accumulate no-ops — an empty product adds nothing to C —
-  // matching run() at beta == 1.
-  struct Group {
-    PlanEntry entry;
-    std::vector<detail::GroupMember> members;
-    // Transient packing for a group-shared constant operand: packed once,
-    // reused by every member. Not entered into the packed LRU — batch
-    // operands carry no constancy promise beyond this call.
-    std::shared_ptr<const PackedA> packed_a;
-    std::shared_ptr<const PackedB> packed_b;
+  // Members in (shape, dtype) order, submission order within a group.
+  // Degenerate members (M, N or K of zero) are accumulate no-ops — an
+  // empty product adds nothing to C — matching run() at beta == 1.
+  const auto key = [&items](std::size_t i) {
+    const BatchItem& it = items[i];
+    return std::tuple(it.c.rows, it.c.cols, it.a.cols, it.dtype);
   };
-  std::map<ShapeKey, Group> groups;
-  for (const BatchItem& it : items) {
-    if (it.c.rows == 0 || it.c.cols == 0 || it.a.cols == 0) continue;
-    groups[ShapeKey{it.c.rows, it.c.cols, it.a.cols}].members.push_back(
-        {it.a, it.b, it.c});
-  }
+  std::vector<std::size_t> order;
+  order.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    if (items[i].c.rows != 0 && items[i].c.cols != 0 && items[i].a.cols != 0)
+      order.push_back(i);
+  const auto by_key = [&](std::size_t x, std::size_t y) {
+    return key(x) < key(y);
+  };
+  // A serve dispatch is one group already: no sort, no sort buffer.
+  if (!std::is_sorted(order.begin(), order.end(), by_key))
+    std::stable_sort(order.begin(), order.end(), by_key);
+  std::vector<detail::GroupMember> members;
+  members.reserve(order.size());
+  for (const std::size_t i : order)
+    members.push_back({items[i].a, items[i].b, items[i].c});
 
-  std::uint64_t members_total = 0;
-  std::uint64_t flops = 0;
-  for (auto& [key, g] : groups) {
-    g.entry = entry_for(key.m, key.n, key.k);
-    if (g.entry.plan != nullptr && g.members.size() >= 2) {
-      const ConstMatrixView a0 = g.members[0].a;
-      const ConstMatrixView b0 = g.members[0].b;
-      const auto same_view = [](ConstMatrixView x, ConstMatrixView y) {
-        return x.data == y.data && x.ld == y.ld;
-      };
+  // Groups run one after another, each through run_group; the first
+  // failure is the batch's Status, and later groups still run.
+  Status result;
+  for (std::size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    end = begin + 1;
+    while (end < order.size() && key(order[end]) == key(order[begin])) ++end;
+    const BatchItem& first = items[order[begin]];
+    Group g{members.data() + begin, end - begin, first.dtype,
+            first.c.rows, first.c.cols, first.a.cols, GemmExParams{}};
+    // Transient packing of an fp32 operand every member shares: packed
+    // once, reused by every member, never entered into the packed LRU —
+    // fp32 batch operands carry no constancy promise beyond this call. A
+    // packing failure is not an error: the unpacked path serves.
+    std::optional<PackedA> packed_a;
+    std::optional<PackedB> packed_b;
+    if (g.dtype == common::DType::kF32) {
+      g.entry = entry_for(g.m, g.n, g.k);
+      const Plan* plan = g.entry.plan.get();
+      const ConstMatrixView a0 = g.members[0].a, b0 = g.members[0].b;
       bool shared_a = true, shared_b = true;
-      for (const detail::GroupMember& m : g.members) {
-        shared_a = shared_a && same_view(m.a, a0);
-        shared_b = shared_b && same_view(m.b, b0);
+      for (std::size_t i = 1; i < g.count; ++i) {
+        const detail::GroupMember& m = g.members[i];
+        shared_a = shared_a && m.a.data == a0.data && m.a.ld == a0.ld;
+        shared_b = shared_b && m.b.data == b0.data && m.b.ld == b0.ld;
       }
-      // A packing failure is not an error: the unpacked path serves the
-      // group (and may degrade further on its own, as in run()).
-      if (shared_a) {
-        StatusOr<PackedA> p = PackedA::create(a0, *g.entry.plan);
-        if (p.ok())
-          g.packed_a = std::make_shared<const PackedA>(std::move(p).value());
-      } else if (shared_b) {
-        StatusOr<PackedB> p = PackedB::create(b0, *g.entry.plan);
-        if (p.ok())
-          g.packed_b = std::make_shared<const PackedB>(std::move(p).value());
+      if (plan != nullptr && g.count >= 2 && shared_a) {
+        if (StatusOr<PackedA> p = PackedA::create(a0, *plan); p.ok())
+          g.packed_a = &packed_a.emplace(std::move(p).value());
+      } else if (plan != nullptr && g.count >= 2 && shared_b) {
+        if (StatusOr<PackedB> p = PackedB::create(b0, *plan); p.ok())
+          g.packed_b = &packed_b.emplace(std::move(p).value());
       }
     }
-    members_total += g.members.size();
-    flops += 2ull * static_cast<std::uint64_t>(key.m) *
-             static_cast<std::uint64_t>(key.n) *
-             static_cast<std::uint64_t>(key.k) * g.members.size();
-  }
-  if (members_total == 0) return Status::OK();
-
-  // Calls/FLOPs mirror onto the registry per member; batch-level timing
-  // is the caller's concern (the serve engine keeps its own batch-size
-  // and queue-latency histograms), so no per-member latency samples are
-  // fabricated here.
-  ObsHandles& h = obs_handles();
-  h.calls->add(members_total);
-  h.flops->add(flops);
-  backend_obs(backend_).dispatch->add(members_total);
-
-  Status result = Status::OK();
-  std::mutex result_mu;
-  const auto run = [&](const Group& g, const detail::GroupMember* members,
-                       std::size_t count) {
-    const Status s =
-        execute_plan(g.entry.plan.get(), members, count, g.packed_a.get(),
-                     g.packed_b.get(), GemmExParams{}, /*pool=*/nullptr);
-    if (s.ok()) return;
-    std::lock_guard lock(result_mu);
+    const Status s = run_group(g);
     if (result.ok()) result = s;
-  };
-  common::ThreadPool* p = effective_pool();
-  if (p != nullptr && p->size() > 1) {
-    // Pooled: one flat work list so parallel_for spreads members across
-    // workers regardless of group boundaries; each member runs
-    // single-threaded (no nested parallelism).
-    std::vector<std::pair<const Group*, const detail::GroupMember*>> flat;
-    flat.reserve(members_total);
-    for (const auto& [key, g] : groups)
-      for (const detail::GroupMember& m : g.members) flat.emplace_back(&g, &m);
-    try {
-      p->parallel_for(static_cast<int>(flat.size()),
-                      [&](int i) { run(*flat[i].first, flat[i].second, 1); });
-    } catch (const std::exception& e) {
-      // Workers may have written parts of several C outputs already; the
-      // batch cannot be repaired in place. Retire the pool so subsequent
-      // calls run serial.
-      pool_degraded_.store(true);
-      record_event(HealthEvent::Kind::kPoolDegraded,
-                   std::string("worker fault in run_batched: ") + e.what() +
-                       "; pool retired");
-      result = InternalError(
-          std::string("run_batched: worker fault: ") + e.what() +
-          "; C contents are unspecified for this batch (subsequent calls "
-          "degrade to serial)");
-    }
-  } else {
-    // Serial: groups run in order, each as one executor call whose members
-    // share a packing scratch — the per-call fixed costs (scratch
-    // allocation, span setup) are paid once per group, which is where the
-    // batched path's win over per-request run() comes from on tiny shapes.
-    for (const auto& [key, g] : groups)
-      run(g, g.members.data(), g.members.size());
   }
-  return record_error(result);
+  return result;
 }
 
 std::size_t Context::invalidate(const void* data) {

@@ -48,15 +48,19 @@
 //
 // ## One execution path
 //
-// The four single-call entry points (run, run_const_a, run_const_b,
-// run_const_b_i8) differ only in the call they describe: its dtype and
-// which operand, if any, is promised constant. Each forwards to one
-// private execute(), which validates, handles M/N/K of zero, looks up the
-// cached packing, applies beta once, and runs one timed, accounted
-// execution. The batched entry points share the plan cache and the
-// degradation ladder but amortize packing per group instead. Both reach
-// the fp32 kernels through one private execute_plan() and so through
-// core/gemm.hpp's one executor, transposed and alpha calls included.
+// Every entry point ends in one private group executor, run_group(), over
+// same-(shape, dtype) members. The four single-call entry points (run,
+// run_const_a, run_const_b, run_const_b_i8) differ only in the call they
+// describe — its dtype and which operand, if any, is promised constant —
+// and forward to execute(), which validates, handles M/N/K of zero,
+// resolves the plan and cached packing, applies beta once, and runs the
+// call as a group of one on the stack. The batched entry points split a
+// batch into (shape, dtype) groups and run them in turn. run_group is the
+// only place that notes the strategy, times, counts and turns a fault
+// into a Status. fp32 groups reach core/gemm.hpp's one executor
+// (transposed and alpha calls included; several members run
+// member-parallel on the pool); int8 groups run each member through
+// quant::qgemm on the cached QPackedB of its B.
 //
 // Packed-operand caching is keyed by pointer identity plus the blocking
 // the operand was packed for: the cache cannot see through the pointer,
@@ -152,10 +156,11 @@ struct ContextStats {
   std::uint64_t resolved_exact = 0;
   std::uint64_t resolved_nearest = 0;
   std::uint64_t resolved_heuristic = 0;
-  /// How plan-driven calls were scheduled: serial (no pool, pool retired,
-  /// or reference-pinned), blocks-only C-block parallelism, or the
-  /// k-split partial-C path. One increment per execute, so the split of
-  /// traffic between strategies is directly readable.
+  /// How fp32 executions were scheduled: serial (no pool, pool retired,
+  /// or reference-pinned), blocks-only C-block parallelism (a batch group
+  /// of several members running member-parallel counts here), or the
+  /// k-split partial-C path. One increment per single call or batch group,
+  /// so the split of traffic between strategies is directly readable.
   std::uint64_t strategy_serial = 0;
   std::uint64_t strategy_blocks = 0;
   std::uint64_t strategy_ksplit = 0;
@@ -248,24 +253,32 @@ class Context {
   /// LRU as the fp32 PackedA/PackedB entries, under the same
   /// invalidate(ptr)/clear() contract; fp32 and int8 packings of the same
   /// buffer coexist (the cache key carries the dtype). int8 calls never
-  /// touch the plan cache, plan stats or strategy counters. DNN weight
-  /// matrices served at int8 are the motivating caller.
+  /// touch the plan cache, plan stats or strategy counters. The call runs
+  /// on the owned pool (quant::qgemm's panel split) with the same bits as
+  /// a serial one. int8 batch members (run_batched) run through exactly
+  /// this path and make the same constant-B promise. DNN weight matrices
+  /// served at int8 are the motivating caller.
   Status run_const_b_i8(common::ConstMatrixView a, common::ConstMatrixView b,
                         common::MatrixView c, float alpha = 1.0f,
                         float beta = 1.0f);
 
-  /// C_i += A_i * B_i for every item through the cached per-shape plans
-  /// and the owned pool. The whole batch is validated up front
-  /// (per-member operands plus cross-member aliasing — see
+  /// C_i += A_i * B_i at each item's dtype, through the cached per-shape
+  /// plans and the owned pool. The whole batch is validated up front
+  /// (per-member operands and dtype plus cross-member aliasing — see
   /// validate_batch in core/batched.hpp) before any C is written;
   /// kInvalidArgument leaves every C untouched. Degenerate members
-  /// (M, N or K of zero) are well-defined accumulate no-ops. Same-shape
-  /// members that share an A (or B) operand amortize packing: the shared
-  /// operand is packed once for the group and reused by every member —
-  /// the serve engine's shape-bucketed streams are the motivating
-  /// traffic. Each member runs single-threaded inside the batch-level
-  /// parallel_for; quarantine/reference pins and the degradation ladder
-  /// apply per shape exactly as in run().
+  /// (M, N or K of zero) are well-defined accumulate no-ops. Members run
+  /// in (shape, dtype) groups, one group after another; the first failing
+  /// group's Status is the batch's. In an fp32 group, members that share
+  /// an A (or B) operand amortize packing: the shared operand is packed
+  /// once for the group and reused by every member — the serve engine's
+  /// shape-bucketed streams are the motivating traffic — and on a pool
+  /// several members run whole, in parallel. An int8 member is exactly a
+  /// run_const_b_i8 call at alpha = beta = 1: its B is promised constant
+  /// and its QPackedB cached. Each group is timed once and every member
+  /// observes its share in autogemm_gemm_seconds{shape,dtype};
+  /// quarantine/reference pins and the degradation ladder apply per shape
+  /// exactly as in run().
   Status run_batched(const std::vector<BatchItem>& items);
 
   /// run_batched minus the whole-batch validation pass, for callers that
@@ -390,7 +403,8 @@ class Context {
     auto operator<=>(const PackedKey&) const = default;
   };
   /// One cached packing; the member matching the key's operand and dtype
-  /// is set.
+  /// is set (none when the packing did not fit and the unpacked path
+  /// serves).
   struct PackedOperand {
     std::shared_ptr<const PackedA> a;
     std::shared_ptr<const PackedB> b;
@@ -410,36 +424,53 @@ class Context {
     std::uint64_t generation = 0;
   };
 
+  /// Same-(shape, dtype) members as both paths hand them to run_group(): a
+  /// single call is a group of one on the caller's stack, a batch one
+  /// group per distinct (shape, dtype). fp32 groups carry the shape's plan
+  /// entry and any operand packed once for every member; their beta is
+  /// already applied to C, while int8 folds params.beta into requantization.
+  struct Group {
+    const detail::GroupMember* members = nullptr;
+    std::size_t count = 0;
+    common::DType dtype = common::DType::kF32;
+    int m = 0, n = 0, k = 0;
+    GemmExParams params;
+    PlanEntry entry{};
+    const PackedA* packed_a = nullptr;
+    const PackedB* packed_b = nullptr;
+  };
+
   PlanEntry entry_for(int m, int n, int k);
-  /// The single-call path: validate, degenerate shapes, cached packing
-  /// (falling back to unpacked on kResourceExhausted), beta, then the only
-  /// single-call timing/accounting block (span, calls/flops, latency
-  /// histograms, record_error).
+  /// The single-call path: validate, degenerate shapes, the plan and
+  /// cached packing (fp32), beta, then run_group on a group of one.
   Status execute(const Call& call);
-  /// The one executor call of both the single-call and the batched path:
-  /// C_i += alpha * op(A_i) * op(B_i) for same-shape members (beta already
-  /// applied) through detail::execute on `plan`, or on the reference tier
-  /// for a pinned shape (plan == nullptr). A scratch allocation failure
-  /// before any C is written is served by the reference tier; a later
-  /// fault returns non-OK and, on a pool, retires it.
-  Status execute_plan(const Plan* plan, const detail::GroupMember* members,
-                      std::size_t count, const PackedA* packed_a,
-                      const PackedB* packed_b, const GemmExParams& params,
-                      common::ThreadPool* pool);
+  /// The group executor (see "One execution path"): notes the fp32
+  /// strategy, times the group (each member observes its share), counts
+  /// calls/flops/dispatches and turns a fault into a Status. A scratch
+  /// allocation failure before any fp32 C is written is served by the
+  /// reference tier, as is a pinned shape (no plan); a later fault returns
+  /// non-OK and, on a pool, retires it.
+  Status run_group(const Group& g);
   /// The Status of a fault that may have come after some C was written:
   /// C is unspecified for the call. On a pool the fault may have hit any
   /// worker, so `pooled` also retires the pool and later calls run serial.
   Status execution_fault(bool pooled, StatusCode code,
                          const std::string& what, const std::string& shape);
-  /// Cached packing of the call's constant operand for `plan` (fp32) or
-  /// for the int8 tier (plan unused).
-  StatusOr<PackedOperand> packed_for(const Call& call, const Plan* plan);
+  /// Cached packing of the constant operand `v` (`operand` A or B) for
+  /// `plan` (fp32) or for the int8 tier (plan unused). A packing that does
+  /// not fit is recorded as an alloc-fallback event and returned empty.
+  StatusOr<PackedOperand> packed_for(common::ConstMatrixView v,
+                                     Constant operand, common::DType dtype,
+                                     const Plan* plan);
   Status run_batched_impl(const std::vector<BatchItem>& items, bool validate);
   Status verify_config(const Plan& plan);
   common::ThreadPool* effective_pool();
-  /// Counts the schedule a single call runs: serial without a plan or a
-  /// pool, else choose_parallel_strategy's pick.
-  void note_strategy(const Plan* plan, const common::ThreadPool* pool);
+  /// Counts one fp32 group's members as backend dispatches and the
+  /// schedule it runs: serial without a plan or a pool, member-parallel
+  /// (counted as blocks-only) for several members, else
+  /// choose_parallel_strategy's pick.
+  void note_strategy(const Plan* plan, const common::ThreadPool* pool,
+                     std::size_t count);
   void record_event(HealthEvent::Kind kind, std::string detail);
   Status record_error(Status s);  // stores non-OK into health, passes through
 

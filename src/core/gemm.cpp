@@ -498,6 +498,26 @@ void execute(const GroupMember* members, std::size_t count,
     scratch[s].a_buf = memory.data() + s * per_slot;
     scratch[s].b_buf = scratch[s].a_buf + a_size;
   }
+  if (pooled && count > 1) {
+    // Member-parallel: each member runs whole, through the serial loop
+    // nest, on the scratch of the participant that claimed it. Members run
+    // concurrently, so on a throw any of them may be partial.
+    for (std::size_t i = 0; i < count; ++i)
+      check_shapes(members[i].a, members[i].b, members[i].c, params, plan);
+    if (began != nullptr) *began = count;
+    obs::SpanScope span("gemm.members", static_cast<unsigned>(count),
+                        pool->participants());
+    const bool traced = obs::trace_enabled();
+    pool->parallel_for(static_cast<int>(count), [&](int i) {
+      const int slot = worker_slot(*pool);
+      if (traced) obs::name_this_lane_worker(slot, pool->participants());
+      const GroupMember& m = members[i];
+      scratch[slot].forget();
+      run_member({m.a, m.b, packed_a, packed_b, params, pack}, m.c, plan,
+                 scratch[slot]);
+    });
+    return;
+  }
   std::optional<obs::SpanScope> span;
   if (!pooled)
     span.emplace("gemm.serial", static_cast<unsigned>(plan.m()),

@@ -147,16 +147,19 @@ void check_shapes(common::ConstMatrixView a, common::ConstMatrixView b,
 /// packing, so a non-canonical call packs online whatever the plan's
 /// sigma_packing; `packed_a`/`packed_b` (either may be null) carry an
 /// offline-packed operand shared by every member and need a canonical
-/// call. With a pool of more than one worker each member in turn is
-/// scheduled on the pool per choose_parallel_strategy; otherwise the
-/// members run back-to-back on the calling thread. Either way one packing
-/// scratch per participant serves every member, so the per-call fixed
-/// costs (scratch allocation, span setup) are paid once per call — the
-/// batched path's amortization. Shape mismatches throw as check_shapes.
-/// When `began` is non-null it is set to i+1 just before member i starts
-/// writing its C, so on a throw members [0, *began - 1) completed, member
-/// *began - 1 may be partial and the rest are untouched (*began == 0 means
-/// no C was written — the scratch allocation itself failed).
+/// call. With a pool of more than one worker a single member is split
+/// over the pool per choose_parallel_strategy, and several members run
+/// member-parallel: each whole, through the serial loop nest, on one
+/// participant. Without such a pool the members run back-to-back on the
+/// calling thread. Either way one packing scratch per participant serves
+/// every member, so the per-call fixed costs (scratch allocation, span
+/// setup) are paid once per call — the batched path's amortization. Shape
+/// mismatches throw as check_shapes. A non-null `began` tells a caller
+/// what a throw left behind: members at or past *began are untouched,
+/// earlier ones may be partial, and *began == 0 means no C was written
+/// (the scratch allocation itself failed). Run back-to-back, member i sets
+/// it to i+1 just before writing its C; member-parallel sets it to
+/// `count` before any member starts.
 void execute(const GroupMember* members, std::size_t count,
              const PackedA* packed_a, const PackedB* packed_b,
              const GemmExParams& params, const Plan& plan,

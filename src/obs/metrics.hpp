@@ -86,10 +86,11 @@ class Histogram {
   /// scale * 2^i, and the last bucket absorbs everything above.
   explicit Histogram(double scale = 1e-6) : scale_(scale) {}
 
-  void observe(double v) noexcept {
-    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+  /// Records `n` samples of value `v`.
+  void observe(double v, std::uint64_t n = 1) noexcept {
+    buckets_[bucket_index(v)].fetch_add(n, std::memory_order_relaxed);
+    count_.fetch_add(n, std::memory_order_relaxed);
+    sum_.fetch_add(v * static_cast<double>(n), std::memory_order_relaxed);
   }
 
   /// Upper bound of bucket i (inclusive); +infinity for the last bucket.

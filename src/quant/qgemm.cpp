@@ -37,25 +37,17 @@ int ceil_div(int x, int y) { return (x + y - 1) / y; }
 
 /// The kernels that run a call: the wide tier's (kernels/qwide.hpp) on
 /// `isa`, the SSE2 int16 block kernel, or the portable reference
-/// (force_portable). `data` is A in that tier's format, rows k-contiguous
-/// at lda: uint8 plus qwide_a_offset(isa), int16, or int8.
+/// (force_portable). `data` is A quantized for the call in that tier's
+/// format, rows k-contiguous at lda: uint8 plus qwide_a_offset(isa),
+/// int16, or int8; `scales` are its per-row scales.
 enum class Tier { kWide, kSse2, kPortable };
 struct TierA {
   Tier tier;
   QWideIsa isa;
   long lda;
   const float* scales;
-  const void* data = nullptr;
+  const void* data;
 };
-
-/// The one place a call's tier is chosen.
-TierA pick_tier(const QGemmOptions& opts, long lda, const float* scales) {
-  if (opts.force_portable)
-    return {Tier::kPortable, QWideIsa::kNone, lda, scales};
-  const QWideIsa isa = kernels::detect_qwide_isa();
-  return {isa != QWideIsa::kNone ? Tier::kWide : Tier::kSse2, isa, lda,
-          scales};
-}
 
 /// The int8 driver (qgemm.hpp, "How a call runs"). A pooled call gets about
 /// four tasks per lane, so the pool's chunking can balance them; a serial
@@ -161,11 +153,16 @@ Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
     return InvalidArgumentError("qgemm: A cols != packed B rows");
   // Activations quantize per call straight into the tier's operand: an
   // M x padded-K scratch, small next to the cached weight pack.
-  std::vector<float> scales;
-  TierA t = pick_tier(opts, kernels::qpacked_ld(a.cols), nullptr);
-  const bool sse2 = t.tier == Tier::kSse2;
+  const QWideIsa isa = opts.force_portable ? QWideIsa::kNone
+                                           : kernels::detect_qwide_isa();
+  const Tier tier = opts.force_portable     ? Tier::kPortable
+                    : isa != QWideIsa::kNone ? Tier::kWide
+                                             : Tier::kSse2;
+  const bool sse2 = tier == Tier::kSse2;
+  const long lda = kernels::qpacked_ld(a.cols);
   const std::size_t count =
-      static_cast<std::size_t>(a.rows) * static_cast<std::size_t>(t.lda);
+      static_cast<std::size_t>(a.rows) * static_cast<std::size_t>(lda);
+  std::vector<float> scales;
   std::vector<std::uint8_t> bytes;  // the wide operand or portable int8
   std::vector<std::int16_t> words;  // the SSE2 image
   try {
@@ -185,46 +182,17 @@ Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
     float& s = scales[static_cast<std::size_t>(r)];
     s = per_tensor ? tensor_scale
                    : compute_scale(row_max_abs(row.data, a.cols));
-    const long at = r * t.lda;
-    if (t.tier == Tier::kWide)
-      kernels::qwide_quantize_a(t.isa, row, &s, bytes.data() + at, t.lda);
+    const long at = r * lda;
+    if (tier == Tier::kWide)
+      kernels::qwide_quantize_a(isa, row, &s, bytes.data() + at, lda);
     else if (sse2)
-      kernels::qpack_rows_i16(row, &s, words.data() + at, t.lda);
+      kernels::qpack_rows_i16(row, &s, words.data() + at, lda);
     else
-      kernels::qpack_rows(row, &s, i8 + at, t.lda);
+      kernels::qpack_rows(row, &s, i8 + at, lda);
   }
-  t.scales = scales.data();
-  t.data = sse2 ? static_cast<const void*>(words.data()) : bytes.data();
-  return run_tasks(t, qb, c, opts, pool);
-}
-
-Status qgemm(const QPackedA& qa, const QPackedB& qb, common::MatrixView c,
-             const QGemmOptions& opts, common::ThreadPool* pool) {
-  if (qa.empty() || qb.empty())
-    return InvalidArgumentError("qgemm: empty packed operand");
-  if (Status s = validate_call(qa.rows(), qb.cols(), qa.cols(), qa.row(0),
-                               qa.row_ld(), qb.panel_image(), c);
-      !s.ok())
-    return s;
-  if (qa.cols() != qb.rows())
-    return InvalidArgumentError("qgemm: packed inner dimensions disagree");
-  TierA t = pick_tier(opts, qa.row_ld(), qa.scales());
-  t.data = t.tier == Tier::kSse2 ? static_cast<const void*>(qa.row16(0))
-                                 : qa.row(0);
-  std::vector<std::uint8_t> wide;  // the wide tier's A: the pack + offset
-  if (t.tier == Tier::kWide) {
-    try {
-      wide.resize(static_cast<std::size_t>(qa.rows()) *
-                  static_cast<std::size_t>(qa.row_ld()));
-    } catch (const std::bad_alloc&) {
-      return ResourceExhaustedError("qgemm: A operand allocation failed");
-    }
-    const int offset = kernels::qwide_a_offset(t.isa);
-    for (std::size_t i = 0; i < wide.size(); ++i)
-      wide[i] = static_cast<std::uint8_t>(qa.row(0)[i] + offset);
-    t.data = wide.data();
-  }
-  return run_tasks(t, qb, c, opts, pool);
+  const void* data =
+      sse2 ? static_cast<const void*>(words.data()) : bytes.data();
+  return run_tasks({tier, isa, lda, scales.data(), data}, qb, c, opts, pool);
 }
 
 }  // namespace autogemm::quant

@@ -76,9 +76,4 @@ Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
              common::MatrixView c, const QGemmOptions& opts = {},
              common::ThreadPool* pool = nullptr);
 
-/// Both operands pre-packed.
-Status qgemm(const QPackedA& qa, const QPackedB& qb, common::MatrixView c,
-             const QGemmOptions& opts = {},
-             common::ThreadPool* pool = nullptr);
-
 }  // namespace autogemm::quant

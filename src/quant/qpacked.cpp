@@ -24,7 +24,6 @@ Status validate_view(common::ConstMatrixView v, const char* name) {
 
 StatusOr<QPackedA> QPackedA::create(common::ConstMatrixView a, Granularity g) {
   if (Status s = validate_view(a, "QPackedA"); !s.ok()) return s;
-  const bool sse2 = kernels::detect_qwide_isa() == kernels::QWideIsa::kNone;
   QPackedA out;
   out.rows_ = a.rows;
   out.cols_ = a.cols;
@@ -33,7 +32,6 @@ StatusOr<QPackedA> QPackedA::create(common::ConstMatrixView a, Granularity g) {
     const std::size_t count = static_cast<std::size_t>(a.rows) *
                               static_cast<std::size_t>(out.ld_);
     out.data_.resize(count);
-    if (sse2) out.data16_.resize(count);
     out.scales_ = g == Granularity::kPerChannel
                       ? per_row_scales(a)
                       : std::vector<float>(static_cast<std::size_t>(a.rows),
@@ -42,9 +40,6 @@ StatusOr<QPackedA> QPackedA::create(common::ConstMatrixView a, Granularity g) {
     return ResourceExhaustedError("QPackedA: allocation failed");
   }
   kernels::qpack_rows(a, out.scales_.data(), out.data_.data(), out.ld_);
-  if (sse2)
-    kernels::qwiden_pack(out.data_.data(), out.data16_.data(), a.rows,
-                         out.ld_);
   return out;
 }
 

@@ -1,23 +1,26 @@
 // Quantized packed operand formats.
 //
-// QPackedA / QPackedB are the int8 mirrors of core's PackedA / PackedB:
-// built once per constant operand, cached by the Context's packed-operand
-// LRU under the same pointer-identity + invalidate(ptr) contract, and
-// reused across calls. Each carries the quantized int8 blocks *and* the
-// per-channel fp32 scales the requantization epilogue needs — quantization
-// happens at pack time, so a cached weight matrix is quantized exactly
-// once no matter how many requests hit it.
+// QPackedB is the int8 mirror of core's PackedB: built once per constant
+// operand, cached by the Context's packed-operand LRU under the same
+// pointer-identity + invalidate(ptr) contract, and reused across calls. It
+// carries the quantized int8 blocks *and* the per-channel fp32 scales the
+// requantization epilogue needs — quantization happens at pack time, so a
+// cached weight matrix is quantized exactly once no matter how many
+// requests hit it. quant::qgemm quantizes A per call, straight into the
+// running tier's format.
 //
-// QPackedA rows are k-contiguous, leading dimension padded to
-// kernels::kQKStep with zeroed tails (dtype-generic packing contract —
-// buffers hold count * ld int8 *elements*); the wide tier builds its A
-// operand from them per call. QPackedB stores one image of B: the
-// 16-column panel image of kernels/qwide.hpp with its per-column offset
-// sums, which the wide tier (AVX2, AVX-VNNI, AVX-512 VNNI) and the
-// portable reference kernel both read, so a weight is resident at one byte
-// per element. The SSE2 tier, which has no in-register widening the way
-// sdot does, reads sign-extended int16 images of both operands instead
-// (widening at pack time removes it from pmaddwd's inner loop).
+// QPackedB stores one image of B: the 16-column panel image of
+// kernels/qwide.hpp with its per-column offset sums, which the wide tier
+// (AVX2, AVX-VNNI, AVX-512 VNNI) and the portable reference kernel both
+// read, so a weight is resident at one byte per element. The SSE2 tier,
+// which has no in-register widening the way sdot does, reads a
+// sign-extended int16 image of B instead (widening at pack time removes it
+// from pmaddwd's inner loop).
+//
+// QPackedA quantizes a whole A up front: rows k-contiguous, leading
+// dimension padded to kernels::kQKStep with zeroed tails (dtype-generic
+// packing contract — buffers hold count * ld int8 *elements*). No
+// execution path reads it; it times A's quantization on its own.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +50,6 @@ class QPackedA {
                                    Granularity g = Granularity::kPerChannel);
 
   const std::int8_t* row(int r) const { return data_.data() + r * ld_; }
-  /// Widened int16 kernel image of row r (same values, same ld); only on
-  /// the SSE2 tier (kernels::detect_qwide_isa() == kNone).
-  const std::int16_t* row16(int r) const { return data16_.data() + r * ld_; }
   long row_ld() const { return ld_; }
   /// Per-row scales, rows() entries (per-tensor replicates one value).
   const float* scales() const { return scales_.data(); }
@@ -59,7 +59,6 @@ class QPackedA {
 
  private:
   std::vector<std::int8_t> data_;
-  std::vector<std::int16_t> data16_;
   std::vector<float> scales_;
   int rows_ = 0, cols_ = 0;
   long ld_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -20,10 +21,11 @@ namespace autogemm::serve {
 /// cached process-wide, so engines that serve one label (one fleet torn
 /// down, another built) share handles — the registry's own lifetime.
 struct EngineMetrics {
-  // Lane-indexed arrays: [0] interactive, [1] bulk.
+  // Lane-indexed arrays: [0] interactive, [1] bulk. `batches` is indexed
+  // by the servable DTypes: [0] f32, [1] i8.
   obs::Counter *submitted[2], *admitted, *rejected_full, *rejected_stopped,
       *rejected_draining, *rejected_breaker, *invalid, *shed, *displaced,
-      *expired, *completed_ok, *completed_error, *batches_f32, *batches_i8,
+      *expired, *completed_ok, *completed_error, *batches[2],
       *dispatched_batched, *dispatched_single, *breaker_open,
       *breaker_half_open, *breaker_closed, *dispatcher_crash,
       *dispatcher_stall, *dispatcher_restart, *inline_fallback, *retries,
@@ -70,8 +72,8 @@ const EngineMetrics* engine_metrics(int shard) {
   x.expired = c("expired_total");
   x.completed_ok = c("completed_total", "result", "ok");
   x.completed_error = c("completed_total", "result", "error");
-  x.batches_f32 = c("batches_total", "dtype", "f32");
-  x.batches_i8 = c("batches_total", "dtype", "i8");
+  x.batches[0] = c("batches_total", "dtype", "f32");
+  x.batches[1] = c("batches_total", "dtype", "i8");
   x.dispatched_batched = c("dispatched_total", "mode", "batched");
   x.dispatched_single = c("dispatched_total", "mode", "single");
   x.breaker_open = c("breaker_transitions_total", "to", "open");
@@ -243,16 +245,11 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
     p.callback = std::move(done);
   }
 
-  // Validation happens at admission so a malformed request never occupies
-  // a queue slot (and its error surfaces immediately, not a batch window
-  // later).
-  Status valid = validate_batch_item(BatchItem{req.a, req.b, req.c});
-  if (valid.ok() && req.dtype != common::DType::kF32 &&
-      req.dtype != common::DType::kI8) {
-    valid = InvalidArgumentError(
-        std::string("serve: unsupported request dtype \"") +
-        common::dtype_name(req.dtype) + "\" (servable tiers: f32, i8)");
-  }
+  // Validation happens at admission so a malformed request (bad operands
+  // or a dtype with no execution path) never occupies a queue slot, and
+  // its error surfaces immediately, not a batch window later.
+  const Status valid =
+      validate_batch_item(BatchItem{req.a, req.b, req.c, req.dtype});
   const ShapeKey shape{req.c.rows, req.c.cols, req.a.cols,
                        static_cast<int>(req.dtype)};
 
@@ -828,7 +825,7 @@ void Engine::dispatch(std::vector<Pending> batch) {
   std::vector<BatchItem> items;
   items.reserve(live.size());
   for (const auto& p : live)
-    items.push_back(BatchItem{p.req.a, p.req.b, p.req.c});
+    items.push_back(BatchItem{p.req.a, p.req.b, p.req.c, p.req.dtype});
   const std::vector<std::size_t> conflicted =
       find_cross_member_conflicts(items);
   std::vector<std::size_t> grouped, singles;
@@ -847,50 +844,39 @@ void Engine::dispatch(std::vector<Pending> batch) {
   }
 
   // Execute everything, then publish stats, then resolve futures — same
-  // ordering rationale as the deadline pass above.
+  // ordering rationale as the deadline pass above. Every dispatch, the
+  // group and each demoted single, is one prevalidated batch: every member
+  // passed validate_batch_item at admission and conflicting members run
+  // alone, so the Context's group executor serves both dtypes.
   std::vector<Status> statuses(live.size());
   std::uint64_t ok = 0;
-  // One member on its own tier: fp32 through the tuned plan path, int8
-  // through the cached-QPackedB quantized path.
-  const auto run_member = [&](std::size_t i) {
-    const GemmRequest& r = live[i].req;
-    if (failpoint::should_fail("serve.execute")) {
-      statuses[i] = exec_failpoint_status();
-    } else {
-      statuses[i] = r.dtype == common::DType::kI8
-                        ? ctx_.run_const_b_i8(r.a, r.b, r.c)
-                        : ctx_.run(r.a, r.b, r.c);
-    }
-    if (statuses[i].ok()) ++ok;
+  const auto execute = [&](const std::vector<BatchItem>& batch,
+                           std::span<const std::size_t> members) {
+    const Status s = failpoint::should_fail("serve.execute")
+                         ? exec_failpoint_status()
+                         : ctx_.run_batched_prevalidated(batch);
+    if (s.ok()) ok += members.size();
+    for (std::size_t i : members) statuses[i] = s;
   };
   if (!grouped.empty()) {
-    if (dt == common::DType::kI8) {
-      // Quantized group: there is no run_batched for the int8 tier, but
-      // the group still amortizes — every member hits the same cached
-      // QPackedB (packed on the first request of this B pointer), so the
-      // per-member cost is quantize-A plus the widening kernel.
-      for (std::size_t i : grouped) run_member(i);
-    } else {
-      if (!singles.empty()) {
-        // `items` holds every live member; the group is a subset.
-        items.clear();
-        for (std::size_t i : grouped)
-          items.push_back(
-              BatchItem{live[i].req.a, live[i].req.b, live[i].req.c});
-      }
-      // Prevalidated: every member passed validate_batch_item at admission
-      // and conflict-swept members were demoted to singles above.
-      const Status s = failpoint::should_fail("serve.execute")
-                           ? exec_failpoint_status()
-                           : ctx_.run_batched_prevalidated(items);
-      if (s.ok()) ok += grouped.size();
-      for (std::size_t i : grouped) statuses[i] = s;
+    if (!singles.empty()) {
+      // `items` holds every live member; the group is a subset.
+      items.clear();
+      for (std::size_t i : grouped)
+        items.push_back(BatchItem{live[i].req.a, live[i].req.b, live[i].req.c,
+                                  live[i].req.dtype});
     }
-    (dt == common::DType::kI8 ? o.batches_i8 : o.batches_f32)->add(1);
+    execute(items, grouped);
+    o.batches[static_cast<int>(dt)]->add(1);
     o.dispatched_batched->add(grouped.size());
     o.batch_size->observe(static_cast<double>(grouped.size()));
   }
-  for (std::size_t i : singles) run_member(i);
+  std::vector<BatchItem> one(1);
+  for (const std::size_t& i : singles) {
+    const GemmRequest& r = live[i].req;
+    one.front() = BatchItem{r.a, r.b, r.c, r.dtype};
+    execute(one, {&i, 1});
+  }
   if (!singles.empty()) o.dispatched_single->add(singles.size());
   const std::uint64_t failed = live.size() - ok;
   if (ok > 0) o.completed_ok->add(ok);

@@ -3,7 +3,7 @@
 // The ROADMAP's deployment target serves *streams* of GEMM requests whose
 // shapes repeat heavily (the paper's irregular-workload observation: cost
 // is dominated by dispatch and packing overhead, not flops). Every layer
-// below this one is synchronous: a caller drives Context::run on its own
+// below this one is synchronous: a caller drives a Context on its own
 // thread and pays the full per-call overhead per request. The serve
 // engine is the missing layer between the tuned kernels and that traffic
 // pattern:
@@ -15,11 +15,13 @@
 //     rejects with kResourceExhausted (never a silent drop), except that
 //     an interactive arrival may displace the oldest bulk request (which
 //     then completes with kUnavailable — shed, not dropped);
-//   * the dispatcher thread coalesces same-shape requests within a
-//     configurable max-batch-delay window and dispatches the group
-//     through Context::run_batched, which amortizes plan resolution and
-//     packs a group-shared A/B operand once; distinct shapes fall
-//     through to single-shot Context::run;
+//   * the dispatcher thread coalesces same-shape, same-dtype requests
+//     within a configurable max-batch-delay window and dispatches the
+//     group through Context::run_batched_prevalidated, which amortizes
+//     plan resolution and packs a group-shared A/B operand once (fp32) or
+//     reuses the cached QPackedB of each B (int8); a lone request, or one
+//     whose operands conflict with another's, is a batch of one through
+//     the same entry point — dispatch never forks on dtype;
 //   * a deadline scheduler completes past-deadline requests with
 //     kDeadlineExceeded *before* execution (their C is never written);
 //   * two priority lanes — interactive and bulk — with starvation-free
@@ -164,14 +166,15 @@ struct GemmRequest {
   common::ConstMatrixView a;
   common::ConstMatrixView b;
   common::MatrixView c;
-  /// Execution tier. fp32 runs the tuned kernel path; int8 quantizes both
-  /// operands (Context::run_const_b_i8 — B's quantized packing is cached
-  /// under its data pointer, so serving traffic that repeats a weight
-  /// matrix amortizes the packing). Shape buckets key on (m, n, k, dtype):
-  /// fp32 and int8 requests of the same shape never co-batch — they run
-  /// different kernels with different packed layouts, and a mixed group
-  /// would serialize through the slower tier's path. Other dtypes are
-  /// rejected at admission with kInvalidArgument.
+  /// Execution tier, carried into the BatchItem the Context runs. fp32
+  /// runs the tuned kernel path; int8 quantizes both operands exactly as
+  /// Context::run_const_b_i8 (B's quantized packing is cached under its
+  /// data pointer, so serving traffic that repeats a weight matrix
+  /// amortizes the packing). Shape buckets key on (m, n, k, dtype): fp32
+  /// and int8 requests of the same shape never co-batch — they run
+  /// different kernels with different packed layouts. A dtype with no
+  /// execution path fails validate_batch_item at admission with
+  /// kInvalidArgument.
   common::DType dtype = common::DType::kF32;
   Lane lane = Lane::kBulk;
   /// Absolute deadline in common::now_ns() time; 0 = no deadline. A
@@ -297,7 +300,7 @@ struct ServerStats {
   std::uint64_t completed_error = 0;
   std::uint64_t batches = 0;            ///< run_batched dispatches
   std::uint64_t batched_requests = 0;   ///< requests inside those batches
-  std::uint64_t single_dispatches = 0;  ///< requests served by run()
+  std::uint64_t single_dispatches = 0;  ///< requests dispatched alone
   std::uint64_t max_queue_depth = 0;
 
   // Resilience counters (informational; not part of the partition above

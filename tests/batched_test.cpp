@@ -2,6 +2,7 @@
 // pooled.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
 #include <vector>
 
@@ -10,6 +11,8 @@
 #include "common/rng.hpp"
 #include "core/batched.hpp"
 #include "core/context.hpp"
+#include "obs/metrics.hpp"
+#include "serve/engine.hpp"
 #include "test_util.hpp"
 
 namespace autogemm {
@@ -271,6 +274,106 @@ TEST(Batched, PrevalidatedEntryMatches) {
   for (const auto& p : problems)
     EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
               testutil::gemm_tolerance(12));
+}
+
+// int8 members ride in the same batch as fp32 ones: each (shape, dtype)
+// group runs through the Context's one group executor, int8 groups on the
+// cached QPackedB of each member's B (the constant-B contract of
+// run_const_b_i8). Every i8 C must be the exact bits of a single
+// run_const_b_i8 call, on a serial and on a pooled Context, and every
+// member observes one autogemm_gemm_seconds sample in its dtype's series.
+TEST(Batched, Int8MembersMatchSingleCalls) {
+  constexpr int kM = 7, kN = 37, kK = 53;
+  Matrix b_shared(kK, kN), b_other(kK, kN);
+  common::fill_random(b_shared.view(), 201);
+  common::fill_random(b_other.view(), 202);
+  const auto& reg = obs::default_registry();
+  const auto seconds = [&](const char* dtype) {
+    return reg
+        .histogram_total("autogemm_gemm_seconds",
+                         std::string("dtype=\"") + dtype + "\"")
+        .count;
+  };
+
+  for (const unsigned threads : {1u, 4u}) {
+    // Members 0-3 are int8 (0-2 share B), 4-5 fp32 of the same shape.
+    constexpr int kMembers = 6, kI8Members = 4;
+    std::vector<Matrix> as, cs, c_init;
+    std::vector<BatchItem> items;
+    for (int i = 0; i < kMembers; ++i) {
+      as.emplace_back(kM, kK);
+      common::fill_random(as.back().view(), 210 + i);
+      cs.emplace_back(kM, kN);
+      common::fill_random(cs.back().view(), 220 + i);
+      c_init.emplace_back(kM, kN);
+      for (int r = 0; r < kM; ++r)
+        for (int j = 0; j < kN; ++j)
+          c_init.back().at(r, j) = cs.back().at(r, j);
+    }
+    for (int i = 0; i < kMembers; ++i) {
+      const Matrix& b = i == 3 ? b_other : b_shared;
+      items.push_back({as[i].view(), b.view(), cs[i].view(),
+                       i < kI8Members ? common::DType::kI8
+                                      : common::DType::kF32});
+    }
+    ContextOptions opts;
+    opts.threads = threads;
+    Context ctx(opts);
+    const std::uint64_t i8_before = seconds("i8");
+    const std::uint64_t f32_before = seconds("f32");
+    const Status s = ctx.run_batched(items);
+    ASSERT_TRUE(s.ok()) << s.to_string();
+    EXPECT_EQ(seconds("i8"), i8_before + kI8Members) << threads;
+    EXPECT_EQ(seconds("f32"), f32_before + kMembers - kI8Members) << threads;
+
+    ContextOptions single_opts;
+    single_opts.threads = 1;
+    Context single(single_opts);
+    for (int i = 0; i < kMembers; ++i) {
+      const Matrix& b = i == 3 ? b_other : b_shared;
+      if (i < kI8Members) {
+        ASSERT_TRUE(single
+                        .run_const_b_i8(as[i].view(), b.view(),
+                                        c_init[i].view(), 1.0f, 1.0f)
+                        .ok());
+        for (int r = 0; r < kM; ++r)
+          for (int j = 0; j < kN; ++j)
+            ASSERT_EQ(cs[i].at(r, j), c_init[i].at(r, j))
+                << "threads " << threads << " member " << i;
+      } else {
+        common::reference_gemm(as[i].view(), b.view(), c_init[i].view());
+        EXPECT_LT(common::max_rel_error(cs[i].view(), c_init[i].view()),
+                  testutil::gemm_tolerance(kK))
+            << "threads " << threads << " member " << i;
+      }
+    }
+  }
+
+  // A serve group of four int8 requests on one B packs that B once.
+  Context ctx(ContextOptions{});
+  serve::EngineOptions eopts;
+  eopts.start_paused = true;
+  eopts.max_batch_delay_ns = 0;
+  serve::Engine engine(ctx, eopts);
+  Matrix a(kM, kK);
+  common::fill_random(a.view(), 230);
+  std::vector<Matrix> outs;
+  for (int i = 0; i < 4; ++i) outs.emplace_back(kM, kN);
+  const std::uint64_t misses_before = ctx.stats().packed_misses;
+  std::vector<std::future<Status>> fs;
+  for (int i = 0; i < 4; ++i) {
+    serve::GemmRequest r;
+    r.a = a.view();
+    r.b = b_shared.view();
+    r.c = outs[i].view();
+    r.dtype = common::DType::kI8;
+    fs.push_back(engine.submit(r));
+  }
+  engine.resume();
+  for (auto& f : fs) EXPECT_TRUE(f.get().ok());
+  engine.shutdown();
+  EXPECT_EQ(ctx.stats().packed_misses, misses_before + 1);
+  EXPECT_EQ(engine.stats().batches, 1u);
 }
 
 }  // namespace

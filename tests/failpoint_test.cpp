@@ -200,6 +200,58 @@ TEST_F(Failpoints, Int8WorkerFaultRetiresPoolAndSubsequentCallsRunSerial) {
       ASSERT_EQ(c2.view().at(r, col), c_serial.view().at(r, col));
 }
 
+TEST_F(Failpoints, PooledBatchWorkerFaultRetiresPoolAndNextBatchRunsSerial) {
+  // Eight same-shape members sharing B: a pooled Context spreads them over
+  // its workers, so the armed worker fault lands inside the batch.
+  constexpr int kMembers = 8, kM = 24, kN = 40, kK = 56;
+  ContextOptions opts;
+  opts.threads = 4;
+  Context ctx(opts);
+  ContextOptions serial_opts;
+  serial_opts.threads = 1;
+  Context serial(serial_opts);
+
+  Matrix b(kK, kN);
+  common::fill_random(b.view(), 5);
+  std::vector<Matrix> as, cs, c2s, c_serial;
+  for (int i = 0; i < kMembers; ++i) {
+    as.emplace_back(kM, kK);
+    common::fill_random(as.back().view(), 10 + i);
+    cs.emplace_back(kM, kN);
+    c2s.emplace_back(kM, kN);
+    c_serial.emplace_back(kM, kN);
+  }
+  const auto batch = [&](std::vector<Matrix>& out) {
+    std::vector<BatchItem> items;
+    for (int i = 0; i < kMembers; ++i)
+      items.push_back({as[i].view(), b.view(), out[i].view()});
+    return items;
+  };
+  ASSERT_TRUE(serial.run_batched(batch(c_serial)).ok());
+
+  failpoint::arm("threadpool.worker", /*budget=*/1);
+  const Status s = ctx.run_batched(batch(cs));
+  // The fault is reported through Status, not thrown; C is unspecified.
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.to_string();
+  EXPECT_GE(failpoint::hits("threadpool.worker"), 1);
+  const HealthReport h = ctx.health();
+  EXPECT_TRUE(h.pool_degraded);
+  EXPECT_EQ(h.last_error.code(), StatusCode::kInternal);
+  bool pool_event = false;
+  for (const HealthEvent& e : h.events)
+    pool_event = pool_event || e.kind == HealthEvent::Kind::kPoolDegraded;
+  EXPECT_TRUE(pool_event);
+
+  // The next batch runs serially and gives the serial Context's bits.
+  const Status s2 = ctx.run_batched(batch(c2s));
+  ASSERT_TRUE(s2.ok()) << s2.to_string();
+  for (int i = 0; i < kMembers; ++i)
+    for (int r = 0; r < kM; ++r)
+      for (int col = 0; col < kN; ++col)
+        ASSERT_EQ(c2s[i].at(r, col), c_serial[i].at(r, col))
+            << "member " << i;
+}
+
 TEST_F(Failpoints, SpawnFailureDegradesToSerialExecution) {
   failpoint::arm("threadpool.spawn");  // every spawn attempt fails
   common::ThreadPool pool(4);

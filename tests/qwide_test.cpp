@@ -17,7 +17,6 @@
 #include "common/rng.hpp"
 #include "kernels/qkernel.hpp"
 #include "kernels/qwide.hpp"
-#include "quant/qgemm.hpp"
 #include "quant/qpacked.hpp"
 #include "quant/quantize.hpp"
 
@@ -219,22 +218,6 @@ TEST(QWide, EveryTierIsBitIdenticalToThePortableKernel) {
           << t.k;
     }
   }
-}
-
-TEST(QWide, PackedABothOperandsPathMatchesPortable) {
-  Matrix a(10, 75), b(75, 41), c_port(10, 41), c_fast(10, 41);
-  common::fill_random(a.view(), 8);
-  common::fill_random(b.view(), 9);
-  auto qa = quant::QPackedA::create(a.view());
-  auto qb = quant::QPackedB::create(b.view());
-  ASSERT_TRUE(qa.ok() && qb.ok());
-  quant::QGemmOptions o;
-  o.beta = 0.0f;
-  o.force_portable = true;
-  ASSERT_TRUE(quant::qgemm(*qa, *qb, c_port.view(), o).ok());
-  o.force_portable = false;
-  ASSERT_TRUE(quant::qgemm(*qa, *qb, c_fast.view(), o).ok());
-  EXPECT_TRUE(bit_identical(c_port, c_fast));
 }
 
 TEST(QWide, Sse2FallbackKernelStaysBitIdentical) {
