@@ -1,7 +1,6 @@
 #include "dnn/graph.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -13,6 +12,7 @@
 #include "core/batched.hpp"
 #include "core/context.hpp"
 #include "core/gemm.hpp"
+#include "kernels/vmath.hpp"
 
 namespace autogemm::dnn {
 
@@ -220,15 +220,7 @@ Tensor GlobalAvgPool::forward(const Tensor& in, const GemmBackend&) {
 
 Tensor Softmax::forward(const Tensor& in, const GemmBackend&) {
   Tensor out = in;
-  float max_v = out.data.empty() ? 0.0f : out.data[0];
-  for (float v : out.data) max_v = std::max(max_v, v);
-  double sum = 0;
-  for (float& v : out.data) {
-    v = std::exp(v - max_v);
-    sum += v;
-  }
-  const float inv = sum > 0 ? static_cast<float>(1.0 / sum) : 0.0f;
-  for (float& v : out.data) v *= inv;
+  kernels::vmath::softmax(out.data.data(), static_cast<long>(out.data.size()));
   return out;
 }
 

@@ -1,10 +1,15 @@
 #include "dnn/transformer.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
 
+#include "common/aligned_buffer.hpp"
 #include "core/context.hpp"
+#include "kernels/vmath.hpp"
+#include "obs/trace.hpp"
 
 namespace autogemm::dnn {
 
@@ -45,49 +50,25 @@ void fill_weight(Matrix& w, Rng& rng) {
 /// GEMM census, not the normalization parameters, is what this model
 /// exists to exercise).
 void layernorm(ConstMatrixView x, MatrixView out) {
-  for (int r = 0; r < x.rows; ++r) {
-    double mean = 0;
-    for (int c = 0; c < x.cols; ++c) mean += x.at(r, c);
-    mean /= x.cols > 0 ? x.cols : 1;
-    double var = 0;
-    for (int c = 0; c < x.cols; ++c) {
-      const double d = x.at(r, c) - mean;
-      var += d * d;
-    }
-    var /= x.cols > 0 ? x.cols : 1;
-    const float inv = 1.0f / std::sqrt(static_cast<float>(var) + 1e-5f);
-    for (int c = 0; c < x.cols; ++c)
-      out.at(r, c) = (x.at(r, c) - static_cast<float>(mean)) * inv;
-  }
+  obs::SpanScope span("dnn.layernorm");
+  for (int r = 0; r < x.rows; ++r)
+    kernels::vmath::layernorm(&x.at(r, 0), &out.at(r, 0), x.cols, 1e-5f);
 }
 
 /// tanh-approximation GELU (the GPT-2 activation), applied in place.
 void gelu_inplace(MatrixView z) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  for (int r = 0; r < z.rows; ++r) {
-    for (int c = 0; c < z.cols; ++c) {
-      const float v = z.at(r, c);
-      const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
-      z.at(r, c) = 0.5f * v * (1.0f + t);
-    }
-  }
+  obs::SpanScope span("dnn.gelu");
+  for (int r = 0; r < z.rows; ++r) kernels::vmath::gelu(&z.at(r, 0), z.cols);
 }
 
 /// Causal-masked row softmax over a (tokens x tokens) score matrix: row r
-/// attends to columns [0, r] only. Max-subtracted for overflow safety.
+/// attends to columns [0, r] only and writes 0 to the rest.
 void causal_softmax(MatrixView scores) {
+  obs::SpanScope span("dnn.softmax");
   for (int r = 0; r < scores.rows; ++r) {
-    float mx = scores.at(r, 0);
-    for (int c = 1; c <= r; ++c) mx = std::max(mx, scores.at(r, c));
-    double sum = 0;
-    for (int c = 0; c <= r; ++c) {
-      const float e = std::exp(scores.at(r, c) - mx);
-      scores.at(r, c) = e;
-      sum += e;
-    }
-    const float inv = static_cast<float>(1.0 / (sum > 0 ? sum : 1.0));
-    for (int c = 0; c <= r; ++c) scores.at(r, c) *= inv;
-    for (int c = r + 1; c < scores.cols; ++c) scores.at(r, c) = 0.0f;
+    float* row = &scores.at(r, 0);
+    kernels::vmath::softmax(row, r + 1);
+    std::fill(row + r + 1, row + scores.cols, 0.0f);
   }
 }
 
@@ -126,15 +107,13 @@ Status validate_config(const TransformerConfig& cfg) {
 
 TransformerBlock::TransformerBlock(const TransformerConfig& cfg)
     : cfg_(cfg),
-      w_qkv_(cfg.d_model, 3 * cfg.d_model),
-      w_out_(cfg.d_model, cfg.d_model),
-      w_fc1_(cfg.d_model, cfg.d_ff),
-      w_fc2_(cfg.d_ff, cfg.d_model) {
+      w_{Matrix(cfg.d_model, 3 * cfg.d_model), Matrix(cfg.d_model, cfg.d_model),
+         Matrix(cfg.d_model, cfg.d_ff), Matrix(cfg.d_ff, cfg.d_model)} {
   Rng rng(static_cast<std::uint64_t>(cfg.seed) * 0x9E3779B97F4A7C15ull + 7ull);
-  fill_weight(w_qkv_, rng);
-  fill_weight(w_out_, rng);
-  fill_weight(w_fc1_, rng);
-  fill_weight(w_fc2_, rng);
+  fill_weight(w_.qkv, rng);
+  fill_weight(w_.out, rng);
+  fill_weight(w_.fc1, rng);
+  fill_weight(w_.fc2, rng);
 }
 
 Status TransformerBlock::forward(ConstMatrixView x, MatrixView y,
@@ -151,55 +130,68 @@ Status TransformerBlock::forward(ConstMatrixView x, MatrixView y,
   if (tokens == 0) return Status::OK();
   const int hd = d / cfg_.n_heads;
 
-  // ---- attention half: h = x + W_out . Attn(LN1(x)) ----
-  Matrix ln(tokens, d);
-  layernorm(x, ln.view());
+  // The activations, uninitialized: every element is written before it is
+  // read, by the beta = 0 GEMMs, layernorm, softmax (the masked half too)
+  // and the residual loops. Each is its own allocation: freeing one buffer
+  // for all of them (3.3 MB at 96 tokens) moves glibc's dynamic mmap
+  // threshold up, and perfbench gpt2_block's peak RSS rose 15 MB with it
+  // on a 4-vCPU AVX-512 Xeon (not with the threshold pinned).
+  std::array<common::AlignedBuffer, 7> storage;
+  std::size_t used = 0;
+  auto activation = [&](int rows, int cols) -> MatrixView {
+    common::AlignedBuffer& buf = storage[used++];
+    buf = common::AlignedBuffer(common::kUninitialized,
+                                static_cast<std::size_t>(rows) * cols);
+    return {buf.data(), rows, cols, cols};
+  };
+  const MatrixView ln = activation(tokens, d);
+  const MatrixView qkv = activation(tokens, 3 * d);  // [Q | K | V]
+  const MatrixView attn = activation(tokens, d);
+  const MatrixView scores = activation(tokens, tokens);  // reused per head
+  const MatrixView proj = activation(tokens, d);
+  const MatrixView res = activation(tokens, d);
+  const MatrixView ff1 = activation(tokens, cfg_.d_ff);
+  const MatrixView ff2 = proj;  // proj is dead once h is formed
 
-  Matrix qkv(tokens, 3 * d);  // [Q | K | V], one fused projection
-  AUTOGEMM_RETURN_IF_ERROR(
-      weight_gemm(ctx, ln.view(), w_qkv_.view(), qkv.view(), cfg_.qkv_dtype));
+  // ---- attention half: h = x + W_out . Attn(LN1(x)) ----
+  layernorm(x, ln);
+  AUTOGEMM_RETURN_IF_ERROR(  // one fused QKV projection
+      weight_gemm(ctx, ln, w_.qkv.view(), qkv, cfg_.qkv_dtype));
 
   // Per-head GEMMs stay fp32: Q, K and V change every call, so nothing
   // amortizes quantizing them, and softmax output is the worst case for a
   // symmetric int8 grid (header). scores is reused across heads.
-  Matrix attn(tokens, d);
-  Matrix scores(tokens, tokens);
   const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(hd));
   for (int h = 0; h < cfg_.n_heads; ++h) {
-    const ConstMatrixView q = qkv.cview().block(0, h * hd, tokens, hd);
-    const ConstMatrixView k = qkv.cview().block(0, d + h * hd, tokens, hd);
-    const ConstMatrixView v = qkv.cview().block(0, 2 * d + h * hd, tokens, hd);
+    const ConstMatrixView q = qkv.block(0, h * hd, tokens, hd);
+    const ConstMatrixView k = qkv.block(0, d + h * hd, tokens, hd);
+    const ConstMatrixView v = qkv.block(0, 2 * d + h * hd, tokens, hd);
     // scores = (1/sqrt(hd)) . Q . K^T — the trans_b GEMM the gemm_ex layer
     // exists for, at the skinny-K (K = head_dim) shape class.
     GemmExParams sp;
     sp.trans_b = Trans::kYes;
     sp.alpha = inv_sqrt_hd;
     sp.beta = 0.0f;
-    AUTOGEMM_RETURN_IF_ERROR(ctx.run(q, k, scores.view(), sp));
-    causal_softmax(scores.view());
+    AUTOGEMM_RETURN_IF_ERROR(ctx.run(q, k, scores, sp));
+    causal_softmax(scores);
     GemmExParams pv;
     pv.beta = 0.0f;
     AUTOGEMM_RETURN_IF_ERROR(
-        ctx.run(scores.view(), v, attn.view().block(0, h * hd, tokens, hd),
-                pv));
+        ctx.run(scores, v, attn.block(0, h * hd, tokens, hd), pv));
   }
 
-  Matrix proj(tokens, d);
-  AUTOGEMM_RETURN_IF_ERROR(weight_gemm(ctx, attn.view(), w_out_.view(),
-                                       proj.view(), cfg_.attn_out_dtype));
-  Matrix res(tokens, d);  // h = x + attention output
-  for (int r = 0; r < tokens; ++r)
+  AUTOGEMM_RETURN_IF_ERROR(weight_gemm(ctx, attn, w_.out.view(), proj,
+                                       cfg_.attn_out_dtype));
+  for (int r = 0; r < tokens; ++r)  // h = x + attention output
     for (int c = 0; c < d; ++c) res.at(r, c) = x.at(r, c) + proj.at(r, c);
 
   // ---- FFN half: y = h + W_fc2 . gelu(W_fc1 . LN2(h)) ----
-  layernorm(res.view(), ln.view());
-  Matrix ff1(tokens, cfg_.d_ff);
+  layernorm(res, ln);
   AUTOGEMM_RETURN_IF_ERROR(
-      weight_gemm(ctx, ln.view(), w_fc1_.view(), ff1.view(), cfg_.ff_dtype));
-  gelu_inplace(ff1.view());
-  Matrix ff2(tokens, d);
+      weight_gemm(ctx, ln, w_.fc1.view(), ff1, cfg_.ff_dtype));
+  gelu_inplace(ff1);
   AUTOGEMM_RETURN_IF_ERROR(
-      weight_gemm(ctx, ff1.view(), w_fc2_.view(), ff2.view(), cfg_.ff_dtype));
+      weight_gemm(ctx, ff1, w_.fc2.view(), ff2, cfg_.ff_dtype));
   for (int r = 0; r < tokens; ++r)
     for (int c = 0; c < d; ++c) y.at(r, c) = res.at(r, c) + ff2.at(r, c);
   return Status::OK();

@@ -25,6 +25,13 @@
 // (Q·K^T and P·V) always run fp32 — their operands change every call, so
 // nothing amortizes the quantization, and softmax'd probabilities are
 // exactly the near-zero-heavy data int8 represents worst.
+//
+// The glue between the GEMMs — layernorm, causal softmax and GELU — runs
+// serially on the vector-math tier (kernels/vmath.hpp: AVX-512, AVX2 or
+// its bit-identical portable twin), each under an obs span (dnn.layernorm,
+// dnn.softmax, dnn.gelu) so a trace splits glue time from GEMM time. A
+// forward allocates its activations uninitialized; every element is
+// written before it is read.
 #pragma once
 
 #include <array>
@@ -77,12 +84,18 @@ class TransformerBlock {
   static std::vector<std::array<int, 3>> gemm_shapes(
       int tokens, const TransformerConfig& cfg = {});
 
+  struct Weights {
+    common::Matrix qkv;  // d_model x 3*d_model, [Q | K | V]
+    common::Matrix out;  // d_model x d_model
+    common::Matrix fc1;  // d_model x d_ff
+    common::Matrix fc2;  // d_ff x d_model
+  };
+  /// The block's fp32 weights, for references that recompute forward().
+  const Weights& weights() const { return w_; }
+
  private:
   TransformerConfig cfg_;
-  common::Matrix w_qkv_;  // d_model x 3*d_model
-  common::Matrix w_out_;  // d_model x d_model
-  common::Matrix w_fc1_;  // d_model x d_ff
-  common::Matrix w_fc2_;  // d_ff x d_model
+  Weights w_;
 };
 
 }  // namespace autogemm::dnn

@@ -9,8 +9,11 @@
 #include "dnn/im2col.hpp"
 #include "dnn/models.hpp"
 #include "dnn/shapes.hpp"
+#include "dnn/transformer.hpp"
 
+#include <cmath>
 #include <memory>
+#include <vector>
 
 namespace autogemm::dnn {
 namespace {
@@ -278,6 +281,110 @@ TEST(Graph, RunManyMatchesPerInputRun) {
     for (long j = 0; j < single.output.size(); ++j)
       EXPECT_NEAR(batched.outputs[i].data[j], single.output.data[j], 1e-3)
           << "input " << i << " element " << j;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Transformer block against an fp64 reference
+
+/// Row-major fp64 matrix for the reference block.
+struct Mat64 {
+  int rows, cols;
+  std::vector<double> v;
+  Mat64(int r, int c) : rows(r), cols(c), v(static_cast<std::size_t>(r) * c) {}
+  double& at(int r, int c) { return v[static_cast<std::size_t>(r) * cols + c]; }
+  double at(int r, int c) const {
+    return v[static_cast<std::size_t>(r) * cols + c];
+  }
+};
+
+Mat64 to64(common::ConstMatrixView m) {
+  Mat64 out(m.rows, m.cols);
+  for (int r = 0; r < m.rows; ++r)
+    for (int c = 0; c < m.cols; ++c) out.at(r, c) = m.at(r, c);
+  return out;
+}
+
+Mat64 matmul(const Mat64& a, const Mat64& b) {
+  Mat64 c(a.rows, b.cols);
+  for (int r = 0; r < a.rows; ++r)
+    for (int k = 0; k < a.cols; ++k)
+      for (int j = 0; j < b.cols; ++j) c.at(r, j) += a.at(r, k) * b.at(k, j);
+  return c;
+}
+
+Mat64 layernorm64(const Mat64& x) {
+  Mat64 out(x.rows, x.cols);
+  for (int r = 0; r < x.rows; ++r) {
+    double mean = 0, var = 0;
+    for (int c = 0; c < x.cols; ++c) mean += x.at(r, c);
+    mean /= x.cols;
+    for (int c = 0; c < x.cols; ++c)
+      var += (x.at(r, c) - mean) * (x.at(r, c) - mean);
+    var /= x.cols;
+    for (int c = 0; c < x.cols; ++c)
+      out.at(r, c) = (x.at(r, c) - mean) / std::sqrt(var + 1e-5);
+  }
+  return out;
+}
+
+/// The block of dnn/transformer.hpp in fp64 with std::tanh and std::exp.
+Mat64 reference_forward(const TransformerBlock& block, const Mat64& x) {
+  const TransformerConfig& cfg = block.config();
+  const int t = x.rows, d = cfg.d_model, hd = d / cfg.n_heads;
+  const Mat64 qkv = matmul(layernorm64(x), to64(block.weights().qkv.view()));
+  Mat64 attn(t, d);
+  for (int h = 0; h < cfg.n_heads; ++h) {
+    for (int r = 0; r < t; ++r) {
+      std::vector<double> p(static_cast<std::size_t>(r) + 1);
+      double mx = -HUGE_VAL, sum = 0;
+      for (int c = 0; c <= r; ++c) {
+        double s = 0;
+        for (int i = 0; i < hd; ++i)
+          s += qkv.at(r, h * hd + i) * qkv.at(c, d + h * hd + i);
+        p[c] = s / std::sqrt(static_cast<double>(hd));
+        mx = std::max(mx, p[c]);
+      }
+      for (double& e : p) sum += (e = std::exp(e - mx));
+      for (int i = 0; i < hd; ++i) {
+        double o = 0;
+        for (int c = 0; c <= r; ++c) o += p[c] / sum * qkv.at(c, 2 * d + h * hd + i);
+        attn.at(r, h * hd + i) = o;
+      }
+    }
+  }
+  const Mat64 proj = matmul(attn, to64(block.weights().out.view()));
+  Mat64 res = x;
+  for (std::size_t i = 0; i < res.v.size(); ++i) res.v[i] += proj.v[i];
+  Mat64 ff1 = matmul(layernorm64(res), to64(block.weights().fc1.view()));
+  for (double& v : ff1.v)
+    v = 0.5 * v * (1.0 + std::tanh(0.7978845608028654 * (v + 0.044715 * v * v * v)));
+  const Mat64 ff2 = matmul(ff1, to64(block.weights().fc2.view()));
+  for (std::size_t i = 0; i < res.v.size(); ++i) res.v[i] += ff2.v[i];
+  return res;
+}
+
+TEST(Transformer, ForwardMatchesScalarReference) {
+  // Widths off the 16-lane blocks, so every glue row ends in a tail.
+  TransformerConfig cfg;
+  cfg.d_model = 120;
+  cfg.n_heads = 4;
+  cfg.d_ff = 488;
+  const TransformerBlock block(cfg);
+  Context ctx(ContextOptions{});
+  for (const int tokens : {1, 7, 51}) {
+    common::Matrix x(tokens, cfg.d_model), y(tokens, cfg.d_model);
+    common::fill_random(x.view(), 40 + tokens);
+    ASSERT_TRUE(block.forward(x.view(), y.view(), ctx).ok());
+    const Mat64 want = reference_forward(block, to64(x.view()));
+    double num = 0, den = 0;
+    for (int r = 0; r < tokens; ++r)
+      for (int c = 0; c < cfg.d_model; ++c) {
+        const double e = y.at(r, c) - want.at(r, c);
+        num += e * e;
+        den += want.at(r, c) * want.at(r, c);
+      }
+    EXPECT_LE(std::sqrt(num / den), 1e-5) << "tokens=" << tokens;
   }
 }
 

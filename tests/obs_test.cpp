@@ -15,6 +15,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/context.hpp"
+#include "dnn/transformer.hpp"
 #include "hw/chip_database.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -377,6 +378,24 @@ TEST_F(ObsTrace, PooledInt8RunRecordsTasksOnWorkerLanes) {
   EXPECT_NE(j.find("\"qgemm.tasks\""), std::string::npos);
   EXPECT_NE(j.find("\"qgemm.task\""), std::string::npos);
   EXPECT_NE(j.find("\"worker-"), std::string::npos);
+}
+
+TEST_F(ObsTrace, TransformerForwardSplitsGlueFromGemms) {
+  obs::set_trace_enabled(true);
+  dnn::TransformerConfig cfg;
+  cfg.d_model = 32;
+  cfg.n_heads = 2;
+  cfg.d_ff = 64;
+  const dnn::TransformerBlock block(cfg);
+  Context ctx(ContextOptions{});
+  common::Matrix x(5, 32), y(5, 32);
+  common::fill_random(x.view(), 9);
+  obs::Tracer::instance().clear();
+  ASSERT_TRUE(block.forward(x.view(), y.view(), ctx).ok());
+  const std::string j = obs::Tracer::instance().chrome_json();
+  for (const char* name : {"\"dnn.layernorm\"", "\"dnn.softmax\"",
+                           "\"dnn.gelu\"", "\"context.run\""})
+    EXPECT_NE(j.find(name), std::string::npos) << name;
 }
 
 TEST_F(ObsTrace, SimulatorEmitsVirtualTimeline) {
