@@ -130,13 +130,14 @@ Status TransformerBlock::forward(ConstMatrixView x, MatrixView y,
   if (tokens == 0) return Status::OK();
   const int hd = d / cfg_.n_heads;
 
-  // The activations, uninitialized: every element is written before it is
-  // read, by the beta = 0 GEMMs, layernorm, softmax (the masked half too)
-  // and the residual loops. Each is its own allocation: freeing one buffer
-  // for all of them (3.3 MB at 96 tokens) moves glibc's dynamic mmap
-  // threshold up, and perfbench gpt2_block's peak RSS rose 15 MB with it
-  // on a 4-vCPU AVX-512 Xeon (not with the threshold pinned).
-  std::array<common::AlignedBuffer, 7> storage;
+  // The activations, each allocated uninitialized where it is first
+  // written: every element is written before it is read, by the beta = 0
+  // GEMMs, layernorm, softmax (the masked half too) and the residual
+  // loops. One buffer for all of them, or these allocations moved ahead of
+  // the first GEMM, raised perfbench gpt2_block's peak RSS by 2-15 MB on a
+  // 4-vCPU AVX-512 Xeon: glibc's dynamic mmap threshold then placed later
+  // allocations differently.
+  std::array<common::AlignedBuffer, 8> storage;
   std::size_t used = 0;
   auto activation = [&](int rows, int cols) -> MatrixView {
     common::AlignedBuffer& buf = storage[used++];
@@ -145,22 +146,18 @@ Status TransformerBlock::forward(ConstMatrixView x, MatrixView y,
     return {buf.data(), rows, cols, cols};
   };
   const MatrixView ln = activation(tokens, d);
-  const MatrixView qkv = activation(tokens, 3 * d);  // [Q | K | V]
-  const MatrixView attn = activation(tokens, d);
-  const MatrixView scores = activation(tokens, tokens);  // reused per head
-  const MatrixView proj = activation(tokens, d);
-  const MatrixView res = activation(tokens, d);
-  const MatrixView ff1 = activation(tokens, cfg_.d_ff);
-  const MatrixView ff2 = proj;  // proj is dead once h is formed
 
   // ---- attention half: h = x + W_out . Attn(LN1(x)) ----
   layernorm(x, ln);
+  const MatrixView qkv = activation(tokens, 3 * d);  // [Q | K | V]
   AUTOGEMM_RETURN_IF_ERROR(  // one fused QKV projection
       weight_gemm(ctx, ln, w_.qkv.view(), qkv, cfg_.qkv_dtype));
 
   // Per-head GEMMs stay fp32: Q, K and V change every call, so nothing
   // amortizes quantizing them, and softmax output is the worst case for a
   // symmetric int8 grid (header). scores is reused across heads.
+  const MatrixView attn = activation(tokens, d);
+  const MatrixView scores = activation(tokens, tokens);
   const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(hd));
   for (int h = 0; h < cfg_.n_heads; ++h) {
     const ConstMatrixView q = qkv.block(0, h * hd, tokens, hd);
@@ -180,16 +177,20 @@ Status TransformerBlock::forward(ConstMatrixView x, MatrixView y,
         ctx.run(scores, v, attn.block(0, h * hd, tokens, hd), pv));
   }
 
+  const MatrixView proj = activation(tokens, d);
   AUTOGEMM_RETURN_IF_ERROR(weight_gemm(ctx, attn, w_.out.view(), proj,
                                        cfg_.attn_out_dtype));
+  const MatrixView res = activation(tokens, d);
   for (int r = 0; r < tokens; ++r)  // h = x + attention output
     for (int c = 0; c < d; ++c) res.at(r, c) = x.at(r, c) + proj.at(r, c);
 
   // ---- FFN half: y = h + W_fc2 . gelu(W_fc1 . LN2(h)) ----
   layernorm(res, ln);
+  const MatrixView ff1 = activation(tokens, cfg_.d_ff);
   AUTOGEMM_RETURN_IF_ERROR(
       weight_gemm(ctx, ln, w_.fc1.view(), ff1, cfg_.ff_dtype));
   gelu_inplace(ff1);
+  const MatrixView ff2 = activation(tokens, d);
   AUTOGEMM_RETURN_IF_ERROR(
       weight_gemm(ctx, ff1, w_.fc2.view(), ff2, cfg_.ff_dtype));
   for (int r = 0; r < tokens; ++r)
