@@ -14,7 +14,7 @@
 // to exactly +-1), so gelu(+inf) = +inf and gelu(-inf) = NaN, like
 // std::tanh's. exp is Cephes' expf: range reduction by n = floor(x log2 e
 // + 1/2), a degree-5 polynomial, and 2^n added to the exponent. Its input
-// is clamped to [-88.38, 88.38]; below about -87.3 it returns exactly 0,
+// is clamped to [-88.38, 88.38]; below about -87.7 it returns exactly 0,
 // so exp(-inf) = 0. Softmax feeds it only x - max(x) <= 0.
 //
 // The header is baseline-safe: the wide units export only their tables.

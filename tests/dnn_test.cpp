@@ -11,6 +11,7 @@
 #include "dnn/shapes.hpp"
 #include "dnn/transformer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>

@@ -5,6 +5,7 @@
 // zeros for -inf, and layernorm's moments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
