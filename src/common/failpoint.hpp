@@ -29,8 +29,8 @@
 //   records.save_fail        TuningRecords::save_file write error (atomicity)
 //   sim.illegal_instruction  Interpreter hits an undecodable instruction
 //   sim.cycle_budget         PipelineSimulator exceeds its cycle budget
-//   verify.generated         Context's generated-kernel probe miscompares
-//   verify.portable          Context's portable-kernel probe miscompares
+//   verify.portable          Context's first-use host-kernel probe
+//                            miscompares
 //   serve.queue_full         serve::Engine admission sees a full queue
 //   serve.spawn              serve::Engine dispatcher thread creation fails
 //   serve.monitor_spawn      serve::Engine supervision monitor thread

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "backend/backend.hpp"
-#include "codegen/generator.hpp"
 #include "common/failpoint.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/timer.hpp"
@@ -20,7 +18,6 @@
 #include "obs/trace.hpp"
 #include "quant/qgemm.hpp"
 #include "quant/qpacked.hpp"
-#include "sim/interpreter.hpp"
 
 namespace autogemm {
 
@@ -87,107 +84,49 @@ void fill_probe(std::vector<float>& buf, unsigned seed) {
   }
 }
 
-/// The one first-use probe: fills A (mr x kc, row stride lda) and B
-/// (b_rows x nr) deterministically, runs `kernel` on them into a zeroed C
-/// and compares C with common::reference_gemm over depth kc. lda/b_rows
-/// exceed kc when the kernel over-reads by a padding contract. `what`
-/// names the tile and the kernel path in the failure message.
-Status run_probe(int mr, int nr, int kc, int lda, int b_rows, unsigned seed,
-                 const std::string& what,
-                 const std::function<Status(const float* a, const float* b,
-                                            float* c)>& kernel) {
-  std::vector<float> a(static_cast<std::size_t>(mr) * lda);
-  std::vector<float> b(static_cast<std::size_t>(b_rows) * nr);
-  std::vector<float> c(static_cast<std::size_t>(mr) * nr, 0.0f);
-  std::vector<float> c_ref(c.size(), 0.0f);
-  fill_probe(a, seed);
-  fill_probe(b, seed + 12);
-  AUTOGEMM_RETURN_IF_ERROR(kernel(a.data(), b.data(), c.data()));
-  common::reference_gemm(ConstMatrixView{a.data(), mr, kc, lda},
-                         ConstMatrixView{b.data(), kc, nr, nr},
-                         MatrixView{c_ref.data(), mr, nr, nr});
-  const float tol = 1e-4f * static_cast<float>(kc);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    const float diff = std::fabs(c[i] - c_ref[i]);
-    if (!(diff <= tol))  // negated comparison so NaN fails too
-      return InternalError("probe: " + what +
-                           " kernel diverges from reference (|diff| = " +
-                           std::to_string(diff) + ")");
-  }
-  return Status::OK();
+std::string shape_string(int m, int n, int k) {
+  return std::to_string(m) + "x" + std::to_string(n) + "x" + std::to_string(k);
 }
 
-/// Probes the *generated-kernel* path: the (mr x nr, kc) micro-kernel is
-/// emitted as isa::Program and executed on the watchdogged interpreter
-/// against real buffers. This is the check the paper performs against
-/// other BLAS libraries at generation time, moved to first use so a config
-/// transferred from another machine is vetted on the machine that will
-/// trust it. A fixed-width backend (NEON) gets the generator's stream,
-/// which over-reads like real packed kernels, so the buffers honor its
-/// padding contract. A vector-length-agnostic backend (sve_sim) emits its
-/// own predicated stream, run at its default VL on exact-size buffers —
-/// the only way an SVE instruction stream is vetted on an x86 host.
-Status probe_generated(const backend::KernelBackend& be, int mr, int nr,
-                       int kc, int lanes, long max_steps) {
-  const bool vla = be.caps().vl_agnostic;
-  const std::string tile = std::to_string(mr) + "x" + std::to_string(nr);
-  codegen::MicroKernel mk;
-  try {
-    codegen::GeneratorOptions gopts;
-    gopts.rotate_registers = true;  // the shipped kernels always rotate
-    mk = vla ? be.generate(mr, nr, kc, gopts)
-             : codegen::generate_microkernel(mr, nr, kc, lanes, gopts);
-  } catch (const std::exception& e) {
-    return InternalError("probe: codegen failed for " + tile + ": " +
-                         e.what());
-  }
-  const int ka = vla ? kc : codegen::padded_k_a(kc, lanes);
-  const int kb = vla ? kc : codegen::padded_k_b(kc, lanes);
-  const std::string what =
-      "generated " + tile +
-      (vla ? " " + std::string(backend_name(be.caps().id)) : "");
-  return run_probe(mr, nr, kc, ka, kb, 11, what,
-                   [&](const float* a, const float* b, float* c) {
-                     sim::Interpreter interp(max_steps);
-                     if (vla) interp.set_vector_length(be.caps().vl_default);
-                     sim::KernelArgs args;
-                     args.a = a;
-                     args.b = b;
-                     args.c = c;
-                     args.lda = ka;
-                     args.ldb = nr;
-                     args.ldc = nr;
-                     return interp.try_run(mk.program, args);
-                   });
-}
-
-/// Probes the host kernels the executor will call: every distinct
-/// (rows x cols, kernel) the plan resolved for its tiles, run through the
-/// same kernels::TileKernel the executor's run_block calls.
+/// The first-use probe: runs every distinct (rows x cols, kernel) the plan
+/// resolved for its tiles — the same kernels::TileKernel the executor's
+/// run_block calls — on deterministic operands of depth kc into a zeroed C,
+/// and compares C with common::reference_gemm.
 Status probe_host_kernels(const Plan& plan, int kc) {
   using Probed = std::tuple<int, int, kernels::MicroKernelFn,
                             kernels::MaskedKernelFn>;
   std::set<Probed> seen;
   for (const auto& [shape, block] : plan.blocks()) {
+    if (block.tiling.tiles.empty())
+      return InternalError("probe: tiling produced no tiles for block " +
+                           shape_string(shape[0], shape[1], shape[2]));
     for (std::size_t i = 0; i < block.tiling.tiles.size(); ++i) {
       const int rows = block.tiling.tiles[i].rows_used;
       const int cols = block.tiling.tiles[i].cols_used;
       const kernels::TileKernel& tk = block.kernels[i];
       if (!seen.emplace(rows, cols, tk.exact, tk.masked).second) continue;
-      AUTOGEMM_RETURN_IF_ERROR(run_probe(
-          rows, cols, kc, kc, kc, 31,
-          "host " + std::to_string(rows) + "x" + std::to_string(cols),
-          [&](const float* a, const float* b, float* c) {
-            tk.run(rows, cols, a, kc, b, cols, c, cols, kc);
-            return Status::OK();
-          }));
+      std::vector<float> a(static_cast<std::size_t>(rows) * kc);
+      std::vector<float> b(static_cast<std::size_t>(kc) * cols);
+      std::vector<float> c(static_cast<std::size_t>(rows) * cols, 0.0f);
+      std::vector<float> c_ref(c.size(), 0.0f);
+      fill_probe(a, 31);
+      fill_probe(b, 43);
+      tk.run(rows, cols, a.data(), kc, b.data(), cols, c.data(), cols, kc);
+      common::reference_gemm(ConstMatrixView{a.data(), rows, kc, kc},
+                             ConstMatrixView{b.data(), kc, cols, cols},
+                             MatrixView{c_ref.data(), rows, cols, cols});
+      const float tol = 1e-4f * static_cast<float>(kc);
+      for (std::size_t j = 0; j < c.size(); ++j) {
+        const float diff = std::fabs(c[j] - c_ref[j]);
+        if (!(diff <= tol))  // negated comparison so NaN fails too
+          return InternalError("probe: host " + std::to_string(rows) + "x" +
+                               std::to_string(cols) +
+                               " kernel diverges from reference (|diff| = " +
+                               std::to_string(diff) + ")");
+      }
     }
   }
   return Status::OK();
-}
-
-std::string shape_string(int m, int n, int k) {
-  return std::to_string(m) + "x" + std::to_string(n) + "x" + std::to_string(k);
 }
 
 std::string config_string(const GemmConfig& cfg) {
@@ -415,38 +354,8 @@ Status Context::verify_config(const Plan& plan) {
     std::lock_guard lock(mu_);
     ++health_.probes;
   }
-  const int lanes = std::max(1, cfg.hw.lanes);
-  const int bm = std::min(cfg.mc, plan.m());
-  const int bn = std::min(cfg.nc, plan.n());
-  const int bk = std::min(cfg.kc, plan.k());
-  const int kc = std::max(1, std::min(bk, kProbeKc));
-  const tiling::TilingResult& tiles = plan.block_tiling(bm, bn, bk);
-  if (tiles.tiles.empty())
-    return InternalError("probe: tiling produced no tiles for block " +
-                         shape_string(bm, bn, bk));
-
-  // Representative vector tile for the generated-kernel probe (the scalar
-  // edge kernels have no padding contract; the vector main tiles are what
-  // the generated library actually ships). Fixed-width backends (NEON)
-  // need a lane-multiple tile, exactly as before the registry; a
-  // VL-agnostic backend predicates the column edge, so any tile it deems
-  // feasible — lane multiple or not — is probeable.
-  if (failpoint::should_fail("verify.generated"))
-    return InternalError("failpoint: verify.generated");
-  const backend::KernelBackend& be = backend::get_backend(cfg.backend);
-  const bool vla = be.caps().vl_agnostic;
-  for (const auto& t : tiles.tiles) {
-    const bool probeable =
-        vla ? be.tile_feasible(t.mr, t.nr)
-            : (t.nr % lanes == 0 && codegen::tile_feasible(t.mr, t.nr, lanes));
-    if (probeable) {
-      const long max_steps = std::max(1L, opts_.probe_max_steps);
-      AUTOGEMM_RETURN_IF_ERROR(
-          probe_generated(be, t.mr, t.nr, kc, lanes, max_steps));
-      break;
-    }
-  }
-
+  // Probe depth: the plan's K block (Plan clamps it to [1, K]), capped.
+  const int kc = std::clamp(cfg.kc, 1, kProbeKc);
   if (failpoint::should_fail("verify.portable"))
     return InternalError("failpoint: verify.portable");
   return probe_host_kernels(plan, kc);

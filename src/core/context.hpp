@@ -28,9 +28,12 @@
 // degradation ladder that keeps answers correct when parts of the stack
 // misbehave:
 //
-//   1. On the first use of each distinct GemmConfig, a probe GEMM runs the
-//      generated-kernel path (codegen + sim::Interpreter, watchdogged) and
-//      the portable kernels:: micro-kernel against common::reference_gemm.
+//   1. On the first use of each distinct GemmConfig, a probe runs every
+//      distinct host kernel the plan will execute (the same
+//      kernels::TileKernel its tiles call) against common::reference_gemm.
+//      Generated instruction streams are never executed here; they are
+//      vetted where they are produced (the codegen and interpreter tests,
+//      `autogemm crosscheck`).
 //   2. A probe fault or miscompare quarantines that config; resolution
 //      retries with the next candidate (tuned -> heuristic). Tuned records
 //      transferred across shapes/machines can be stale or invalid — this
@@ -118,22 +121,16 @@ struct ContextOptions {
   ParallelStrategy parallel_strategy = ParallelStrategy::kAuto;
   /// First-use verification of each distinct GemmConfig against the
   /// reference GEMM (the quarantine ladder above). Costs one tile-sized
-  /// probe per distinct config; disable only for benchmarking the
-  /// unhardened path.
+  /// probe per distinct kernel of each distinct config; disable only for
+  /// benchmarking the unhardened path.
   bool verify_kernels = true;
-  /// Kernel backend every plan this context resolves is generated,
-  /// verified and priced against. kAuto consults the AUTOGEMM_BACKEND
-  /// environment variable, then falls back to the highest-priority
-  /// host-executable backend (NEON today — bitwise-identical to the
-  /// pre-registry library). An explicit id must be registered; the
-  /// constructor throws std::out_of_range otherwise.
+  /// Kernel backend every plan this context resolves is tiled and priced
+  /// for. kAuto consults the AUTOGEMM_BACKEND environment variable, then
+  /// falls back to the highest-priority host-executable backend: x86_wide
+  /// on a CPU with AVX2+FMA or AVX-512F, the 128-bit neon tier otherwise.
+  /// An explicit id must be registered; the constructor throws
+  /// std::out_of_range otherwise.
   backend::BackendId backend = backend::BackendId::kAuto;
-  /// sim::Interpreter dynamic-instruction budget for each first-use
-  /// verification probe of a generated kernel (the only simulator the
-  /// execution path drives). A probe that exceeds it reports
-  /// kDeadlineExceeded and quarantines the config, exactly like a
-  /// miscompare; the chaos harness starves it to force that ladder.
-  long probe_max_steps = 2'000'000;
 };
 
 /// Monotonic cache counters (see Context::stats); the cache hit-rate bench

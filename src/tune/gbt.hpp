@@ -14,7 +14,7 @@
 
 namespace autogemm::tune {
 
-inline constexpr std::size_t kFeatureCount = 9;
+inline constexpr std::size_t kFeatureCount = 8;
 using FeatureVec = std::array<double, kFeatureCount>;
 
 struct GbtParams {

@@ -42,39 +42,37 @@ GemmConfig config_from_candidate(int m, int n, int k, const Candidate& c) {
 
 bool TuningRecords::add(const ShapeKey& shape, const Candidate& candidate,
                         double cost) {
-  const RecordKey key{shape, candidate.backend, candidate.dtype};
+  const RecordKey key{shape, candidate.backend};
   auto it = records_.find(key);
   if (it != records_.end() && it->second.cost <= cost) return false;
   records_[key] = {candidate, cost};
   return true;
 }
 
-std::optional<Candidate> TuningRecords::lookup(const ShapeKey& shape,
-                                               backend::BackendId backend,
-                                               common::DType dtype) const {
-  auto it = records_.find(RecordKey{shape, backend, dtype});
+std::optional<Candidate> TuningRecords::lookup(
+    const ShapeKey& shape, backend::BackendId backend) const {
+  auto it = records_.find(RecordKey{shape, backend});
   if (it == records_.end()) return std::nullopt;
   return it->second.candidate;
 }
 
 std::optional<double> TuningRecords::cost(const ShapeKey& shape,
-                                          backend::BackendId backend,
-                                          common::DType dtype) const {
-  auto it = records_.find(RecordKey{shape, backend, dtype});
+                                          backend::BackendId backend) const {
+  auto it = records_.find(RecordKey{shape, backend});
   if (it == records_.end()) return std::nullopt;
   return it->second.cost;
 }
 
 std::optional<Candidate> TuningRecords::lookup_nearest(
     const ShapeKey& shape, double max_log2_distance,
-    backend::BackendId backend, common::DType dtype) const {
+    backend::BackendId backend) const {
   const auto dim_distance = [](int want, int have) {
     return std::abs(std::log2(static_cast<double>(want) / have));
   };
   double best = std::numeric_limits<double>::infinity();
   const Record* best_rec = nullptr;
   for (const auto& [key, rec] : records_) {
-    if (key.backend != backend || key.dtype != dtype) continue;
+    if (key.backend != backend) continue;
     const double d = dim_distance(shape.m, key.shape.m) +
                      dim_distance(shape.n, key.shape.n) +
                      dim_distance(shape.k, key.shape.k);
@@ -89,8 +87,7 @@ std::optional<Candidate> TuningRecords::lookup_nearest(
 
 Status TuningRecords::save(std::ostream& os) const {
   os << "autogemm-records v1\n";
-  os << "# m n k mc nc kc order packing cost strategy backend dtype "
-        "c=fnv1a(line)\n";
+  os << "# m n k mc nc kc order packing cost strategy backend c=fnv1a(line)\n";
   bool corrupt_one = failpoint::should_fail("records.corrupt_save");
   for (const auto& [key, rec] : records_) {
     const ShapeKey& shape = key.shape;
@@ -101,8 +98,7 @@ Status TuningRecords::save(std::ostream& os) const {
          << static_cast<int>(rec.candidate.loop_order) << ' '
          << static_cast<int>(rec.candidate.packing) << ' ' << rec.cost << ' '
          << static_cast<int>(rec.candidate.strategy) << ' '
-         << static_cast<int>(rec.candidate.backend) << ' '
-         << static_cast<int>(rec.candidate.dtype);
+         << static_cast<int>(rec.candidate.backend);
     std::string payload = line.str();
     const std::uint32_t crc = fnv1a(payload);
     if (corrupt_one) {
@@ -178,13 +174,12 @@ Status TuningRecords::load(std::istream& is, LoadReport* report) {
     if (parsed && strategy_ok && (ls >> backend_int))
       backend_valid = backend_int >= 0 &&
                       backend_int <= static_cast<int>(backend::BackendId::kX86Wide);
-    // Optional trailing dtype field, introduced with the quantized tier:
-    // every line written before it loads as fp32 (the only tier that
-    // existed); a present field must name a known dtype.
-    int dtype_int = static_cast<int>(common::DType::kF32);
+    // Legacy trailing dtype field: 0 (fp32) is what every record resolves
+    // as; any other value is a tier no record serves, skipped as unknown.
+    int dtype_int = 0;
     bool dtype_ok = true;
     if (parsed && strategy_ok && backend_valid && (ls >> dtype_int))
-      dtype_ok = common::dtype_valid(dtype_int);
+      dtype_ok = dtype_int == 0;
     const bool sane = parsed && strategy_ok && backend_valid && dtype_ok &&
                       shape.m > 0 &&
                       shape.n > 0 && shape.k > 0 && rec.candidate.mc > 0 &&
@@ -202,9 +197,7 @@ Status TuningRecords::load(std::istream& is, LoadReport* report) {
     rec.candidate.packing = static_cast<kernels::Packing>(packing);
     rec.candidate.strategy = static_cast<ParallelStrategy>(strategy);
     rec.candidate.backend = static_cast<backend::BackendId>(backend_int);
-    rec.candidate.dtype = static_cast<common::DType>(dtype_int);
-    records_[RecordKey{shape, rec.candidate.backend, rec.candidate.dtype}] =
-        rec;
+    records_[RecordKey{shape, rec.candidate.backend}] = rec;
     ++local.loaded;
   }
   if (report != nullptr) *report = local;

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "backend/backend_id.hpp"
-#include "common/dtype.hpp"
 #include "common/status.hpp"
 #include "tune/search_space.hpp"
 
@@ -39,37 +38,30 @@ class TuningRecords {
   /// stored.
   bool add(const ShapeKey& shape, const Candidate& candidate, double cost);
 
-  /// Exact-shape record *for the requested backend and dtype only*: a
-  /// mixed-backend file never resolves an SVE blocking for a NEON caller
-  /// or vice versa, and a mixed-dtype file never resolves an int8 blocking
-  /// for an fp32 caller — the two tiers have different kernels, packing
-  /// layouts and cost surfaces. The defaults keep legacy (pre-backend,
-  /// pre-dtype) callers on the NEON fp32 table.
+  /// Exact-shape record *for the requested backend only*: a mixed-backend
+  /// file never resolves an SVE blocking for a NEON caller or vice versa.
+  /// The default keeps legacy (pre-backend) callers on the NEON table.
+  /// Records are fp32 configs: int8 calls never resolve a plan.
   std::optional<Candidate> lookup(
       const ShapeKey& shape,
-      backend::BackendId backend = backend::BackendId::kNeon,
-      common::DType dtype = common::DType::kF32) const;
+      backend::BackendId backend = backend::BackendId::kNeon) const;
   std::optional<double> cost(
       const ShapeKey& shape,
-      backend::BackendId backend = backend::BackendId::kNeon,
-      common::DType dtype = common::DType::kF32) const;
+      backend::BackendId backend = backend::BackendId::kNeon) const;
   std::size_t size() const { return records_.size(); }
 
   /// Nearest-shape fallback for untuned shapes: returns the record whose
   /// shape minimizes sum_d |log2(want_d / have_d)| over (m, n, k) — tuned
   /// parameters transfer between shapes of similar aspect, so a serving
   /// context prefers a close record over the cold heuristic. Scoped to
-  /// `backend` and `dtype` exactly like lookup(): records for other
-  /// backends or dtypes are invisible, however near their shapes — an fp32
-  /// blocking must never cross-resolve onto the int8 tier (different
-  /// kernels, packing, cost surface), mirroring the backend-scoping rule.
-  /// Returns nullopt when no in-backend in-dtype record exists or the best
-  /// distance exceeds `max_log2_distance` (default: within ~2x total
-  /// across the three dimensions).
+  /// `backend` exactly like lookup(): records for other backends are
+  /// invisible, however near their shapes. Returns nullopt when no
+  /// in-backend record exists or the best distance exceeds
+  /// `max_log2_distance` (default: within ~2x total across the three
+  /// dimensions).
   std::optional<Candidate> lookup_nearest(
       const ShapeKey& shape, double max_log2_distance = 1.0,
-      backend::BackendId backend = backend::BackendId::kNeon,
-      common::DType dtype = common::DType::kF32) const;
+      backend::BackendId backend = backend::BackendId::kNeon) const;
 
   /// Outcome of a tolerant load: how many records survived and how many
   /// lines were skipped as corrupt (malformed fields, out-of-range enums,
@@ -81,17 +73,16 @@ class TuningRecords {
 
   /// Text format: a `autogemm-records v1` header line, then one record per
   /// line with a trailing FNV-1a line checksum:
-  ///   m n k mc nc kc loop_order packing cost [strategy] [backend] [dtype]
-  ///   c=<hex>
+  ///   m n k mc nc kc loop_order packing cost [strategy] [backend] c=<hex>
   /// `strategy` is the candidate's ParallelStrategy as an int; it is
   /// optional on load (legacy 9-field lines read as kAuto) and always
   /// written on save. `backend` is the candidate's BackendId as an int and
   /// is likewise optional on load — legacy 9- and 10-field lines read as
   /// NEON, the only backend that existed when they were written — and
-  /// always written on save. `dtype` is the candidate's common::DType as
-  /// an int, optional the same way: lines without it (everything written
-  /// before the quantized tier) load as fp32. Returns non-OK if the stream
-  /// enters a failed state.
+  /// always written on save. Lines written while records carried a dtype
+  /// have a 12th field: `0` (fp32) loads like the 11-field line, any other
+  /// value names a tier no record resolves for and the line is skipped as
+  /// an unknown dtype. Returns non-OK if the stream enters a failed state.
   Status save(std::ostream& os) const;
   /// Replaces the current contents. Headerless streams (seed-era files)
   /// load as v1, and lines without the `c=` checksum field are accepted
@@ -131,13 +122,12 @@ class TuningRecords {
   Status load_file(const std::string& path, LoadReport* report = nullptr);
 
  private:
-  /// Storage key: one record slot per (shape, backend, dtype) triple, so a
-  /// tuning campaign that prices several tiers keeps the per-shape winner
-  /// of *each*.
+  /// Storage key: one record slot per (shape, backend) pair, so a tuning
+  /// campaign that prices several tiers keeps the per-shape winner of
+  /// *each*.
   struct RecordKey {
     ShapeKey shape;
     backend::BackendId backend = backend::BackendId::kNeon;
-    common::DType dtype = common::DType::kF32;
     auto operator<=>(const RecordKey&) const = default;
   };
   struct Record {

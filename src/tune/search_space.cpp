@@ -27,7 +27,7 @@ bool backend_block_feasible(const backend::KernelBackend& be, int mc, int nc) {
 
 }  // namespace
 
-std::array<double, 9> features(const Candidate& c) {
+std::array<double, 8> features(const Candidate& c) {
   return {static_cast<double>(c.mc),
           static_cast<double>(c.nc),
           static_cast<double>(c.kc),
@@ -35,7 +35,6 @@ std::array<double, 9> features(const Candidate& c) {
           static_cast<double>(c.packing),
           static_cast<double>(c.strategy),
           static_cast<double>(c.backend),
-          static_cast<double>(c.dtype),
           static_cast<double>(c.mc) * c.nc * c.kc};
 }
 
@@ -53,8 +52,7 @@ std::vector<int> blocking_choices(int dim, bool divisors_only) {
 
 std::vector<Candidate> enumerate_space(int m, int n, int k, bool divisors_only,
                                        bool include_parallel_strategies,
-                                       bool include_backends,
-                                       bool include_dtypes) {
+                                       bool include_backends) {
   std::vector<Candidate> out;
   const auto mcs = blocking_choices(m, divisors_only);
   const auto ncs = blocking_choices(n, divisors_only);
@@ -75,13 +73,8 @@ std::vector<Candidate> enumerate_space(int m, int n, int k, bool divisors_only,
   // block feasibility per (mc, nc) below.
   std::vector<const backend::KernelBackend*> backends;
   if (include_backends) backends = backend::registry().all();
-  // Dtype axis off: the implicit fp32 entry (the Candidate default). On:
-  // the int8 widening tier joins with the same blocking vocabulary — the
-  // quantized kernels consume the identical tile enumeration.
-  std::vector<common::DType> dtypes{common::DType::kF32};
-  if (include_dtypes) dtypes.push_back(common::DType::kI8);
   out.reserve(mcs.size() * ncs.size() * kcs.size() * 18 * strategies.size() *
-              std::max<std::size_t>(1, backends.size()) * dtypes.size());
+              std::max<std::size_t>(1, backends.size()));
   for (int mc : mcs) {
     for (int nc : ncs) {
       std::vector<backend::BackendId> ids;
@@ -97,9 +90,7 @@ std::vector<Candidate> enumerate_space(int m, int n, int k, bool divisors_only,
           for (kernels::Packing packing : packings)
             for (ParallelStrategy strategy : strategies)
               for (backend::BackendId id : ids)
-                for (common::DType dtype : dtypes)
-                  out.push_back(
-                      {mc, nc, kc, order, packing, strategy, id, dtype});
+                out.push_back({mc, nc, kc, order, packing, strategy, id});
     }
   }
   return out;
@@ -107,12 +98,11 @@ std::vector<Candidate> enumerate_space(int m, int n, int k, bool divisors_only,
 
 std::size_t space_size(int m, int n, int k, bool divisors_only,
                        bool include_parallel_strategies,
-                       bool include_backends, bool include_dtypes) {
+                       bool include_backends) {
   const auto mcs = blocking_choices(m, divisors_only);
   const auto ncs = blocking_choices(n, divisors_only);
   const std::size_t per_block = blocking_choices(k, divisors_only).size() * 6 *
-                                3 * (include_parallel_strategies ? 2 : 1) *
-                                (include_dtypes ? 2 : 1);
+                                3 * (include_parallel_strategies ? 2 : 1);
   if (!include_backends) return mcs.size() * ncs.size() * per_block;
   // With the backend axis on, the count is feasibility-dependent: sum the
   // admitted backends over every (mc, nc) block shape.

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "backend/backend_id.hpp"
-#include "common/dtype.hpp"
 #include "core/plan.hpp"
 
 namespace autogemm::tune {
@@ -29,17 +28,12 @@ struct Candidate {
   /// default so legacy spaces, records and tests are untouched; the axis
   /// is crossed in only by enumerate_space(..., include_backends = true).
   backend::BackendId backend = backend::BackendId::kNeon;
-  /// Element-type tier the candidate targets (the quantization axis —
-  /// joins backend as a records-key dimension). fp32 by default so legacy
-  /// spaces and records are untouched; crossed in by
-  /// enumerate_space(..., include_dtypes = true).
-  common::DType dtype = common::DType::kF32;
 
   bool operator==(const Candidate&) const = default;
 };
 
 /// Numeric feature vector for the learning-based surrogate (GBT).
-std::array<double, 9> features(const Candidate& c);
+std::array<double, 8> features(const Candidate& c);
 
 /// The paper's blocking rule: all divisors of the dimension ("0 < mc <= M,
 /// M % mc == 0"). For prime or huge dimensions this is tiny/huge, so the
@@ -58,18 +52,13 @@ std::vector<int> blocking_choices(int dim, bool divisors_only);
 /// lane multiple; predicated backends mask any edge). Off by default so
 /// legacy spaces — and the tuner runs that feed NEON-only records files —
 /// are byte-identical to before the axis existed.
-/// `include_dtypes` crosses in the int8 widening tier next to fp32 (x2,
-/// same blocking vocabulary — the quantized kernels share the tile
-/// enumeration); off by default for the same legacy-stability reason.
 std::vector<Candidate> enumerate_space(
     int m, int n, int k, bool divisors_only = true,
-    bool include_parallel_strategies = false, bool include_backends = false,
-    bool include_dtypes = false);
+    bool include_parallel_strategies = false, bool include_backends = false);
 
 /// Size of the space without materializing it.
 std::size_t space_size(int m, int n, int k, bool divisors_only = true,
                        bool include_parallel_strategies = false,
-                       bool include_backends = false,
-                       bool include_dtypes = false);
+                       bool include_backends = false);
 
 }  // namespace autogemm::tune

@@ -357,9 +357,9 @@ TEST(TuneBackendAxis, FeaturesExposeBackendDimension) {
   c.kc = 4;
   c.backend = BackendId::kSveSim;
   const auto f = tune::features(c);
-  ASSERT_EQ(f.size(), 9u);
+  ASSERT_EQ(f.size(), 8u);
   EXPECT_EQ(f[6], static_cast<double>(BackendId::kSveSim));
-  EXPECT_EQ(f[7], static_cast<double>(common::DType::kF32));
+  EXPECT_EQ(f[7], 16.0 * 8 * 4);  // the block volume follows the backend
 }
 
 TEST(TuneBackendAxis, ModelCostSecondsPricesPerBackendChip) {

@@ -1,8 +1,8 @@
 // The quantized tier: symmetric int8 primitives (scales, round trip,
 // granularity ordering), qgemm's accuracy contract against the fp64
 // reference, portable-vs-SIMD bit identity, the Context entry points and
-// their packed-cache/invalidate contract, the tuning-records dtype axis
-// (never cross-resolving), serve's (shape, dtype) bucketing, the obs
+// their packed-cache/invalidate contract, serve's (shape, dtype)
+// bucketing and its rejection of out-of-range dtypes, the obs
 // dtype label twins, and the transformer block that strings the GEMM
 // census together.
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "quant/qpacked.hpp"
 #include "quant/quantize.hpp"
 #include "serve/engine.hpp"
-#include "tune/records.hpp"
 
 namespace autogemm {
 namespace {
@@ -298,69 +297,6 @@ TEST(ContextQuant, RunI8ValidatesOperands) {
 }
 
 // ---------------------------------------------------------------------
-// Tuning records: dtype is a key axis, never cross-resolved
-
-TEST(RecordsDType, SameShapeDifferentDTypesCoexistAndNeverCross) {
-  tune::TuningRecords recs;
-  tune::Candidate f32;
-  f32.mc = 64;
-  f32.nc = 64;
-  f32.kc = 64;
-  tune::Candidate i8 = f32;
-  i8.mc = 128;
-  i8.dtype = DType::kI8;
-  const tune::ShapeKey shape{64, 64, 64};
-  EXPECT_TRUE(recs.add(shape, f32, 1.0));
-  EXPECT_TRUE(recs.add(shape, i8, 2.0));  // not an improvement fight: new slot
-  EXPECT_EQ(recs.size(), 2u);
-
-  const auto got_f32 =
-      recs.lookup(shape, backend::BackendId::kNeon, DType::kF32);
-  const auto got_i8 = recs.lookup(shape, backend::BackendId::kNeon, DType::kI8);
-  ASSERT_TRUE(got_f32.has_value());
-  ASSERT_TRUE(got_i8.has_value());
-  EXPECT_EQ(got_f32->mc, 64);
-  EXPECT_EQ(got_i8->mc, 128);
-
-  // Nearest-shape fallback must stay inside the dtype: an fp32-only table
-  // never resolves an int8 caller, however close the shape.
-  tune::TuningRecords f32_only;
-  EXPECT_TRUE(f32_only.add(shape, f32, 1.0));
-  EXPECT_TRUE(f32_only
-                  .lookup_nearest({65, 64, 64}, 1.0, backend::BackendId::kNeon,
-                                  DType::kF32)
-                  .has_value());
-  EXPECT_FALSE(f32_only
-                   .lookup_nearest({65, 64, 64}, 1.0, backend::BackendId::kNeon,
-                                   DType::kI8)
-                   .has_value());
-}
-
-TEST(RecordsDType, DTypeSurvivesSaveLoadRoundTrip) {
-  tune::TuningRecords recs;
-  tune::Candidate i8;
-  i8.mc = 96;
-  i8.nc = 48;
-  i8.kc = 32;
-  i8.dtype = DType::kI8;
-  EXPECT_TRUE(recs.add({33, 200, 17}, i8, 0.5));
-  std::stringstream ss;
-  ASSERT_TRUE(recs.save(ss).ok());
-  tune::TuningRecords loaded;
-  tune::TuningRecords::LoadReport rep;
-  ASSERT_TRUE(loaded.load(ss, &rep).ok());
-  EXPECT_EQ(rep.skipped, 0u);
-  EXPECT_FALSE(
-      loaded.lookup({33, 200, 17}, backend::BackendId::kNeon, DType::kF32)
-          .has_value());
-  const auto got =
-      loaded.lookup({33, 200, 17}, backend::BackendId::kNeon, DType::kI8);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->mc, 96);
-  EXPECT_EQ(got->dtype, DType::kI8);
-}
-
-// ---------------------------------------------------------------------
 // Serve: (shape, dtype) buckets
 
 TEST(ServeQuant, SameShapeDifferentDTypeNeverCoBatch) {
@@ -415,7 +351,7 @@ TEST(ServeQuant, Bf16RequestsRejectedAtAdmission) {
   r.a = a.view();
   r.b = b.view();
   r.c = c.view();
-  r.dtype = DType::kBf16;
+  r.dtype = static_cast<DType>(2);  // outside the enum
   EXPECT_EQ(engine.submit(r).get().code(), StatusCode::kInvalidArgument);
   engine.shutdown();
   EXPECT_TRUE(engine.stats().accounting_clean());
@@ -554,7 +490,7 @@ TEST(Transformer, ValidationRejectsBadShapesAndDTypes) {
   EXPECT_EQ(block.forward(x.view(), y_bad.view(), ctx).code(),
             StatusCode::kInvalidArgument);
   dnn::TransformerConfig bad = cfg;
-  bad.ff_dtype = DType::kBf16;  // no Context entry point
+  bad.ff_dtype = static_cast<DType>(2);  // outside the enum
   dnn::TransformerBlock bad_block(bad);
   Matrix y(5, 16);
   EXPECT_EQ(bad_block.forward(x.view(), y.view(), ctx).code(),

@@ -300,16 +300,39 @@ TEST(Records, LegacyNineAndTenFieldLinesLoadAsNeon) {
 
   EXPECT_FALSE(
       records.lookup({64, 64, 64}, backend::BackendId::kSveSim).has_value());
+
+  // Lines written while records carried a dtype have a 12th field; 0
+  // (fp32) loads exactly like its 11-field twin.
+  TuningRecords eleven, twelve;
+  std::stringstream s11("48 48 48 16 16 8 3 2 7.5 2 1\n");
+  std::stringstream s12("48 48 48 16 16 8 3 2 7.5 2 1 0\n");
+  TuningRecords::LoadReport r11, r12;
+  EXPECT_TRUE(eleven.load(s11, &r11).ok());
+  EXPECT_TRUE(twelve.load(s12, &r12).ok());
+  EXPECT_EQ(r12.loaded, r11.loaded);
+  EXPECT_EQ(r12.skipped, 0u);
+  const ShapeKey shape{48, 48, 48};
+  const auto want = eleven.lookup(shape, backend::BackendId::kSveSim);
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(twelve.lookup(shape, backend::BackendId::kSveSim), want);
+  EXPECT_EQ(twelve.cost(shape, backend::BackendId::kSveSim),
+            eleven.cost(shape, backend::BackendId::kSveSim));
 }
 
 TEST(Records, UnknownBackendFieldSkippedNotMisfiled) {
   // A backend id from the future must be skipped like any corrupt field,
   // never silently loaded as some backend that happens to exist today.
+  // The same holds for a legacy dtype field naming a tier records no
+  // longer carry: 1 (int8) and 2 (bf16) skip as unknown dtypes.
   TuningRecords records;
-  std::stringstream ss("64 64 64 16 32 16 2 1 10.0 0 7\n");
+  std::stringstream ss(
+      "64 64 64 16 32 16 2 1 10.0 0 7\n"
+      "32 32 32 8 16 8 0 1 5.0 0 0 1\n"
+      "16 16 16 4 8 4 0 1 2.0 0 0 2\n");
   TuningRecords::LoadReport report;
   EXPECT_EQ(records.load(ss, &report).code(), StatusCode::kDataLoss);
-  EXPECT_EQ(report.skipped, 1u);
+  EXPECT_EQ(report.skipped, 3u);
+  EXPECT_EQ(report.loaded, 0u);
   EXPECT_EQ(records.size(), 0u);
 }
 

@@ -744,8 +744,7 @@ int cmd_crosscheck(int argc, char** argv) {
   };
   const std::string dtype_flag = flag_value(argc, argv, "--dtype", "f32");
   common::DType dtype = common::DType::kF32;
-  if (!common::parse_dtype(dtype_flag, &dtype) ||
-      dtype == common::DType::kBf16) {
+  if (!common::parse_dtype(dtype_flag, &dtype)) {
     std::fprintf(stderr, "crosscheck: unsupported --dtype %s (f32|int8)\n",
                  dtype_flag.c_str());
     return 2;

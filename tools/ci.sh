@@ -19,15 +19,17 @@
 # clean accounting) — then drives 20 seeds of the chaos harness through
 # `autogemm chaos` (dispatcher crash/stall, allocation/execution/verify
 # faults; any invariant violation is a nonzero exit) and runs the serve
-# coalescing + graceful-drain bench, copying its JSON to BENCH_serve.json
-# at the repo root. A sharded-serving pass then replays the same trace
+# coalescing + graceful-drain bench (JSON in build/bench_serve.json). A
+# sharded-serving pass then replays the same trace
 # through a 2-shard ShardedEngine (clean low-load replay, then a
 # stall-injected run that must divert work via the router's bounded
 # stealing), runs 6 chaos seeds with --shards 2, and runs the open-loop
 # scale bench (bench_serve_scale), whose `scale acceptance ... PASS` line
 # gates on the 2-shard fleet completing strictly more goodput than 1
-# shard at the same offered load; its JSON is copied to
-# BENCH_serve_scale.json at the repo root. The serve tests also run under
+# shard at the same offered load (JSON in build/bench_serve_scale.json).
+# Bench JSON stays under build/: the committed BENCH_*.json files at the
+# repo root are recorded by hand with their host fingerprint, never
+# overwritten by a CI run. The serve tests also run under
 # the asan configuration via the regular ctest pass, and the asan
 # configuration repeats the 4-worker pooled pass, the 20-seed chaos pass
 # and the 6-seed sharded chaos pass under the sanitizers.
@@ -171,7 +173,6 @@ for config in "${configs[@]}"; do
         | tee build/serve_bench.txt
       grep -q 'speedup (batch=8 vs single-dispatch)' build/serve_bench.txt
       grep -q 'drain: backlog=' build/serve_bench.txt
-      cp build/bench_serve.json BENCH_serve.json
       echo "==== [release] online-tuning smoke: serve-replay --tune ===="
       # Repeated-irregular-shape trace with the online tuner (model-cost,
       # deterministic): pass one must promote at least one searched config
@@ -198,7 +199,6 @@ for config in "${configs[@]}"; do
         --json-out build/bench_online_tune.json \
         | tee build/online_tune_bench.txt
       grep -q 'concurrent p99 / baseline p99' build/online_tune_bench.txt
-      cp build/bench_online_tune.json BENCH_online_tune.json
       echo "==== [release] sharded serve smoke: 2-shard replay ===="
       # The canned trace through a 2-shard ShardedEngine: deterministic
       # shape-hash routing must spread the trace across both workers, all
@@ -231,7 +231,6 @@ for config in "${configs[@]}"; do
       ./build/bench/bench_serve_scale --json-out build/bench_serve_scale.json \
         | tee build/serve_scale_bench.txt
       grep -Eq 'scale acceptance.*PASS' build/serve_scale_bench.txt
-      cp build/bench_serve_scale.json BENCH_serve_scale.json
       echo "==== [release] backend matrix (AUTOGEMM_BACKEND=neon|sve_sim|x86_wide) ===="
       # The tier-1 suite must hold under every registered backend: kAuto
       # contexts resolve through the env override, so this exercises the
@@ -275,7 +274,6 @@ for config in "${configs[@]}"; do
       ./build/bench/bench_quant --json-out build/bench_quant.json \
         | tee build/quant_bench.txt
       grep -q 'quant acceptance: PASS' build/quant_bench.txt
-      cp build/bench_quant.json BENCH_quant.json
       echo "==== [release] quantized serving bench (mixed dtype, 2 shards) ===="
       # Open-loop GPT-2-style mixed trace: zero unresolved futures, clean
       # accounting everywhere, both tiers completing; the JSON carries the
@@ -284,7 +282,6 @@ for config in "${configs[@]}"; do
         --json-out build/bench_quant_serve.json \
         | tee build/quant_serve_bench.txt
       grep -Eq 'quant serve acceptance.*PASS' build/quant_serve_bench.txt
-      cp build/bench_quant_serve.json BENCH_quant_serve.json
       echo "==== [release] repository benchmark smoke (perfbench) ===="
       # Builds the benchmark driver against the library's public entry
       # points and runs each workload briefly; any failed correctness
