@@ -57,20 +57,19 @@ std::array<int, 3> order_permutation(LoopOrder order) {
 }
 
 /// The serial blocked loop of core/gemm.cpp, span-free. Any structural
-/// divergence from execute_single/block_step/run_block contaminates the
+/// divergence from detail::execute/block_step/run_block contaminates the
 /// overhead number, so this mirrors them line for line (minus obs) —
-/// including allocating the packing scratch per call, as execute_single's
-/// Scratch does.
+/// including allocating the packing scratch per call, as the Plan-level
+/// gemm() does with its call-local workspace.
 struct Replica {
   const Plan& plan;
-  common::AlignedBuffer a_buf, b_buf;
+  common::AlignedBuffer scratch;
+  float* a_buf = nullptr;
+  float* b_buf = nullptr;
   int a_block_i = -1, a_block_p = -1;
   int b_block_p = -1, b_block_j = -1;
 
-  explicit Replica(const Plan& p)
-      : plan(p),
-        a_buf(static_cast<std::size_t>(p.config().mc) * p.config().kc),
-        b_buf(static_cast<std::size_t>(p.config().kc) * p.config().nc) {}
+  explicit Replica(const Plan& p) : plan(p) {}
 
   void block_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, int bi,
                   int bj, int bp) {
@@ -87,11 +86,11 @@ struct Replica {
     const bool pack = cfg.packing == kernels::Packing::kOnline;
     if (pack) {
       if (a_block_i != bi || a_block_p != bp) {
-        kernels::pack_block(a.block(i0, p0, bm, bk), a_buf.data(), bk);
+        kernels::pack_block(a.block(i0, p0, bm, bk), a_buf, bk);
         a_block_i = bi;
         a_block_p = bp;
       }
-      a_ptr = a_buf.data();
+      a_ptr = a_buf;
       lda = bk;
     } else {
       a_ptr = a.data + static_cast<long>(i0) * a.ld + p0;
@@ -99,11 +98,11 @@ struct Replica {
     }
     if (pack) {
       if (b_block_p != bp || b_block_j != bj) {
-        kernels::pack_block(b.block(p0, j0, bk, bn), b_buf.data(), bn);
+        kernels::pack_block(b.block(p0, j0, bk, bn), b_buf, bn);
         b_block_p = bp;
         b_block_j = bj;
       }
-      b_ptr = b_buf.data();
+      b_ptr = b_buf;
       ldb = bn;
     } else {
       b_ptr = b.data + static_cast<long>(p0) * b.ld + j0;
@@ -128,13 +127,16 @@ struct Replica {
                          ceil_div(plan.n(), cfg.nc),
                          ceil_div(plan.k(), cfg.kc)};
     const auto perm = order_permutation(cfg.loop_order);
-    // execute_single builds its Scratch (two aligned allocations) per
-    // call; mirror that or the library pays for allocation the replica
-    // skipped and the delta reads as obs overhead.
-    a_buf = common::AlignedBuffer(
-        static_cast<std::size_t>(cfg.mc) * cfg.kc);
-    b_buf = common::AlignedBuffer(
-        static_cast<std::size_t>(cfg.kc) * cfg.nc);
+    // The library grows a fresh workspace per call (one uninitialized
+    // allocation); mirror that or the library pays for allocation the
+    // replica skipped and the delta reads as obs overhead.
+    const std::size_t a_size = static_cast<std::size_t>(cfg.mc) * cfg.kc;
+    scratch = common::AlignedBuffer();
+    scratch = common::AlignedBuffer(
+        common::kUninitialized,
+        a_size + static_cast<std::size_t>(cfg.kc) * cfg.nc);
+    a_buf = scratch.data();
+    b_buf = a_buf + a_size;
     a_block_i = a_block_p = b_block_p = b_block_j = -1;
     int idx[3];
     for (int x = 0; x < nblk[perm[0]]; ++x)

@@ -78,10 +78,13 @@ int main(int argc, char** argv) {
     }
     auto packed_b = PackedB::create(b.view(), *plan);
     if (!packed_b.ok()) return 1;
+    const detail::GroupMember member{a.view(), b.view(), c_f32.view()};
+    common::Workspace ws;
     const auto t_f32 = bench::median(bench::time_reps(
         [&] {
           c_f32.set_zero();
-          gemm(a.view(), *packed_b, b.view(), c_f32.view(), *plan, nullptr);
+          detail::execute(&member, 1, nullptr, &*packed_b, {}, *plan, nullptr,
+                          ws);
         },
         args.warmup, args.repeats));
 

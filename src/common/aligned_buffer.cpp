@@ -43,4 +43,11 @@ AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
   return *this;
 }
 
+void Workspace::grow(std::size_t bytes) {
+  if (bytes <= buf_.size() * sizeof(float)) return;
+  buf_ = AlignedBuffer();  // never hold the old and the new buffer at once
+  buf_ = AlignedBuffer(kUninitialized,
+                       (bytes + sizeof(float) - 1) / sizeof(float));
+}
+
 }  // namespace autogemm::common

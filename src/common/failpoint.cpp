@@ -1,6 +1,7 @@
 #include "common/failpoint.hpp"
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -24,8 +25,10 @@ std::mutex& registry_mu() {
   return mu;
 }
 
-std::map<std::string, Entry>& registry() {
-  static std::map<std::string, Entry> reg;
+// Transparent comparator: should_fail's lookup by the site's literal builds
+// no std::string, so an armed registry does not allocate on every check.
+std::map<std::string, Entry, std::less<>>& registry() {
+  static std::map<std::string, Entry, std::less<>> reg;
   return reg;
 }
 

@@ -94,7 +94,7 @@ void ThreadPool::run_chunks(std::uint64_t region) {
   // region's value unless the region has already ended and the next one
   // was published; then cursor_ no longer carries `region` in its high
   // half (or is closed), the claim below fails and nothing stale runs.
-  const std::function<void(int)>* fn = body_.load();
+  const IndexFn* fn = body_.load();
   const int count = count_.load();
   const int grain = grain_.load();
   const std::uint64_t tag = (region & 0xffffffffu) << 32;
@@ -140,7 +140,7 @@ void ThreadPool::worker_loop(unsigned index) {
   }
 }
 
-void ThreadPool::parallel_for(int count, const std::function<void(int)>& fn) {
+void ThreadPool::parallel_for(int count, IndexFn fn) {
   if (count <= 0) return;
   if (size() <= 1 || count == 1) {
     ScopedWorkerIndex scoped(static_cast<int>(size()));

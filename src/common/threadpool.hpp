@@ -6,8 +6,8 @@
 // chunk through a queue; serving-style callers (autogemm::Context) issue
 // thousands of small parallel_for calls per second, so the pool now keeps
 // one persistent region the workers re-arm on a generation counter and
-// claims iterations through an atomic cursor: a parallel_for call performs
-// no allocation beyond what the caller's closure already did.
+// claims iterations through an atomic cursor, and parallel_for takes its
+// body by reference (IndexFn): a region allocates nothing.
 //
 // Waking a sleeping worker costs a futex wake plus, under a hypervisor, an
 // interrupt to an idle virtual CPU: about 15 us per region on a 4-vCPU KVM
@@ -21,12 +21,29 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace autogemm::common {
+
+/// Non-owning reference to a parallel_for body (any const-callable taking
+/// the iteration index): two pointers whatever the closure's size, so
+/// binding one allocates nothing. A lambda written in the call outlives the
+/// region.
+class IndexFn {
+ public:
+  template <class F>
+  IndexFn(const F& f) noexcept  // NOLINT: implicit
+      : obj_(&f), call_([](const void* obj, int i) {
+          (*static_cast<const F*>(obj))(i);
+        }) {}
+  void operator()(int i) const { call_(obj_, i); }
+
+ private:
+  const void* obj_;
+  void (*call_)(const void*, int);
+};
 
 class ThreadPool {
  public:
@@ -63,7 +80,7 @@ class ThreadPool {
   /// fn propagate to the caller (first one wins) and the pool stays usable.
   /// Concurrent calls from different threads are serialized; calling from
   /// inside a running region (nested parallelism) is not supported.
-  void parallel_for(int count, const std::function<void(int)>& fn);
+  void parallel_for(int count, IndexFn fn);
 
  private:
   void worker_loop(unsigned index);
@@ -98,7 +115,7 @@ class ThreadPool {
   // other participants poll.
   alignas(64) std::atomic<std::uint64_t> region_{0};
   std::atomic<bool> stopping_{false};
-  std::atomic<const std::function<void(int)>*> body_{nullptr};
+  std::atomic<const IndexFn*> body_{nullptr};
   std::atomic<int> count_{0};
   std::atomic<int> grain_{1};
   alignas(64) std::atomic<std::uint64_t> cursor_{0};

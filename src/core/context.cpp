@@ -234,6 +234,27 @@ const char* health_kind_name(HealthEvent::Kind kind) {
   return "unknown";
 }
 
+/// A workspace checked out of a Context's idle list (the most recently
+/// returned, or a new one when all are out) for one call and put back on
+/// every exit path. Both splice one list node: a warm call allocates nothing.
+struct WorkspaceLease {
+  std::mutex& mu;
+  std::list<common::Workspace>& idle;
+  std::list<common::Workspace> held;
+  WorkspaceLease(std::mutex& m, std::list<common::Workspace>& i)
+      : mu(m), idle(i) {
+    std::lock_guard lock(mu);
+    if (idle.empty())
+      held.emplace_back();
+    else
+      held.splice(held.end(), idle, idle.begin());
+  }
+  ~WorkspaceLease() {
+    std::lock_guard lock(mu);
+    idle.splice(idle.begin(), held);
+  }
+};
+
 /// Cardinality cap for the per-shape latency series (see the
 /// set_shape_label_cap contract in context.hpp): labels go to the first
 /// `cap` distinct shapes, first-come-first-served; later shapes share
@@ -635,9 +656,6 @@ Status Context::run_group(const Group& g) {
       accumulate_reference(g.members[i].a, g.members[i].b, g.members[i].c,
                            g.params);
   };
-  const auto fault = [&](StatusCode code, const std::string& what) {
-    return execution_fault(pooled, code, what, shape_string(g.m, g.n, g.k));
-  };
 
   Status s;
   double seconds = 0;
@@ -646,8 +664,9 @@ Status Context::run_group(const Group& g) {
                              static_cast<std::uint64_t>(g.m) * g.n,
                              static_cast<std::uint64_t>(g.k));
     const std::uint64_t t0 = common::now_ns();
-    std::size_t began = 0;
     try {
+      WorkspaceLease lease(mu_, idle_workspaces_);
+      common::Workspace& ws = lease.held.front();
       if (!f32) {
         quant::QGemmOptions qopts;
         qopts.alpha = g.params.alpha;
@@ -656,39 +675,53 @@ Status Context::run_group(const Group& g) {
           const detail::GroupMember& m = g.members[i];
           StatusOr<PackedOperand> packed =
               packed_for(m.b, Constant::kB, g.dtype, nullptr);
-          if (!packed.ok()) s = packed.status();
-          else if (packed->qb != nullptr)
-            s = quant::qgemm(m.a, *packed->qb, m.c, qopts, pool);
-          else
-            s = quant::qgemm(m.a, m.b, m.c, qopts, pool);
+          s = packed.ok()
+                  ? quant::qgemm(m.a, *packed->qb, m.c, qopts, pool, ws)
+                  : packed.status();
         }
       } else if (plan == nullptr) {
         reference();
       } else {
         detail::execute(g.members, g.count, g.packed_a, g.packed_b, g.params,
-                        *plan, pool, &began);
+                        *plan, pool, ws);
       }
     } catch (const std::bad_alloc&) {
-      if (began > 0 || !f32) {
-        s = fault(StatusCode::kResourceExhausted, "allocation failed");
-      } else {
-        // The scratch allocation failed before any C was touched, so C
-        // still holds exactly beta*C and the reference tier finishes the
-        // call with a correct answer.
+      // Executors allocate only by growing the workspace at their top, and
+      // packing and leasing come before that, so the failing call (or
+      // group member) has not written its C: an fp32 C still holds exactly
+      // beta*C and the reference tier finishes the call; int8 folds beta
+      // into its epilogue, so its C is untouched and the call is retryable.
+      const std::string shape = shape_string(g.m, g.n, g.k);
+      if (f32) {
         {
           std::lock_guard lock(mu_);
           ++health_.alloc_fallbacks;
         }
         record_event(HealthEvent::Kind::kAllocFallback,
-                     "scratch allocation failed for shape " +
-                         shape_string(g.m, g.n, g.k) +
+                     "scratch allocation failed for shape " + shape +
                          "; call served by the reference path");
         reference();
+      } else {
+        s = ResourceExhaustedError("gemm: scratch allocation failed for "
+                                   "shape " + shape +
+                                   " before its C was written");
       }
     } catch (const std::exception& e) {
-      s = fault(StatusCode::kInternal,
-                std::string(pooled ? "worker fault: " : "execution fault: ") +
-                    e.what());
+      // A fault after some C was written cannot be repaired in place. On a
+      // pool it may have hit any worker, so the pool is retired and later
+      // calls run serial.
+      const std::string what =
+          std::string(pooled ? "worker fault: " : "execution fault: ") +
+          e.what();
+      if (pooled) {
+        pool_degraded_.store(true);
+        record_event(HealthEvent::Kind::kPoolDegraded,
+                     what + "; pool retired, subsequent calls run serial");
+      }
+      s = InternalError(
+          "gemm: " + what + " for shape " + shape_string(g.m, g.n, g.k) +
+          "; C contents are unspecified for this call" +
+          (pooled ? " (subsequent calls degrade to serial)" : ""));
     }
     seconds = static_cast<double>(common::now_ns() - t0) * 1e-9;
   }
@@ -699,21 +732,6 @@ Status Context::run_group(const Group& g) {
                static_cast<std::uint64_t>(g.k) * g.count);
   latency.observe(seconds / static_cast<double>(g.count), g.count);
   return record_error(s);
-}
-
-Status Context::execution_fault(bool pooled, StatusCode code,
-                                const std::string& what,
-                                const std::string& shape) {
-  // A fault after some C was written cannot be repaired in place.
-  if (pooled) {
-    pool_degraded_.store(true);
-    record_event(HealthEvent::Kind::kPoolDegraded,
-                 what + "; pool retired, subsequent calls run serial");
-  }
-  return Status(code, "gemm: " + what + " for shape " + shape +
-                          "; C contents are unspecified for this call" +
-                          (pooled ? " (subsequent calls degrade to serial)"
-                                  : ""));
 }
 
 StatusOr<Context::PackedOperand> Context::packed_for(ConstMatrixView v,
@@ -756,9 +774,10 @@ StatusOr<Context::PackedOperand> Context::packed_for(ConstMatrixView v,
       packed.b = std::make_shared<const PackedB>(std::move(p).value());
     s = p.status();
   }
-  if (s.code() == StatusCode::kResourceExhausted) {
-    // Packing scratch did not fit; the unpacked path (which may itself
-    // degrade further) serves the call.
+  if (s.code() == StatusCode::kResourceExhausted &&
+      dtype == common::DType::kF32) {
+    // The packing did not fit; the unpacked fp32 path (which may itself
+    // degrade further) serves the call. int8 has no unpacked path.
     record_event(HealthEvent::Kind::kAllocFallback,
                  "packing allocation failed for a " +
                      std::to_string(v.rows) + "x" + std::to_string(v.cols) +
@@ -939,6 +958,7 @@ void Context::clear() {
   plan_lru_.clear();
   packed_index_.clear();
   packed_lru_.clear();
+  idle_workspaces_.clear();  // held ones return after their call
   // quarantined_/verified_/health_ survive on purpose: a poisoned config
   // stays poisoned across cache resets.
 }

@@ -40,10 +40,13 @@
 //      is where that is caught instead of assumed away.
 //   3. If every candidate is quarantined, the shape is pinned to the
 //      reference path: slow, but never wrong.
-//   4. Runtime faults degrade too: a scratch allocation failure before
-//      any C is written falls back to the reference kernel; a worker
-//      exception quarantines the pool (subsequent calls run serial) and
-//      reports kInternal for the affected call.
+//   4. Runtime faults degrade too. A call's scratch has one grow site, its
+//      workspace (below), grown before any C is written, so a
+//      std::bad_alloc always means C was not touched: an fp32 call is then
+//      served by the reference kernel (health().alloc_fallbacks), an int8
+//      call returns kResourceExhausted. A worker exception quarantines the
+//      pool (subsequent calls run serial) and reports kInternal for the
+//      affected call.
 //
 // Everything the ladder does is observable through health(). Every entry
 // point reports through Status; the free functions (core/gemm.hpp,
@@ -65,6 +68,15 @@
 // member-parallel on the pool); int8 groups run each member through
 // quant::qgemm on the cached QPackedB of its B.
 //
+// ## Workspaces
+//
+// A call's scratch (packing blocks, k-split's partial Cs, the int8
+// activation image, scales and accumulators) is cut from one
+// common::Workspace, checked out of a small idle set by run_group and
+// returned on every exit path. Workspaces stay at their high-water mark,
+// so a warm call allocates nothing; concurrent callers each hold their own
+// (the set grows to the peak in flight); clear() drops the idle ones.
+//
 // Packed-operand caching is keyed by pointer identity plus the blocking
 // the operand was packed for: the cache cannot see through the pointer,
 // so callers that mutate or free a cached operand must call
@@ -82,6 +94,7 @@
 #include <vector>
 
 #include "backend/backend_id.hpp"
+#include "common/aligned_buffer.hpp"
 #include "common/dtype.hpp"
 #include "common/matrix.hpp"
 #include "common/status.hpp"
@@ -219,9 +232,9 @@ class Context {
   /// Primary entry point: C = alpha * op(A) * op(B) + beta * C with the
   /// shape's cached (tuned or heuristic) Plan and the owned pool, behind
   /// full operand validation and the degradation ladder documented above.
-  /// On a non-OK return C is either untouched (validation errors) or
-  /// explicitly unspecified (kResourceExhausted/kInternal from a fault
-  /// mid-parallel-execution; the message says so).
+  /// On a non-OK return C is either untouched (validation errors, an int8
+  /// call's kResourceExhausted) or explicitly unspecified (kInternal from
+  /// a fault mid-execution; the message says so).
   Status run(common::ConstMatrixView a, common::ConstMatrixView b,
              common::MatrixView c, const GemmExParams& params = {});
 
@@ -332,8 +345,9 @@ class Context {
   /// publish_record), for persistence via TuningRecords::save_file_merged.
   tune::TuningRecords records_snapshot() const;
 
-  /// Drops all cached plans and packed operands (stats, quarantine and
-  /// health are kept — a poisoned config stays poisoned).
+  /// Drops all cached plans and packed operands and the idle workspaces
+  /// (stats, quarantine and health are kept — a poisoned config stays
+  /// poisoned).
   void clear();
 
   /// Owned pool; nullptr when the context is serial (threads == 1) or the
@@ -441,21 +455,18 @@ class Context {
   /// The single-call path: validate, degenerate shapes, the plan and
   /// cached packing (fp32), beta, then run_group on a group of one.
   Status execute(const Call& call);
-  /// The group executor (see "One execution path"): notes the fp32
-  /// strategy, times the group (each member observes its share), counts
-  /// calls/flops/dispatches and turns a fault into a Status. A scratch
-  /// allocation failure before any fp32 C is written is served by the
-  /// reference tier, as is a pinned shape (no plan); a later fault returns
-  /// non-OK and, on a pool, retires it.
+  /// The group executor (see "One execution path"): leases a workspace,
+  /// notes the fp32 strategy, times the group (each member observes its
+  /// share), counts calls/flops/dispatches and turns a fault into a
+  /// Status — the only place that does. A std::bad_alloc (C untouched) is
+  /// served by the reference tier for fp32 and is kResourceExhausted for
+  /// int8; a pinned shape (no plan) runs the reference tier; any other
+  /// fault returns kInternal and, on a pool, retires it.
   Status run_group(const Group& g);
-  /// The Status of a fault that may have come after some C was written:
-  /// C is unspecified for the call. On a pool the fault may have hit any
-  /// worker, so `pooled` also retires the pool and later calls run serial.
-  Status execution_fault(bool pooled, StatusCode code,
-                         const std::string& what, const std::string& shape);
   /// Cached packing of the constant operand `v` (`operand` A or B) for
-  /// `plan` (fp32) or for the int8 tier (plan unused). A packing that does
-  /// not fit is recorded as an alloc-fallback event and returned empty.
+  /// `plan` (fp32) or for the int8 tier (plan unused). An fp32 packing
+  /// that does not fit is recorded as an alloc-fallback event and returned
+  /// empty; an int8 one is kResourceExhausted.
   StatusOr<PackedOperand> packed_for(common::ConstMatrixView v,
                                      Constant operand, common::DType dtype,
                                      const Plan* plan);
@@ -489,6 +500,8 @@ class Context {
   std::map<ShapeKey, decltype(plan_lru_)::iterator> plan_index_;
   std::list<std::pair<PackedKey, PackedOperand>> packed_lru_;
   std::map<PackedKey, decltype(packed_lru_)::iterator> packed_index_;
+  /// Workspaces no call holds, most recently returned first.
+  std::list<common::Workspace> idle_workspaces_;
   ContextStats stats_;
 
   // Verification/quarantine state (guarded by mu_).

@@ -41,8 +41,8 @@ void run_block(const BlockTiling& block, const float* a, long lda,
   }
 }
 
-// One participant's online-packing scratch, reused across blocks; the
-// buffers are carved from one allocation per call (see detail::execute).
+// One participant's online-packing scratch, reused across blocks; records
+// and buffers are cut from the call's workspace (see detail::execute).
 struct Scratch {
   float* a_buf = nullptr;  // an mc x kc block of op(A)
   float* b_buf = nullptr;  // a kc x nc block of op(B)
@@ -174,6 +174,16 @@ void run_member(const Operands& op, MatrixView c, const Plan& plan,
   }
 }
 
+void check_shapes(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                  const GemmExParams& params, const Plan& plan) {
+  const bool ta = params.trans_a == Trans::kYes;
+  const bool tb = params.trans_b == Trans::kYes;
+  if ((ta ? a.cols : a.rows) != plan.m() || (ta ? a.rows : a.cols) != plan.k() ||
+      (tb ? b.cols : b.rows) != plan.k() || (tb ? b.rows : b.cols) != plan.n() ||
+      c.rows != plan.m() || c.cols != plan.n())
+    throw std::invalid_argument("gemm: operand shapes do not match the plan");
+}
+
 // Scratch slot for the current thread: workers map to [0, size()), the
 // caller (which also runs chunks inside parallel_for) to size().
 int worker_slot(const common::ThreadPool& pool) {
@@ -185,7 +195,7 @@ int worker_slot(const common::ThreadPool& pool) {
 
 void execute_parallel_blocks(const Operands& op, MatrixView c,
                              const Plan& plan, common::ThreadPool& pool,
-                             std::vector<Scratch>& scratch) {
+                             Scratch* scratch) {
   const GemmConfig& cfg = plan.config();
   const int mi = ceil_div(plan.m(), cfg.mc);
   const int nj = ceil_div(plan.n(), cfg.nc);
@@ -207,23 +217,24 @@ void execute_parallel_blocks(const Operands& op, MatrixView c,
 }
 
 // K-split path: the K block range [0, kp) is partitioned into `slices`
-// contiguous ranges, each accumulating into its own zero-initialized
-// partial-C buffer, and every (slice, C block) pair is a schedulable
-// task. A fixed-order pairwise tree reduction then folds the partials
-// into C. The task -> output mapping and the reduction order depend only
-// on the plan and the slice count — never on which thread ran what — so
-// the result is bitwise-stable for a fixed pool size.
+// contiguous ranges, each accumulating into its own partial-C buffer
+// (`slices` M x N buffers from the workspace, zeroed here), and every
+// (slice, C block) pair is a schedulable task. A fixed-order pairwise tree
+// reduction then folds the partials into C. The task -> output mapping
+// and the reduction order depend only on the plan and the slice count —
+// never on which thread ran what — so the result is bitwise-stable for a
+// fixed pool size.
 void execute_parallel_ksplit(const Operands& op, MatrixView c,
                              const Plan& plan, common::ThreadPool& pool,
-                             std::vector<Scratch>& scratch) {
+                             Scratch* scratch, float* partials, int slices) {
   const GemmConfig& cfg = plan.config();
   const int mi = ceil_div(plan.m(), cfg.mc);
   const int nj = ceil_div(plan.n(), cfg.nc);
   const int kp = ceil_div(plan.k(), cfg.kc);
-  const int slices = std::min(static_cast<int>(pool.participants()), kp);
   const int m = plan.m(), n = plan.n();
   const std::size_t csize = static_cast<std::size_t>(m) * n;
-  common::AlignedBuffer partials(csize * static_cast<std::size_t>(slices));
+  std::memset(partials, 0, csize * static_cast<std::size_t>(slices) *
+                               sizeof(float));
 
   // Slice s owns K blocks [s*kp/slices, (s+1)*kp/slices).
   const auto slice_begin = [kp, slices](int s) {
@@ -238,7 +249,7 @@ void execute_parallel_ksplit(const Operands& op, MatrixView c,
     const int s = task / blocks;
     const int bi = (task % blocks) / nj;
     const int bj = (task % blocks) % nj;
-    MatrixView partial{partials.data() + csize * s, m, n, n};
+    MatrixView partial{partials + csize * s, m, n, n};
     const int slot = worker_slot(pool);
     if (traced) obs::name_this_lane_worker(slot, pool.participants());
     obs::SpanScope slice_span("ksplit.slice", static_cast<unsigned>(s),
@@ -259,33 +270,15 @@ void execute_parallel_ksplit(const Operands& op, MatrixView c,
     const std::size_t row = static_cast<std::size_t>(r) * n;
     for (int stride = 1; stride < slices; stride *= 2) {
       for (int s = 0; s + stride < slices; s += 2 * stride) {
-        float* dst = partials.data() + csize * s + row;
-        const float* src = partials.data() + csize * (s + stride) + row;
+        float* dst = partials + csize * s + row;
+        const float* src = partials + csize * (s + stride) + row;
         for (int j = 0; j < n; ++j) dst[j] += src[j];
       }
     }
     float* crow = c.data + static_cast<long>(r) * c.ld;
-    const float* prow = partials.data() + row;
+    const float* prow = partials + row;
     for (int j = 0; j < n; ++j) crow[j] += prow[j];
   });
-}
-
-void execute_parallel(const Operands& op, MatrixView c, const Plan& plan,
-                      common::ThreadPool& pool,
-                      std::vector<Scratch>& scratch) {
-  if (choose_parallel_strategy(plan, pool.size()) ==
-      ParallelStrategy::kKSplit) {
-    try {
-      execute_parallel_ksplit(op, c, plan, pool, scratch);
-      return;
-    } catch (const std::bad_alloc&) {
-      // The per-slice partial-C accumulators did not fit in memory; the
-      // blocks-only schedule needs no extra C storage. Falling back is
-      // safe because k-split touches C only in its reduction phase, which
-      // runs strictly after the (allocating) setup succeeded.
-    }
-  }
-  execute_parallel_blocks(op, c, plan, pool, scratch);
 }
 
 }  // namespace
@@ -431,21 +424,9 @@ StatusOr<PackedA> PackedA::create(ConstMatrixView a, const Plan& plan) {
 
 void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, const Plan& plan,
           common::ThreadPool* pool) {
+  common::Workspace ws;  // this entry keeps nothing between calls
   const GroupMember m{a, b, c};
-  detail::execute(&m, 1, nullptr, nullptr, {}, plan, pool);
-}
-
-void gemm(ConstMatrixView a, const PackedB& packed_b,
-          ConstMatrixView b_shape, MatrixView c, const Plan& plan,
-          common::ThreadPool* pool) {
-  const GroupMember m{a, b_shape, c};
-  detail::execute(&m, 1, nullptr, &packed_b, {}, plan, pool);
-}
-
-void gemm(const PackedA& packed_a, ConstMatrixView a_shape, ConstMatrixView b,
-          MatrixView c, const Plan& plan, common::ThreadPool* pool) {
-  const GroupMember m{a_shape, b, c};
-  detail::execute(&m, 1, &packed_a, nullptr, {}, plan, pool);
+  detail::execute(&m, 1, nullptr, nullptr, {}, plan, pool, ws);
 }
 
 Status gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
@@ -460,21 +441,10 @@ Status gemm_overwrite(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
 
 namespace detail {
 
-void check_shapes(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                  const GemmExParams& params, const Plan& plan) {
-  const bool ta = params.trans_a == Trans::kYes;
-  const bool tb = params.trans_b == Trans::kYes;
-  if ((ta ? a.cols : a.rows) != plan.m() || (ta ? a.rows : a.cols) != plan.k() ||
-      (tb ? b.cols : b.rows) != plan.k() || (tb ? b.rows : b.cols) != plan.n() ||
-      c.rows != plan.m() || c.cols != plan.n())
-    throw std::invalid_argument("gemm: operand shapes do not match the plan");
-}
-
 void execute(const GroupMember* members, std::size_t count,
              const PackedA* packed_a, const PackedB* packed_b,
              const GemmExParams& params, const Plan& plan,
-             common::ThreadPool* pool, std::size_t* began) {
-  if (began != nullptr) *began = 0;
+             common::ThreadPool* pool, common::Workspace& ws) {
   const GemmConfig& cfg = plan.config();
   const bool canonical = params.trans_a == Trans::kNo &&
                          params.trans_b == Trans::kNo && params.alpha == 1.0f;
@@ -482,29 +452,44 @@ void execute(const GroupMember* members, std::size_t count,
   // call packs online whatever the plan's sigma_packing says.
   const bool pack = cfg.packing == kernels::Packing::kOnline || !canonical;
   const bool pooled = pool != nullptr && pool->size() > 1;
+  const unsigned slots = pooled ? pool->participants() : 1;
+  // A single member on a pool may split K (several run member-parallel).
+  const int slices =
+      pooled && count == 1 && choose_parallel_strategy(plan, pool->size()) ==
+                                  ParallelStrategy::kKSplit
+          ? std::min(static_cast<int>(slots), ceil_div(plan.k(), cfg.kc))
+          : 0;
 
-  // One packing scratch per participant, allocated before any C is
-  // written so the parallel region itself never allocates. Packing writes
-  // every element a kernel reads, so the memory is not zeroed; each block
-  // starts on a cache line so participants never share one.
+  // The workspace grows here, before any C is written, and nowhere else:
+  // one Scratch record and one packing block pair per participant, and
+  // k-split's partial Cs. Packing writes every element a kernel reads, so
+  // the blocks are not zeroed; each starts on a cache line so participants
+  // never share one.
   const auto lines = [](std::size_t floats) { return (floats + 15) / 16 * 16; };
   const std::size_t a_size = lines(static_cast<std::size_t>(cfg.mc) * cfg.kc);
   const std::size_t per_slot =
       a_size + lines(static_cast<std::size_t>(cfg.kc) * cfg.nc);
-  const unsigned slots = pooled ? pool->participants() : 1;
-  common::AlignedBuffer memory(common::kUninitialized, slots * per_slot);
-  std::vector<Scratch> scratch(slots);
+  const std::size_t partial_floats =
+      static_cast<std::size_t>(slices) * plan.m() * plan.n();
+  common::WorkspaceLayout layout;
+  const std::size_t records_at = layout.add<Scratch>(slots);
+  const std::size_t blocks_at = layout.add<float>(slots * per_slot);
+  const std::size_t partials_at = layout.add<float>(partial_floats);
+  ws.grow(layout.bytes);
+  Scratch* scratch = ws.region<Scratch>(records_at, slots);
+  float* blocks = ws.region<float>(blocks_at, slots * per_slot);
   for (unsigned s = 0; s < slots; ++s) {
-    scratch[s].a_buf = memory.data() + s * per_slot;
+    scratch[s].a_buf = blocks + s * per_slot;
     scratch[s].b_buf = scratch[s].a_buf + a_size;
   }
+  float* partials = ws.region<float>(partials_at, partial_floats);
+
   if (pooled && count > 1) {
     // Member-parallel: each member runs whole, through the serial loop
     // nest, on the scratch of the participant that claimed it. Members run
     // concurrently, so on a throw any of them may be partial.
     for (std::size_t i = 0; i < count; ++i)
       check_shapes(members[i].a, members[i].b, members[i].c, params, plan);
-    if (began != nullptr) *began = count;
     obs::SpanScope span("gemm.members", static_cast<unsigned>(count),
                         pool->participants());
     const bool traced = obs::trace_enabled();
@@ -526,13 +511,15 @@ void execute(const GroupMember* members, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     const GroupMember& m = members[i];
     check_shapes(m.a, m.b, m.c, params, plan);
-    if (began != nullptr) *began = i + 1;
-    for (Scratch& sc : scratch) sc.forget();
+    for (unsigned s = 0; s < slots; ++s) scratch[s].forget();
     const Operands op{m.a, m.b, packed_a, packed_b, params, pack};
-    if (pooled)
-      execute_parallel(op, m.c, plan, *pool, scratch);
+    if (slices > 0)
+      execute_parallel_ksplit(op, m.c, plan, *pool, scratch, partials,
+                              slices);
+    else if (pooled)
+      execute_parallel_blocks(op, m.c, plan, *pool, scratch);
     else
-      run_member(op, m.c, plan, scratch.front());
+      run_member(op, m.c, plan, scratch[0]);
   }
 }
 

@@ -96,21 +96,12 @@ ParallelStrategy choose_parallel_strategy(const Plan& plan, unsigned workers);
 /// cache blocks of C as the work unit (the paper's scheme); k-split also
 /// partitions the K block range across workers with per-slice partial-C
 /// accumulation and a deterministic tree reduction, rescuing large-K
-/// shapes whose mi*nj cannot feed the pool.
+/// shapes whose mi*nj cannot feed the pool. Runs detail::execute on a
+/// call-local workspace, so every call allocates its scratch (a Context
+/// keeps it); a scratch allocation failure throws std::bad_alloc with C
+/// untouched.
 void gemm(common::ConstMatrixView a, common::ConstMatrixView b,
           common::MatrixView c, const Plan& plan,
-          common::ThreadPool* pool = nullptr);
-
-/// C += A * B with offline-packed B. `b_shape` is the original B view
-/// (only its shape is consulted).
-void gemm(common::ConstMatrixView a, const PackedB& packed_b,
-          common::ConstMatrixView b_shape, common::MatrixView c,
-          const Plan& plan, common::ThreadPool* pool = nullptr);
-
-/// C += A * B with offline-packed A. `a_shape` is the original A view
-/// (only its shape is consulted).
-void gemm(const PackedA& packed_a, common::ConstMatrixView a_shape,
-          common::ConstMatrixView b, common::MatrixView c, const Plan& plan,
           common::ThreadPool* pool = nullptr);
 
 /// Convenience: C += A * B through the process-default Context (cached
@@ -133,12 +124,6 @@ struct GroupMember {
   common::MatrixView c;
 };
 
-/// Throws std::invalid_argument unless op(A) is M x K, op(B) is K x N and
-/// C is M x N for the plan's logical shape.
-void check_shapes(common::ConstMatrixView a, common::ConstMatrixView b,
-                  common::MatrixView c, const GemmExParams& params,
-                  const Plan& plan);
-
 /// The library's one fp32 executor — the blocked loop nest every entry
 /// point runs: C_i += alpha * op(A_i) * op(B_i) for `count` members sharing
 /// `plan` (beta is the caller's: apply it to C first, as gemm_ex and
@@ -152,18 +137,19 @@ void check_shapes(common::ConstMatrixView a, common::ConstMatrixView b,
 /// member-parallel: each whole, through the serial loop nest, on one
 /// participant. Without such a pool the members run back-to-back on the
 /// calling thread. Either way one packing scratch per participant serves
-/// every member, so the per-call fixed costs (scratch allocation, span
-/// setup) are paid once per call — the batched path's amortization. Shape
-/// mismatches throw as check_shapes. A non-null `began` tells a caller
-/// what a throw left behind: members at or past *began are untouched,
-/// earlier ones may be partial, and *began == 0 means no C was written
-/// (the scratch allocation itself failed). Run back-to-back, member i sets
-/// it to i+1 just before writing its C; member-parallel sets it to
-/// `count` before any member starts.
+/// every member, so the per-call fixed costs (span setup, scratch layout)
+/// are paid once per call — the batched path's amortization. All scratch
+/// (packing blocks, their records, k-split's partial Cs) is cut from `ws`,
+/// grown once at the top, before any C is written; nothing else in the
+/// call allocates. So a std::bad_alloc from execute always means no C was
+/// touched, and a warm workspace makes the call allocation-free. A member
+/// whose op(A) is not M x K, op(B) not K x N or C not M x N for the plan
+/// throws std::invalid_argument; any other throw (a worker fault) may
+/// leave C partial.
 void execute(const GroupMember* members, std::size_t count,
              const PackedA* packed_a, const PackedB* packed_b,
              const GemmExParams& params, const Plan& plan,
-             common::ThreadPool* pool, std::size_t* began = nullptr);
+             common::ThreadPool* pool, common::Workspace& ws);
 
 }  // namespace detail
 

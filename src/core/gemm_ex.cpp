@@ -11,17 +11,6 @@ namespace autogemm {
 using common::ConstMatrixView;
 using common::MatrixView;
 
-void gemm_ex(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-             const GemmExParams& params, const Plan& plan,
-             common::ThreadPool* pool) {
-  detail::check_shapes(a, b, c, params, plan);
-  // beta is applied to all of C before any accumulation (doing it inside
-  // the workers would race: several column-block workers share C rows).
-  if (params.beta != 1.0f) detail::scale_c(c, params.beta);
-  const detail::GroupMember m{a, b, c};
-  detail::execute(&m, 1, nullptr, nullptr, params, plan, pool);
-}
-
 Status gemm_ex(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                const GemmExParams& params) {
   return default_context().run(a, b, c, params);

@@ -25,19 +25,13 @@ struct GemmExParams {
   float beta = 1.0f;
 };
 
-/// C = alpha * op(A) * op(B) + beta * C.
+/// C = alpha * op(A) * op(B) + beta * C through the process-default
+/// Context (cached per-shape plan; see core/context.hpp); returns its run()
+/// Status.
 ///
 /// Logical shapes: op(A) is M x K, op(B) is K x N, C is M x N — i.e. with
-/// trans_a == kYes the `a` view passed in is K x M. The plan describes the
-/// logical (M, N, K) problem. Transposition and alpha force online
-/// packing regardless of the plan's sigma_packing; `pool` schedules it as
-/// choose_parallel_strategy picks (blocks-only or k-split).
-void gemm_ex(common::ConstMatrixView a, common::ConstMatrixView b,
-             common::MatrixView c, const GemmExParams& params,
-             const Plan& plan, common::ThreadPool* pool = nullptr);
-
-/// Convenience overload through the process-default Context (cached
-/// per-shape plan; see core/context.hpp); returns its run() Status.
+/// trans_a == kYes the `a` view passed in is K x M. Transposition and
+/// alpha force online packing regardless of the plan's sigma_packing.
 [[nodiscard]] Status gemm_ex(common::ConstMatrixView a,
                              common::ConstMatrixView b, common::MatrixView c,
                              const GemmExParams& params = {});

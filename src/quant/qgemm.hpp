@@ -31,7 +31,10 @@
 // One driver serves every tier: tasks of (up to 64 rows) x (whole
 // 16-column panels of B), each exact int32 dot products over the full K,
 // run on `pool` when it has workers (Context passes its own) and on the
-// caller otherwise. With no k-split, C is the same bits either way. An
+// caller otherwise. With no k-split, C is the same bits either way. The
+// call's scratch (A's scales and image, int32 accumulators) is cut from a
+// workspace grown before any C is written; Context lends its own, so a
+// warm int8 call allocates nothing. An
 // exception thrown on a worker propagates out of qgemm (ThreadPool's
 // parallel_for re-throws it) with C unspecified; Context turns it into
 // kInternal and retires its pool.
@@ -48,6 +51,7 @@
 // precisely so callers choose per request.
 #pragma once
 
+#include "common/aligned_buffer.hpp"
 #include "common/matrix.hpp"
 #include "common/status.hpp"
 #include "common/threadpool.hpp"
@@ -71,9 +75,16 @@ Status qgemm(common::ConstMatrixView a, common::ConstMatrixView b,
              common::ThreadPool* pool = nullptr);
 
 /// Constant-B path: B already quantized+packed (the LLM-serving case — the
-/// weight matrix is packed once, activations quantize per call).
+/// weight matrix is packed once, activations quantize per call). A scratch
+/// allocation failure is kResourceExhausted with C untouched.
 Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
              common::MatrixView c, const QGemmOptions& opts = {},
              common::ThreadPool* pool = nullptr);
+
+/// As above on `ws`, the only thing that allocates; a failed grow throws
+/// std::bad_alloc with C untouched.
+Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
+             common::MatrixView c, const QGemmOptions& opts,
+             common::ThreadPool* pool, common::Workspace& ws);
 
 }  // namespace autogemm::quant

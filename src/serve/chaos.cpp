@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <future>
 #include <memory>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -86,15 +85,15 @@ struct ChaosReq {
   bool resolved = false;
 };
 
+/// Sites the controller arms at random, round after round.
 constexpr const char* kChaosFailpoints[] = {
     "serve.queue_full",       "serve.execute",
-    "alloc.aligned_buffer",   "verify.portable",
-    "threadpool.spawn",       "serve.dispatcher_crash",
-    "serve.dispatcher_stall",
+    "alloc.aligned_buffer",   "threadpool.spawn",
+    "serve.dispatcher_crash", "serve.dispatcher_stall",
 };
-constexpr std::size_t kVerifySite = 3;
-static_assert(std::string_view(kChaosFailpoints[kVerifySite]) ==
-              "verify.portable");
+/// Armed for a whole run or not at all: probes run once per config, on a
+/// shape's first call, so a site armed mid-run would never fire.
+constexpr const char* kVerifySite = "verify.portable";
 
 /// Per-round arming probability and hit-budget range for each site above
 /// (order matches kChaosFailpoints).
@@ -106,7 +105,6 @@ const Arm kArms[] = {
     {0.50, 1, 8},  // serve.queue_full
     {0.35, 1, 4},  // serve.execute
     {0.25, 1, 3},  // alloc.aligned_buffer
-    {0.15, 1, 1},  // verify.portable
     {0.20, 1, 1},  // threadpool.spawn
     {0.25, 1, 1},  // serve.dispatcher_crash
     {0.20, 1, 1},  // serve.dispatcher_stall
@@ -122,6 +120,12 @@ bool c_is_untouched(const common::Matrix& c) {
 }  // namespace
 
 std::string ChaosReport::summary() const {
+  std::uint64_t failpoint_hits = 0;
+  std::string sites;
+  for (const auto& [site, hits] : fired) {
+    failpoint_hits += hits;
+    sites += " " + site + "=" + std::to_string(hits);
+  }
   char buf[320];
   std::snprintf(
       buf, sizeof(buf),
@@ -142,7 +146,7 @@ std::string ChaosReport::summary() const {
       static_cast<unsigned long long>(stats.dispatcher_stalls),
       static_cast<unsigned long long>(stats.breaker_opens),
       degraded_inline ? 1 : 0, violations.size());
-  return buf;
+  return buf + (" fired:" + sites);
 }
 
 ChaosReport run_chaos(const ChaosOptions& opts) {
@@ -193,7 +197,7 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
   // each shape lands on the reference pin while serving — correctness must
   // survive that too. The site stays armed across the controller's rounds.
   const bool fail_every_probe = rng.chance(0.3);
-  if (fail_every_probe) failpoint::arm(kChaosFailpoints[kVerifySite]);
+  if (fail_every_probe) failpoint::arm(kVerifySite);
   EngineOptions& eopts = sopts.worker;
   const std::size_t caps[] = {8, 16, 32};
   eopts.queue_capacity = caps[rng.below(3)];
@@ -221,14 +225,11 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
   const std::unique_ptr<ShardedEngine> fleet = std::move(made).value();
 
   // --- controller: seeded failpoint schedule until the workload ends ---
-  // Sites disarm one by one (disarm_all would also drop the pinned probe
-  // site); hit counters survive disarm, so they are summed once at the end.
+  // Sites disarm one by one (disarm_all would also drop the probe site);
+  // hit counters survive disarm, so they are read once at the end.
   std::atomic<bool> workload_done{false};
   std::thread controller([&] {
     Rng crng(opts.seed ^ 0xA5A5A5A55A5A5A5Aull);
-    const auto pinned = [&](std::size_t i) {
-      return fail_every_probe && i == kVerifySite;
-    };
     while (!workload_done.load(std::memory_order_relaxed)) {
       for (std::size_t i = 0; i < std::size(kChaosFailpoints); ++i) {
         if (crng.chance(kArms[i].p)) {
@@ -236,13 +237,13 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
               kArms[i].budget_lo +
               static_cast<long>(crng.below(static_cast<std::uint64_t>(
                   kArms[i].budget_hi - kArms[i].budget_lo + 1)));
-          if (!pinned(i)) failpoint::arm(kChaosFailpoints[i], budget);
+          failpoint::arm(kChaosFailpoints[i], budget);
         }
       }
       std::this_thread::sleep_for(std::chrono::microseconds(
           800 + crng.below(1200)));
       for (std::size_t i = 0; i < std::size(kChaosFailpoints); ++i)
-        if (!pinned(i)) failpoint::disarm(kChaosFailpoints[i]);
+        failpoint::disarm(kChaosFailpoints[i]);
       std::this_thread::sleep_for(std::chrono::microseconds(
           200 + crng.below(600)));
     }
@@ -294,7 +295,8 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
   workload_done.store(true, std::memory_order_relaxed);
   controller.join();
   for (const char* name : kChaosFailpoints)
-    rep.failpoint_hits += static_cast<std::uint64_t>(failpoint::hits(name));
+    rep.fired.emplace_back(name, failpoint::hits(name));
+  rep.fired.emplace_back(kVerifySite, failpoint::hits(kVerifySite));
   failpoint::disarm_all();
 
   // --- drain: the engine must reach Stopped whatever happened above ---

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/engine.hpp"
@@ -63,14 +64,16 @@ struct ChaosReport {
   std::uint64_t transient = 0;  ///< kUnavailable / kResourceExhausted
   std::uint64_t expired = 0;    ///< kDeadlineExceeded
   std::uint64_t errors = 0;     ///< kInternal
-  std::uint64_t failpoint_hits = 0;  ///< injected faults that actually fired
+  /// Injected faults that actually fired, per failpoint site.
+  std::vector<std::pair<std::string, std::uint64_t>> fired;
   bool degraded_inline = false;  ///< engine (any shard, when sharded) ended
                                  ///< in inline mode
   /// Invariant violations, human-readable. Empty = clean run.
   std::vector<std::string> violations;
 
   bool clean() const { return violations.empty(); }
-  /// "seed=7 requests=180 ok=171 ... violations=0" — one line per run.
+  /// "seed=7 ... faults_fired=9 ... violations=0 fired: serve.execute=2
+  /// ..." — one line per run, the total and then each site's count.
   std::string summary() const;
 };
 

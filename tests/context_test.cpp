@@ -520,7 +520,9 @@ TEST(Gemm, PackedAMatchesReference) {
   cfg.kc = 24;
   Plan plan(40, 96, 56, cfg);
   PackedA packed(p.a.view(), plan);
-  gemm(packed, p.a.view(), p.b.view(), p.c.view(), plan);
+  const detail::GroupMember m{p.a.view(), p.b.view(), p.c.view()};
+  common::Workspace ws;
+  detail::execute(&m, 1, &packed, nullptr, {}, plan, nullptr, ws);
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
 }
 
@@ -533,7 +535,9 @@ TEST(Gemm, PackedAThreaded) {
   Plan plan(64, 64, 32, cfg);
   PackedA packed(p.a.view(), plan);
   common::ThreadPool pool(3);
-  gemm(packed, p.a.view(), p.b.view(), p.c.view(), plan, &pool);
+  const detail::GroupMember m{p.a.view(), p.b.view(), p.c.view()};
+  common::Workspace ws;
+  detail::execute(&m, 1, &packed, nullptr, {}, plan, &pool, ws);
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
 }
 

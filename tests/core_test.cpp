@@ -147,7 +147,9 @@ TEST(Gemm, OfflinePackedBMatchesReference) {
   cfg.packing = kernels::Packing::kOffline;
   Plan plan(40, 96, 56, cfg);
   PackedB packed(p.b.view(), plan);
-  gemm(p.a.view(), packed, p.b.view(), p.c.view(), plan);
+  const detail::GroupMember m{p.a.view(), p.b.view(), p.c.view()};
+  common::Workspace ws;
+  detail::execute(&m, 1, nullptr, &packed, {}, plan, nullptr, ws);
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
 }
 
@@ -161,7 +163,9 @@ TEST(Gemm, OfflinePackedBThreaded) {
   Plan plan(64, 64, 32, cfg);
   PackedB packed(p.b.view(), plan);
   common::ThreadPool pool(3);
-  gemm(p.a.view(), packed, p.b.view(), p.c.view(), plan, &pool);
+  const detail::GroupMember m{p.a.view(), p.b.view(), p.c.view()};
+  common::Workspace ws;
+  detail::execute(&m, 1, nullptr, &packed, {}, plan, &pool, ws);
   EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
 }
 

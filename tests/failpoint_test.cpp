@@ -131,6 +131,41 @@ TEST_F(Failpoints, AllocFailureFallsBackToReferenceServingTheCall) {
   EXPECT_EQ(ctx.health().alloc_fallbacks, 1u);
 }
 
+TEST_F(Failpoints, KSplitScratchFailureServedByReference) {
+  // A cold forced k-split call on a pool: its one workspace grow (packing
+  // scratch plus the per-slice partial Cs) fails before any C is written,
+  // so the reference tier serves the call and the pool stays.
+  ContextOptions opts;
+  opts.threads = 4;
+  opts.parallel_strategy = ParallelStrategy::kKSplit;
+  Context ctx(opts), twin(opts);
+  const int m = 8, n = 8, k = 4096;
+  Matrix a(m, k), b(k, n), c(m, n), c_ref(m, n), c_next(m, n), c_twin(m, n);
+  common::fill_random(a.view(), 1);
+  common::fill_random(b.view(), 2);
+  common::reference_gemm(a.view(), b.view(), c_ref.view());
+
+  failpoint::arm("alloc.aligned_buffer", /*budget=*/1);
+  const Status s = ctx.run(a.view(), b.view(), c.view(), overwrite());
+  EXPECT_TRUE(s.ok()) << s.to_string();
+  EXPECT_EQ(failpoint::hits("alloc.aligned_buffer"), 1);
+  EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
+            testutil::gemm_tolerance(k));
+  const HealthReport h = ctx.health();
+  EXPECT_EQ(h.alloc_fallbacks, 1u);
+  EXPECT_FALSE(h.pool_degraded);
+  EXPECT_NE(ctx.pool(), nullptr);
+
+  // The next call runs k-split again, with the bits of a context whose
+  // scratch never failed.
+  EXPECT_TRUE(ctx.run(a.view(), b.view(), c_next.view(), overwrite()).ok());
+  EXPECT_EQ(ctx.health().last_parallel_strategy, "k-split");
+  EXPECT_TRUE(twin.run(a.view(), b.view(), c_twin.view(), overwrite()).ok());
+  EXPECT_EQ(std::memcmp(c_next.data(), c_twin.data(),
+                        static_cast<std::size_t>(m) * n * sizeof(float)),
+            0);
+}
+
 // --------------------------------------------------- threadpool.* injection
 
 TEST_F(Failpoints, WorkerFaultRetiresPoolAndSubsequentCallsRunSerial) {

@@ -8,6 +8,7 @@
 #include "common/matrix.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
+#include "core/gemm.hpp"
 #include "core/gemm_ex.hpp"
 #include "test_util.hpp"
 
@@ -119,7 +120,10 @@ TEST(GemmEx, ThreadedTransposedMatchesReference) {
   cfg.kc = 12;
   Plan plan(m, n, k, cfg);
   common::ThreadPool pool(4);
-  gemm_ex(a.view(), b.view(), c.view(), params, plan, &pool);
+  common::Workspace ws;
+  const detail::GroupMember mem{a.view(), b.view(), c.view()};
+  detail::scale_c(c.view(), params.beta);  // the executor leaves beta to us
+  detail::execute(&mem, 1, nullptr, nullptr, params, plan, &pool, ws);
   EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
             testutil::gemm_tolerance(k));
 }
@@ -129,7 +133,10 @@ TEST(GemmEx, ShapeMismatchThrows) {
   Plan plan(4, 6, 5, default_config(4, 6, 5));
   GemmExParams params;
   params.trans_a = Trans::kYes;  // op(A) becomes 5x4: mismatch
-  EXPECT_THROW(gemm_ex(a.view(), b.view(), c.view(), params, plan),
+  common::Workspace ws;
+  const detail::GroupMember m{a.view(), b.view(), c.view()};
+  EXPECT_THROW(detail::execute(&m, 1, nullptr, nullptr, params, plan, nullptr,
+                               ws),
                std::invalid_argument);
 }
 

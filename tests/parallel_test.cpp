@@ -225,14 +225,17 @@ TEST(KSplitPacked, PackedOperandsMatchReference) {
   cfg.packing = kernels::Packing::kOffline;
   const Plan plan = make_plan(m, n, k, ParallelStrategy::kKSplit, cfg);
 
+  common::Workspace ws;
   const PackedB pb(prob.b.view(), plan);
   Matrix c = prob.fresh_c();
-  gemm(prob.a.view(), pb, prob.b.view(), c.view(), plan, &pool);
+  const detail::GroupMember m1{prob.a.view(), prob.b.view(), c.view()};
+  detail::execute(&m1, 1, nullptr, &pb, {}, plan, &pool, ws);
   EXPECT_LT(common::max_rel_error(c.view(), prob.c_ref.view()), tol);
 
   const PackedA pa(prob.a.view(), plan);
   Matrix c2 = prob.fresh_c();
-  gemm(pa, prob.a.view(), prob.b.view(), c2.view(), plan, &pool);
+  const detail::GroupMember m2{prob.a.view(), prob.b.view(), c2.view()};
+  detail::execute(&m2, 1, &pa, nullptr, {}, plan, &pool, ws);
   EXPECT_LT(common::max_rel_error(c2.view(), prob.c_ref.view()), tol);
 }
 
