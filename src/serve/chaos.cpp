@@ -10,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/clock.hpp"
 #include "common/failpoint.hpp"
 #include "common/matrix.hpp"
 #include "common/timer.hpp"
@@ -88,12 +89,14 @@ struct ChaosReq {
 /// Sites the controller arms at random, round after round.
 constexpr const char* kChaosFailpoints[] = {
     "serve.queue_full",       "serve.execute",
-    "alloc.aligned_buffer",   "threadpool.spawn",
-    "serve.dispatcher_crash", "serve.dispatcher_stall",
+    "alloc.aligned_buffer",   "serve.dispatcher_crash",
+    "serve.dispatcher_stall",
 };
 /// Armed for a whole run or not at all: probes run once per config, on a
-/// shape's first call, so a site armed mid-run would never fire.
+/// shape's first call, and a Context builds its pool at its first pooled
+/// call, so a site armed mid-run would never fire.
 constexpr const char* kVerifySite = "verify.portable";
+constexpr const char* kSpawnSite = "threadpool.spawn";
 
 /// Per-round arming probability and hit-budget range for each site above
 /// (order matches kChaosFailpoints).
@@ -105,7 +108,6 @@ const Arm kArms[] = {
     {0.50, 1, 8},  // serve.queue_full
     {0.35, 1, 4},  // serve.execute
     {0.25, 1, 3},  // alloc.aligned_buffer
-    {0.20, 1, 1},  // threadpool.spawn
     {0.25, 1, 1},  // serve.dispatcher_crash
     {0.20, 1, 1},  // serve.dispatcher_stall
 };
@@ -196,23 +198,23 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
   // Fail every first-use probe for this seed: every config quarantines and
   // each shape lands on the reference pin while serving — correctness must
   // survive that too. The site stays armed across the controller's rounds.
-  const bool fail_every_probe = rng.chance(0.3);
-  if (fail_every_probe) failpoint::arm(kVerifySite);
+  if (rng.chance(0.3)) failpoint::arm(kVerifySite);
+  // Starve every pool for this seed: the shard Contexts ask for a worker
+  // pool, every worker spawn fails, and each shard serves serially.
+  if (rng.chance(0.3)) {
+    sopts.context.threads = 2;
+    failpoint::arm(kSpawnSite);
+  }
+  common::ManualClock clock;  // engine time; the controller moves it
   EngineOptions& eopts = sopts.worker;
+  eopts.clock = &clock;
   const std::size_t caps[] = {8, 16, 32};
   eopts.queue_capacity = caps[rng.below(3)];
   eopts.max_batch = rng.chance(0.5) ? 4 : 8;
   eopts.max_batch_delay_ns = 100'000;
-  eopts.bulk_aging_ns = 0;
-  eopts.supervision_interval_ns = 500'000;
-  eopts.heartbeat_timeout_ns = 5'000'000;
-  eopts.stall_inject_ns = 20'000'000;  // well past the heartbeat timeout
-  eopts.restart_backoff_ns = 100'000;
-  eopts.restart_backoff_max_ns = 2'000'000;
   const std::uint32_t restart_budgets[] = {2, 4, 8};
   eopts.max_dispatcher_restarts = restart_budgets[rng.below(3)];
   eopts.breaker_failure_threshold = 3;
-  eopts.breaker_cooldown_ns = 2'000'000;
   const double retry_buckets[] = {0.0, 16.0, 64.0};
   eopts.retry_budget_tokens = retry_buckets[rng.below(3)];
   rep.shards = static_cast<int>(sopts.shards);
@@ -225,8 +227,17 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
   const std::unique_ptr<ShardedEngine> fleet = std::move(made).value();
 
   // --- controller: seeded failpoint schedule until the workload ends ---
-  // Sites disarm one by one (disarm_all would also drop the probe site);
+  // Sites disarm one by one (disarm_all would also drop the pinned sites);
   // hit counters survive disarm, so they are read once at the end.
+  // Engine time keeps pace with the wall clock within a round (batch
+  // windows, deadlines, retry backoffs); after a seeded half of the rounds
+  // it skips 600 ms in 25 ms steps, past the heartbeat timeout and breaker
+  // cooldown, so wedged dispatchers and open breakers cost no wall time.
+  const auto follow_wall = [&clock](std::uint64_t us) {
+    for (const std::uint64_t end = common::now_ns() + us * 1000;
+         common::now_ns() < end; clock.advance(50'000))
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  };
   std::atomic<bool> workload_done{false};
   std::thread controller([&] {
     Rng crng(opts.seed ^ 0xA5A5A5A55A5A5A5Aull);
@@ -240,12 +251,14 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
           failpoint::arm(kChaosFailpoints[i], budget);
         }
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          800 + crng.below(1200)));
+      follow_wall(400 + crng.below(600));
       for (std::size_t i = 0; i < std::size(kChaosFailpoints); ++i)
         failpoint::disarm(kChaosFailpoints[i]);
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          200 + crng.below(600)));
+      follow_wall(100 + crng.below(300));
+      for (int step = crng.chance(0.5) ? 0 : 24; step < 24; ++step) {
+        clock.advance(25'000'000);
+        std::this_thread::yield();
+      }
     }
   });
 
@@ -268,7 +281,7 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
         g.c = r.c.view();
         g.lane = r.lane;
         if (r.deadline_rel_ns != 0)
-          g.deadline_ns = common::now_ns() + r.deadline_rel_ns;
+          g.deadline_ns = clock.now_ns() + r.deadline_rel_ns;
         if (r.use_retry) {
           RetryPolicy policy;
           policy.max_attempts = 3;
@@ -296,11 +309,19 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
   controller.join();
   for (const char* name : kChaosFailpoints)
     rep.fired.emplace_back(name, failpoint::hits(name));
-  rep.fired.emplace_back(kVerifySite, failpoint::hits(kVerifySite));
+  for (const char* name : {kVerifySite, kSpawnSite})
+    rep.fired.emplace_back(name, failpoint::hits(name));
   failpoint::disarm_all();
 
   // --- drain: the engine must reach Stopped whatever happened above ---
-  const Status drained = fleet->drain(/*timeout_ns=*/10'000'000'000ull);
+  // Engine time keeps pace: restart backoffs and the timeout run on it.
+  auto draining = std::async(std::launch::async, [&] {
+    return fleet->drain(/*timeout_ns=*/10'000'000'000ull);
+  });
+  while (draining.wait_for(std::chrono::seconds(0)) !=
+         std::future_status::ready)
+    follow_wall(1000);
+  const Status drained = draining.get();
   if (!drained.ok())
     rep.violations.push_back("drain(10s) did not complete: " +
                              drained.to_string());

@@ -2,10 +2,11 @@
 //
 // One run_chaos() call is one reproducible experiment: a multi-threaded
 // mixed workload (both lanes, deadlines, retries, several shape buckets)
-// hammers a ShardedEngine while a controller thread arms and disarms seeded
-// combinations of the library's failpoints — allocation failure, dispatcher
-// crash/stall, queue-full injection, execution failure, verification
-// miscompare, worker-spawn failure. The schedule is a pure function of the
+// hammers a ShardedEngine while a controller thread moves the fleet's
+// ManualClock and arms and disarms seeded combinations of the library's
+// failpoints — allocation failure, dispatcher crash/stall, queue-full
+// injection, execution failure (verification miscompare and worker-spawn
+// failure are pinned for whole runs). The schedule is a pure function of the
 // seed, so a failing seed replays exactly (`autogemm chaos --seed N`, or
 // the value parameterizing tests/chaos_test.cpp).
 //

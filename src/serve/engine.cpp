@@ -1,14 +1,12 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <span>
 #include <string>
 #include <system_error>
 #include <utility>
 
 #include "common/failpoint.hpp"
-#include "common/timer.hpp"
 #include "core/batched.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -37,6 +35,15 @@ struct EngineMetrics {
 };
 
 namespace {
+
+// The engine's timers (engine.hpp, Resilience), on EngineOptions::clock.
+constexpr std::uint64_t kBulkAgingNs = 2'000'000;
+constexpr std::uint64_t kSupervisionIntervalNs = 5'000'000;
+constexpr std::uint64_t kHeartbeatTimeoutNs = 500'000'000;
+constexpr std::uint64_t kRestartBackoffNs = 1'000'000;  // doubles per restart
+constexpr std::uint64_t kRestartBackoffMaxNs = 100'000'000;
+constexpr std::uint64_t kBreakerCooldownNs = 100'000'000;
+constexpr double kRetryTokenRatio = 0.1;  // tokens per completed request
 
 const EngineMetrics* engine_metrics(int shard) {
   static std::mutex mu;
@@ -100,12 +107,6 @@ const EngineMetrics* engine_metrics(int shard) {
   return &x;
 }
 
-std::chrono::steady_clock::time_point to_time_point(std::uint64_t ns) {
-  // common::now_ns() is steady_clock time-since-epoch in nanoseconds, so
-  // an absolute ns value converts losslessly to a steady time_point.
-  return std::chrono::steady_clock::time_point(std::chrono::nanoseconds(ns));
-}
-
 bool past_deadline(const GemmRequest& req, std::uint64_t now) {
   return req.deadline_ns != 0 && now >= req.deadline_ns;
 }
@@ -135,7 +136,7 @@ std::string shape_text(int m, int n, int k) {
 }  // namespace
 
 void Engine::beat() {
-  last_beat_ns_.store(common::now_ns(), std::memory_order_relaxed);
+  last_beat_ns_.store(clock_.now_ns(), std::memory_order_relaxed);
 }
 
 Engine::Engine(Context& ctx, const EngineOptions& opts)
@@ -146,6 +147,7 @@ Engine::Engine(Context& ctx, const EngineOptions& opts)
         if (o.max_batch == 0) o.max_batch = 1;
         return o;
       }()),
+      clock_(opts.clock != nullptr ? *opts.clock : common::steady_clock()),
       shed_watermark_(opts_.shed_watermark != 0
                           ? opts_.shed_watermark
                           : std::max<std::size_t>(
@@ -154,7 +156,7 @@ Engine::Engine(Context& ctx, const EngineOptions& opts)
       paused_(opts_.start_paused) {
   metrics_->engines[static_cast<int>(EngineState::kRunning)]->add(1);
   retry_tokens_ = opts_.retry_budget_tokens;
-  last_beat_ns_.store(common::now_ns(), std::memory_order_relaxed);
+  beat();
   try {
     if (failpoint::should_fail("serve.spawn"))
       throw std::system_error(std::make_error_code(
@@ -282,7 +284,7 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
             "serve: engine stopped; request not admitted");
         reject_counter = o.rejected_stopped;
       }
-    } else if ((braked = breaker_admission_locked(shape, common::now_ns(),
+    } else if ((braked = breaker_admission_locked(shape, clock_.now_ns(),
                                                   &probe))
                    .has_value()) {
       // Open circuit breaker: fast-fail without occupying a queue slot.
@@ -319,7 +321,7 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
         ++stats_.admitted;
         ++shape_requests_[{req.c.rows, req.c.cols, req.a.cols}];
         o.admitted->add(1);
-        p.enqueue_ns = common::now_ns();
+        p.enqueue_ns = clock_.now_ns();
         run_inline = inline_mode();
         if (!run_inline) {
           (req.lane == Lane::kInteractive ? interactive_ : bulk_)
@@ -375,15 +377,14 @@ Status Engine::submit_with_retry(const GemmRequest& req,
           static_cast<double>(delay) *
           (1.0 - std::min(1.0, policy.jitter) * u));
     }
-    if (req.deadline_ns != 0 && common::now_ns() + delay >= req.deadline_ns)
+    if (req.deadline_ns != 0 && clock_.now_ns() + delay >= req.deadline_ns)
       return last;  // the retried attempt would expire anyway
     if (!try_spend_retry_token()) {
       o.retry_budget_exhausted->add(1);
       return last;
     }
     o.retries->add(1);
-    if (delay > 0)
-      std::this_thread::sleep_for(std::chrono::nanoseconds(delay));
+    if (delay > 0) clock_.sleep_for(delay);
     backoff = backoff < policy.max_backoff_ns / 2 ? 2 * backoff
                                                   : policy.max_backoff_ns;
   }
@@ -406,8 +407,8 @@ void Engine::refill_retry_tokens_locked(std::uint64_t completions) {
   if (opts_.retry_budget_tokens <= 0) return;
   retry_tokens_ =
       std::min(opts_.retry_budget_tokens,
-               retry_tokens_ + opts_.retry_token_ratio *
-                                   static_cast<double>(completions));
+               retry_tokens_ +
+                   kRetryTokenRatio * static_cast<double>(completions));
 }
 
 std::optional<Status> Engine::breaker_admission_locked(const ShapeKey& key,
@@ -418,7 +419,7 @@ std::optional<Status> Engine::breaker_admission_locked(const ShapeKey& key,
   if (it == breakers_.end()) return std::nullopt;
   Breaker& b = it->second;
   if (b.st == Breaker::St::kOpen) {
-    if (now - b.opened_ns < opts_.breaker_cooldown_ns) {
+    if (now - b.opened_ns < kBreakerCooldownNs) {
       return UnavailableError(
           "serve: circuit breaker open for shape " +
           shape_text(std::get<0>(key), std::get<1>(key), std::get<2>(key)) +
@@ -523,15 +524,12 @@ void Engine::take_same_shape_locked(int m, int n, int k, common::DType dtype,
 
 std::vector<Engine::Pending> Engine::take_next_group_locked() {
   // Lane pick: interactive first, unless the bulk head has aged past the
-  // starvation bound (bulk_aging_ns == 0 means bulk never waits behind
-  // interactive).
+  // starvation bound.
   std::deque<Pending>* lane = &interactive_;
-  if (interactive_.empty()) {
+  if (interactive_.empty() ||
+      (!bulk_.empty() &&
+       clock_.now_ns() - bulk_.front().enqueue_ns >= kBulkAgingNs))
     lane = &bulk_;
-  } else if (!bulk_.empty()) {
-    const std::uint64_t age = common::now_ns() - bulk_.front().enqueue_ns;
-    if (age >= opts_.bulk_aging_ns) lane = &bulk_;
-  }
   std::vector<Pending> batch;
   batch.push_back(std::move(lane->front()));
   lane->pop_front();
@@ -600,11 +598,12 @@ void Engine::dispatcher_run(std::unique_lock<std::mutex>& lock,
     if (failpoint::should_fail("serve.dispatcher_stall")) {
       // A wedged dispatcher: publishes no heartbeat, makes no progress,
       // holds no lock — exactly what the monitor must detect and route
-      // around.
-      lock.unlock();
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(opts_.stall_inject_ns));
-      lock.lock();
+      // around — until it is superseded or a drain starts. It parks on
+      // monitor_cv_: on cv_ it could take a submit's notify_one meant for
+      // its replacement.
+      monitor_cv_.wait(lock, [&] {
+        return gen != dispatcher_gen_ || state_ != EngineState::kRunning;
+      });
       if (gen != dispatcher_gen_) return;  // superseded while wedged
       continue;
     }
@@ -651,13 +650,13 @@ void Engine::dispatcher_run(std::unique_lock<std::mutex>& lock,
       obs::SpanScope window_span("serve.batch",
                                  static_cast<std::uint64_t>(m) * n,
                                  static_cast<std::uint64_t>(batch.size()));
-      std::uint64_t wait_end = common::now_ns() + opts_.max_batch_delay_ns;
+      std::uint64_t wait_end = clock_.now_ns() + opts_.max_batch_delay_ns;
       for (const auto& p : batch)
         if (p.req.deadline_ns != 0 && p.req.deadline_ns < wait_end)
           wait_end = p.req.deadline_ns;
       while (batch.size() < opts_.max_batch &&
              state_ == EngineState::kRunning && gen == dispatcher_gen_) {
-        if (cv_.wait_until(lock, to_time_point(wait_end)) ==
+        if (clock_.wait_until(cv_, lock, wait_end) ==
             std::cv_status::timeout) {
           take_same_shape_locked(m, n, k, dt, &batch);
           break;
@@ -676,15 +675,13 @@ void Engine::dispatcher_run(std::unique_lock<std::mutex>& lock,
 
 void Engine::monitor_loop() {
   std::unique_lock<std::mutex> lock(mu_);
-  const auto interval = std::chrono::nanoseconds(
-      std::max<std::uint64_t>(1, opts_.supervision_interval_ns));
   for (;;) {
-    monitor_cv_.wait_for(lock, interval, [&] {
-      return monitor_stop_ || dispatcher_dead_;
-    });
+    clock_.wait_until(monitor_cv_, lock,
+                      clock_.now_ns() + kSupervisionIntervalNs,
+                      [&] { return monitor_stop_ || dispatcher_dead_; });
     if (monitor_stop_) return;
     if (drained_ || inline_mode()) return;  // nothing left to supervise
-    const std::uint64_t now = common::now_ns();
+    const std::uint64_t now = clock_.now_ns();
     const bool crash = dispatcher_dead_;
     bool stall = false;
     if (!crash) {
@@ -695,7 +692,7 @@ void Engine::monitor_loop() {
       // progress: work is pending, the engine is not paused, and the
       // dispatcher is not legitimately inside a long GEMM dispatch.
       if (dispatcher_alive_ && work && !paused_ && !dispatch_active_ &&
-          now > beat_ns && now - beat_ns > opts_.heartbeat_timeout_ns)
+          now > beat_ns && now - beat_ns > kHeartbeatTimeoutNs)
         stall = true;
     }
     if (!crash && !stall) continue;
@@ -713,23 +710,19 @@ void Engine::monitor_loop() {
     // Exponential backoff between respawns: a dispatcher that dies on
     // arrival (e.g. a persistently armed crash failpoint) must not spin
     // the monitor.
-    std::uint64_t backoff = opts_.restart_backoff_ns;
-    for (std::uint32_t i = 0;
-         i < restarts_used_ && backoff < opts_.restart_backoff_max_ns; ++i)
-      backoff *= 2;
-    backoff = std::min(backoff, opts_.restart_backoff_max_ns);
+    const std::uint64_t backoff = std::min(
+        kRestartBackoffMaxNs,
+        kRestartBackoffNs << std::min<std::uint32_t>(restarts_used_, 7));
     ++restarts_used_;
-    if (backoff > 0) {
-      monitor_cv_.wait_for(lock, std::chrono::nanoseconds(backoff),
-                           [&] { return monitor_stop_; });
-      if (monitor_stop_) return;
-    }
+    if (clock_.wait_until(monitor_cv_, lock, clock_.now_ns() + backoff,
+                          [&] { return monitor_stop_; }))
+      return;
     ++dispatcher_gen_;
     const std::uint64_t gen = dispatcher_gen_;
     // A crashed thread has already exited; reclaim its handle before
     // reusing the slot (a stalled one was parked in abandoned_ above).
     if (dispatcher_.joinable()) dispatcher_.join();
-    last_beat_ns_.store(common::now_ns(), std::memory_order_relaxed);
+    beat();
     try {
       dispatcher_ = std::thread([this, gen] { dispatcher_loop(gen); });
       dispatcher_alive_ = true;
@@ -748,6 +741,7 @@ void Engine::retire_dispatcher_locked() {
   dispatcher_alive_ = false;
   if (dispatcher_.joinable()) abandoned_.push_back(std::move(dispatcher_));
   cv_.notify_all();
+  monitor_cv_.notify_all();  // a wedged dispatcher leaves its wedge
 }
 
 void Engine::dispatch_unlocked(std::unique_lock<std::mutex>& lock,
@@ -784,7 +778,7 @@ void Engine::degrade_to_inline_locked(std::unique_lock<std::mutex>& lock) {
 
 void Engine::dispatch(std::vector<Pending> batch) {
   const EngineMetrics& o = *metrics_;
-  const std::uint64_t now = common::now_ns();
+  const std::uint64_t now = clock_.now_ns();
   for (const auto& p : batch)
     o.queue_seconds[p.req.lane == Lane::kInteractive ? 0 : 1]->observe(
         static_cast<double>(now - p.enqueue_ns) * 1e-9);
@@ -890,7 +884,7 @@ void Engine::dispatch(std::vector<Pending> batch) {
       stats_.batched_requests += grouped.size();
     }
     stats_.single_dispatches += singles.size();
-    const std::uint64_t done_ns = common::now_ns();
+    const std::uint64_t done_ns = clock_.now_ns();
     for (std::size_t i = 0; i < live.size(); ++i)
       breaker_outcome_locked(shape, statuses[i].ok(), live[i].breaker_probe,
                              done_ns);
@@ -922,12 +916,13 @@ Status Engine::drain(std::uint64_t timeout_ns) {
   if (state_ == EngineState::kStopped) return Status::OK();
   if (state_ == EngineState::kRunning) {
     set_state_locked(EngineState::kDraining);
-    drain_start_ns_ = common::now_ns();
+    drain_start_ns_ = clock_.now_ns();
     if (inline_mode() && depth_locked() == 0) drained_ = true;
     cv_.notify_all();
+    monitor_cv_.notify_all();  // a wedged dispatcher leaves its wedge
   }
   const std::uint64_t wait_deadline =
-      timeout_ns == 0 ? 0 : common::now_ns() + timeout_ns;
+      timeout_ns == 0 ? 0 : clock_.now_ns() + timeout_ns;
   while (!drained_) {
     if (dispatcher_dead_ && !monitor_started_) {
       // No monitor will ever respawn the crashed dispatcher: this caller
@@ -935,7 +930,7 @@ Status Engine::drain(std::uint64_t timeout_ns) {
       degrade_to_inline_locked(lock);
     } else if (wait_deadline == 0) {
       drain_cv_.wait(lock);
-    } else if (drain_cv_.wait_until(lock, to_time_point(wait_deadline)) ==
+    } else if (clock_.wait_until(drain_cv_, lock, wait_deadline) ==
                    std::cv_status::timeout &&
                !drained_) {
       return DeadlineExceededError(
@@ -946,7 +941,7 @@ Status Engine::drain(std::uint64_t timeout_ns) {
   if (state_ != EngineState::kStopped) {
     set_state_locked(EngineState::kStopped);
     metrics_->drain_seconds->observe(
-        static_cast<double>(common::now_ns() - drain_start_ns_) * 1e-9);
+        static_cast<double>(clock_.now_ns() - drain_start_ns_) * 1e-9);
     drain_cv_.notify_all();
   }
   lock.unlock();

@@ -25,8 +25,8 @@
 //   * a deadline scheduler completes past-deadline requests with
 //     kDeadlineExceeded *before* execution (their C is never written);
 //   * two priority lanes — interactive and bulk — with starvation-free
-//     aging: a bulk request whose queue age exceeds bulk_aging_ns is
-//     served ahead of younger interactive traffic;
+//     aging: a bulk request queued for 2 ms or longer is served ahead of
+//     younger interactive traffic;
 //   * graceful degradation under overload: above the shed watermark the
 //     bulk lane is shed oldest-first (kUnavailable), reported through
 //     Status, ServerStats and the obs registry.
@@ -60,12 +60,13 @@
 // to the serving layer):
 //
 //   * **Dispatcher supervision.** The dispatcher publishes a heartbeat
-//     every loop iteration; a monitor thread (supervision_interval_ns)
-//     detects a crashed dispatcher (thread died — `serve.dispatcher_crash`
-//     failpoint) or a stalled one (no heartbeat while unserved work is
-//     pending for heartbeat_timeout_ns — `serve.dispatcher_stall`) and
-//     respawns it with exponential backoff, up to
-//     max_dispatcher_restarts. Queued requests live in the engine, not
+//     every loop iteration; a monitor thread (polling every 5 ms) detects
+//     a crashed dispatcher (thread died — `serve.dispatcher_crash`
+//     failpoint) or a stalled one (no heartbeat for 500 ms while unserved
+//     work is pending — `serve.dispatcher_stall`, which wedges the
+//     dispatcher until it is superseded or a drain starts) and respawns
+//     it with exponential backoff (1 ms, doubling, capped at 100 ms), up
+//     to max_dispatcher_restarts. Queued requests live in the engine, not
 //     the thread, so they survive every restart. A stalled thread is
 //     never detached: it is superseded by a generation bump, parked, and
 //     joined at shutdown. When the restart budget is exhausted the
@@ -80,14 +81,14 @@
 //     common/status.hpp: kResourceExhausted, kUnavailable) with
 //     exponential backoff and seeded jitter, never sleeping past the
 //     request deadline. An engine-wide token bucket
-//     (retry_budget_tokens, refilled by successes at retry_token_ratio)
+//     (retry_budget_tokens, refilled by 0.1 token per completed request)
 //     caps the global retry volume so retries cannot amplify an
 //     overload into a retry storm.
 //   * **Circuit breakers.** Per shape bucket (m, n, k):
 //     breaker_failure_threshold consecutive execution failures open the
 //     breaker, and further submissions of that shape fast-fail with
 //     kUnavailable at admission — without occupying a queue slot —
-//     until breaker_cooldown_ns elapses. The breaker then admits one
+//     for a 100 ms cooldown. The breaker then admits one
 //     half-open probe request; its success closes the breaker, its
 //     failure reopens it. This sits above the config quarantine in
 //     core: quarantine retires a *kernel config* after a failed
@@ -102,6 +103,9 @@
 //     background; call drain again or shutdown() to finish). shutdown()
 //     is drain with no timeout. A paused engine stays paused across
 //     drain() (the test hook wins); shutdown() unpauses.
+//   * **Time.** Every timestamp and timed wait above comes from
+//     EngineOptions::clock. The timer values are fixed; tests and the
+//     chaos harness advance a common::ManualClock instead.
 //
 // Every resilience event mirrors to obs: breaker transition counters and
 // an open-breaker gauge, dispatcher crash/stall/restart counters, retry
@@ -130,6 +134,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -141,13 +146,12 @@
 #include <tuple>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/dtype.hpp"
 #include "common/matrix.hpp"
 #include "common/status.hpp"
 #include "core/context.hpp"
 #include "tune/online_tuner.hpp"
-
-#include <condition_variable>
 
 namespace autogemm::serve {
 
@@ -156,8 +160,8 @@ namespace autogemm::serve {
 struct EngineMetrics;
 
 /// Priority lane. Interactive requests are served first; bulk requests
-/// age into priority (see EngineOptions::bulk_aging_ns) and are the
-/// first to be shed under overload.
+/// age into priority after 2 ms in the queue and are the first to be shed
+/// under overload.
 enum class Lane { kInteractive, kBulk };
 
 /// One C += A * B request. Views are not copied: the underlying buffers
@@ -177,9 +181,10 @@ struct GemmRequest {
   /// kInvalidArgument.
   common::DType dtype = common::DType::kF32;
   Lane lane = Lane::kBulk;
-  /// Absolute deadline in common::now_ns() time; 0 = no deadline. A
-  /// request past its deadline completes with kDeadlineExceeded before
-  /// execution — its C is never written.
+  /// Absolute deadline on the engine's clock (common::now_ns() time unless
+  /// EngineOptions::clock says otherwise); 0 = no deadline. A request past
+  /// its deadline completes with kDeadlineExceeded before execution — its
+  /// C is never written.
   std::uint64_t deadline_ns = 0;
 };
 
@@ -193,10 +198,6 @@ struct EngineOptions {
   /// for more arrivals. 0 = dispatch immediately with whatever is already
   /// queued (coalescing still happens across the backlog).
   std::uint64_t max_batch_delay_ns = 200'000;
-  /// A bulk request older than this is served ahead of younger
-  /// interactive traffic (starvation freedom). 0 = bulk is never made to
-  /// wait behind interactive at all — a determinism hook for tests.
-  std::uint64_t bulk_aging_ns = 2'000'000;
   /// Queue depth above which the dispatcher sheds the bulk lane,
   /// oldest-first, with kUnavailable. 0 = three quarters of
   /// queue_capacity.
@@ -211,44 +212,20 @@ struct EngineOptions {
   /// label.
   int shard = -1;
 
-  // --- dispatcher supervision (see the Resilience section above) ---
-
-  /// Monitor poll interval.
-  std::uint64_t supervision_interval_ns = 5'000'000;
-  /// No heartbeat for this long while unserved work is pending (and the
-  /// engine is neither paused nor mid-dispatch) declares the dispatcher
-  /// stalled.
-  std::uint64_t heartbeat_timeout_ns = 500'000'000;
   /// How many times a crashed/stalled dispatcher is respawned before the
-  /// engine degrades to inline mode.
+  /// engine degrades to inline mode (see the Resilience section above).
   std::uint32_t max_dispatcher_restarts = 3;
-  /// Respawn backoff: initial, doubling per restart, capped.
-  std::uint64_t restart_backoff_ns = 1'000'000;
-  std::uint64_t restart_backoff_max_ns = 100'000'000;
-  /// How long the `serve.dispatcher_stall` failpoint wedges the
-  /// dispatcher (the injected fault's magnitude; tests size it well
-  /// above heartbeat_timeout_ns).
-  std::uint64_t stall_inject_ns = 50'000'000;
-
-  // --- per-shape circuit breaker ---
-
   /// Consecutive execution failures of one shape bucket that open its
-  /// breaker. 0 disables breakers.
+  /// circuit breaker. 0 disables breakers.
   std::uint32_t breaker_failure_threshold = 5;
-  /// How long an open breaker fast-fails its shape before admitting one
-  /// half-open probe.
-  std::uint64_t breaker_cooldown_ns = 100'000'000;
-
-  // --- retry budget (engine-wide token bucket) ---
-
   /// Max retry tokens (the bucket starts full; each resubmission by
-  /// submit_with_retry spends one). 0 disables the budget (unlimited
-  /// retries — policy-level max_attempts still applies).
+  /// submit_with_retry spends one, each completed request refills 0.1).
+  /// 0 disables the budget (unlimited retries — policy-level max_attempts
+  /// still applies).
   double retry_budget_tokens = 64.0;
-  /// Tokens refilled per successfully completed request, capped at
-  /// retry_budget_tokens. The classic ratio form: 0.1 sustains one
-  /// retry per ten successes.
-  double retry_token_ratio = 0.1;
+  /// Source of every timestamp and timed wait; nullptr =
+  /// common::steady_clock(). Not owned: it must outlive the engine.
+  common::Clock* clock = nullptr;
 };
 
 /// Client-side retry schedule for Engine::submit_with_retry. Only
@@ -472,7 +449,7 @@ class Engine {
   void take_same_shape_locked(int m, int n, int k, common::DType dtype,
                               std::vector<Pending>* batch);
   /// Pops the head of the lane due next (interactive first, unless the
-  /// bulk head aged past bulk_aging_ns) plus its queued same-shape group.
+  /// bulk head has aged into priority) plus its queued same-shape group.
   /// The queue must be non-empty.
   std::vector<Pending> take_next_group_locked();
   /// Breaker admission decision for `key`: nullopt admits (marking
@@ -505,6 +482,7 @@ class Engine {
 
   Context& ctx_;
   const EngineOptions opts_;
+  common::Clock& clock_;
   const std::size_t shed_watermark_;
   /// Points into a process-wide per-shard-label table, never freed (same
   /// lifetime contract as the registry handles themselves).
@@ -512,7 +490,7 @@ class Engine {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;        // dispatcher wakeups
-  std::condition_variable monitor_cv_;  // monitor wakeups
+  std::condition_variable monitor_cv_;  // monitor + wedged-dispatcher wakeups
   std::condition_variable drain_cv_;    // drain() waiters
   std::deque<Pending> interactive_;
   std::deque<Pending> bulk_;

@@ -26,6 +26,10 @@
 // i.e. including the drain of whatever backlog the run left). Outcomes
 // are split per lane: ok / shed (with the displaced subset reported by
 // the engine's stats, not here) / rejected / expired / errors.
+//
+// The generator, the router-owned OnlineTuner and GemmRequest::deadline_ns
+// callers stay on the steady clock (common::now_ns()): they measure
+// wall-clock time, so an engine they drive keeps the default clock.
 #pragma once
 
 #include <cstdint>

@@ -69,7 +69,8 @@ struct ShardedEngineOptions {
   ContextOptions context;
   /// Per-shard Engine configuration. queue_capacity etc. are *per shard*:
   /// N shards admit N * queue_capacity in aggregate. worker.shard is
-  /// overwritten per shard by create().
+  /// overwritten per shard by create(); worker.clock is shared by every
+  /// shard (the router-owned tuner stays on the steady clock).
   EngineOptions worker;
   /// Steal when home_depth + 1 >= ratio * (min_depth + 1) (the +1 keeps
   /// the test meaningful at empty queues). 0 disables stealing.

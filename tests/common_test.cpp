@@ -2,16 +2,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "common/clock.hpp"
 #include "common/matrix.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "common/timer.hpp"
 
 namespace autogemm::common {
 namespace {
@@ -215,6 +220,74 @@ TEST(ThreadPool, ConcurrentSubmittersSerialize) {
   }
   for (auto& t : submitters) t.join();
   EXPECT_EQ(total.load(), kSubmitters * kRegions * kCount);
+}
+
+TEST(Clock, ManualClockMovesOnlyOnAdvance) {
+  ManualClock clock;
+  EXPECT_EQ(clock.now_ns(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(clock.now_ns(), 0u);
+  clock.advance(50);
+  EXPECT_EQ(clock.now_ns(), 50u);
+}
+
+TEST(Clock, TimedWaitReturnsEarlyWhenNotified) {
+  ManualClock manual;
+  for (Clock* clock : {&steady_clock(), static_cast<Clock*>(&manual)}) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool ready = false;
+    std::thread notifier([&] {
+      {
+        std::lock_guard lock(mu);
+        ready = true;
+      }
+      cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(mu);
+    // A minute away on either clock: only the notification ends the wait.
+    EXPECT_TRUE(clock->wait_until(cv, lock, clock->now_ns() + 60'000'000'000,
+                                  [&] { return ready; }));
+    lock.unlock();
+    notifier.join();
+  }
+}
+
+TEST(Clock, ManualWaitTimesOutOnlyAfterAdvancePastDeadline) {
+  ManualClock clock;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::atomic<bool> wait_timed_out{false}, sleep_done{false};
+  std::thread waiter([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_FALSE(clock.wait_until(cv, lock, 1000, [] { return false; }));
+    wait_timed_out = true;
+  });
+  std::thread sleeper([&] {
+    clock.sleep_for(1000);
+    sleep_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cv.notify_all();  // a wakeup before the deadline is not a timeout
+  clock.advance(999);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(wait_timed_out);
+  EXPECT_FALSE(sleep_done);
+  clock.advance(1);  // reaches both deadlines
+  waiter.join();
+  sleeper.join();
+  EXPECT_TRUE(wait_timed_out);
+  EXPECT_TRUE(sleep_done);
+}
+
+TEST(Clock, SteadyClockReadsCommonNowNs) {
+  // Bracketed by two common::now_ns() reads: the same timebase, so an
+  // absolute deadline computed from either means the same instant.
+  const std::uint64_t before = now_ns();
+  const std::uint64_t t = steady_clock().now_ns();
+  const std::uint64_t after = now_ns();
+  EXPECT_LE(before, t);
+  EXPECT_LE(t, after);
 }
 
 }  // namespace

@@ -448,8 +448,6 @@ Context& serve_ctx() {
 TEST_F(Failpoints, ServeDispatcherCrashIsRecoveredBySupervision) {
   serve::EngineOptions opts;
   opts.start_paused = true;
-  opts.supervision_interval_ns = 1'000'000;
-  opts.restart_backoff_ns = 100'000;
   serve::Engine engine(serve_fp::serve_ctx(), opts);
   Matrix a(8, 8), b(8, 8), c(8, 8), c_ref(8, 8);
   common::fill_random(a.view(), 1);
@@ -504,12 +502,11 @@ TEST_F(Failpoints, UnsupervisedDrainServesCrashedDispatchersBacklog) {
 }
 
 TEST_F(Failpoints, ServeDispatcherStallIsDetectedBySupervision) {
+  common::ManualClock clock;
   serve::EngineOptions opts;
   opts.start_paused = true;
-  opts.supervision_interval_ns = 1'000'000;
-  opts.heartbeat_timeout_ns = 3'000'000;
-  opts.stall_inject_ns = 60'000'000;
-  opts.restart_backoff_ns = 100'000;
+  opts.max_batch_delay_ns = 0;  // no batch window: time stops once served
+  opts.clock = &clock;
   serve::Engine engine(serve_fp::serve_ctx(), opts);
   Matrix a(8, 8), b(8, 8), c(8, 8);
   common::fill_random(a.view(), 3);
@@ -520,9 +517,18 @@ TEST_F(Failpoints, ServeDispatcherStallIsDetectedBySupervision) {
   r.c = c.view();
   std::future<Status> f = engine.submit(r);
   // The dispatcher wedges (no heartbeat, work pending); the monitor
-  // supersedes it and a replacement serves the request.
+  // supersedes it and a replacement serves the request. Engine time: 1 s
+  // past the wedge passes the 500 ms heartbeat timeout, then 1 ms steps
+  // cover the restart backoff.
   failpoint::arm("serve.dispatcher_stall", /*budget=*/1);
   engine.resume();
+  ASSERT_TRUE(testutil::advance_until(clock, 0, [] {
+    return failpoint::hits("serve.dispatcher_stall") >= 1;
+  }));
+  clock.advance(1'000'000'000);
+  ASSERT_TRUE(testutil::advance_until(clock, 1'000'000, [&] {
+    return engine.stats().dispatcher_restarts >= 1;
+  }));
   EXPECT_TRUE(f.get().ok());
   EXPECT_GE(failpoint::hits("serve.dispatcher_stall"), 1);
   engine.shutdown();  // also joins the superseded, wedged thread

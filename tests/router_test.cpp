@@ -123,8 +123,8 @@ TEST(Router, StealsUnderDispatcherStallAndStaysClean) {
   o.steal_imbalance_ratio = 2.0;
   o.steal_min_depth = 2;
   o.worker.max_batch_delay_ns = 0;
-  o.worker.stall_inject_ns = 200'000'000;  // < default heartbeat timeout:
-                                           // the stall resolves by itself
+  common::ManualClock clock;  // shared by both shards
+  o.worker.clock = &clock;
   auto se = ShardedEngine::create(o).value();
   Problem p0(8, 8, 8, 1);
   const std::size_t home = se->shard_for(8, 8, 8);
@@ -137,6 +137,19 @@ TEST(Router, StealsUnderDispatcherStallAndStaysClean) {
     ps.push_back(std::make_unique<Problem>(8, 8, 8, 200 + i));
     fs.push_back(se->submit(ps.back()->request()));
   }
+  // Engine time stands still until only the wedged shard holds work (the
+  // healthy one has no pending work for the monitor to call stalled).
+  // Then 1 s passes the wedged shard's 500 ms heartbeat timeout, and 1 ms
+  // steps cover its restart backoff.
+  ASSERT_TRUE(testutil::advance_until(clock, 0, [&] {
+    return failpoint::hits("serve.dispatcher_stall") >= 1 &&
+           (se->shard_engine(0).queue_depth() == 0) !=
+               (se->shard_engine(1).queue_depth() == 0);
+  }));
+  clock.advance(1'000'000'000);
+  ASSERT_TRUE(testutil::advance_until(clock, 1'000'000, [&] {
+    return se->stats().aggregate.dispatcher_restarts >= 1;
+  }));
   for (auto& f : fs) EXPECT_TRUE(f.get().ok());  // every future resolves
   EXPECT_GE(failpoint::hits("serve.dispatcher_stall"), 1);
   failpoint::disarm_all();
@@ -226,7 +239,6 @@ TEST(Router, ShardDegradeStaysIsolated) {
   failpoint::disarm_all();
   ShardedEngineOptions o = base_opts(2);
   o.worker.max_batch_delay_ns = 0;
-  o.worker.supervision_interval_ns = 500'000;
   o.worker.max_dispatcher_restarts = 0;  // first crash degrades the shard
   auto se = ShardedEngine::create(o).value();
   // Two shapes with different home shards (the stream is deterministic,

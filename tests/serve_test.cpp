@@ -193,13 +193,14 @@ TEST(Serve, FutureDeadlineDoesNotExpire) {
   EXPECT_TRUE(p.c_matches_ref());
 }
 
-TEST(Serve, BulkAgingZeroServesBulkFirst) {
-  // bulk_aging_ns == 0: the bulk head always counts as aged, so it is
-  // dispatched ahead of interactive traffic (the determinism hook).
+TEST(Serve, AgedBulkServedAheadOfInteractive) {
+  // A bulk request queued for the 2 ms aging bound has aged into
+  // priority, so it is dispatched ahead of younger interactive traffic.
+  common::ManualClock clock;
   EngineOptions opts;
   opts.start_paused = true;
-  opts.bulk_aging_ns = 0;
   opts.max_batch_delay_ns = 0;
+  opts.clock = &clock;
   Engine engine(test_ctx(), opts);
   Problem bulk(8, 8, 8, 60), inter(12, 12, 12, 61);
   std::mutex mu;
@@ -208,6 +209,7 @@ TEST(Serve, BulkAgingZeroServesBulkFirst) {
     std::lock_guard lock(mu);
     order.push_back(s.ok() ? "bulk" : "bulk-err");
   });
+  clock.advance(2'000'000);
   engine.submit(inter.request(Lane::kInteractive), [&](Status s) {
     std::lock_guard lock(mu);
     order.push_back(s.ok() ? "interactive" : "interactive-err");
@@ -220,14 +222,14 @@ TEST(Serve, BulkAgingZeroServesBulkFirst) {
 }
 
 TEST(Serve, FreshBulkWaitsBehindInteractive) {
-  // A bulk request younger than bulk_aging_ns has not aged, so the
-  // interactive lane goes first even though bulk was queued earlier. The
-  // 60 s window keeps bulk "fresh" however late the resumed dispatcher
-  // gets scheduled (the 2 ms default does not under a loaded host).
+  // A bulk request younger than the aging bound has not aged, so the
+  // interactive lane goes first even though bulk was queued earlier.
+  // Engine time stands still, however late the resumed dispatcher runs.
+  common::ManualClock clock;
   EngineOptions opts;
   opts.start_paused = true;
   opts.max_batch_delay_ns = 0;
-  opts.bulk_aging_ns = 60'000'000'000;
+  opts.clock = &clock;
   Engine engine(test_ctx(), opts);
   Problem bulk(8, 8, 8, 65), inter(12, 12, 12, 66);
   std::mutex mu;
@@ -629,10 +631,11 @@ TEST(Serve, DrainTimeoutExpiryLeavesDrainInProgress) {
 // Circuit breakers.
 
 TEST(Serve, BreakerOpensAfterConsecutiveFailuresThenRecovers) {
+  common::ManualClock clock;
   EngineOptions opts;
   opts.max_batch_delay_ns = 0;
   opts.breaker_failure_threshold = 3;
-  opts.breaker_cooldown_ns = 50'000'000;  // long enough to observe Open
+  opts.clock = &clock;
   Engine engine(test_ctx(), opts);
   failpoint::disarm_all();
   failpoint::arm("serve.execute", 3);
@@ -655,9 +658,9 @@ TEST(Serve, BreakerOpensAfterConsecutiveFailuresThenRecovers) {
   // A *different* shape is unaffected — breakers are per bucket.
   Problem other(12, 12, 12, 172);
   EXPECT_TRUE(engine.submit(other.request()).get().ok());
-  // After the cooldown the half-open probe is admitted; the fault is
-  // gone, so it succeeds and closes the breaker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // After the 100 ms cooldown the half-open probe is admitted; the fault
+  // is gone, so it succeeds and closes the breaker.
+  clock.advance(100'000'000);
   Problem probe(8, 8, 8, 173);
   EXPECT_TRUE(engine.submit(probe.request()).get().ok());
   EXPECT_TRUE(probe.c_matches_ref());
@@ -672,19 +675,20 @@ TEST(Serve, BreakerOpensAfterConsecutiveFailuresThenRecovers) {
 }
 
 TEST(Serve, BreakerHalfOpenProbeFailureReopens) {
+  common::ManualClock clock;
   EngineOptions opts;
   opts.max_batch_delay_ns = 0;
   opts.breaker_failure_threshold = 1;
-  opts.breaker_cooldown_ns = 5'000'000;
+  opts.clock = &clock;
   Engine engine(test_ctx(), opts);
   failpoint::disarm_all();
   failpoint::arm("serve.execute", 2);
   Problem p(8, 8, 8, 180);
   // First failure opens the breaker (threshold 1).
   EXPECT_EQ(engine.submit(p.request()).get().code(), StatusCode::kInternal);
-  // After the cooldown, the half-open probe is admitted — and fails
-  // (second budgeted hit), reopening the breaker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // After the 100 ms cooldown, the half-open probe is admitted — and
+  // fails (second budgeted hit), reopening the breaker.
+  clock.advance(100'000'000);
   Problem probe(8, 8, 8, 181);
   EXPECT_EQ(engine.submit(probe.request()).get().code(),
             StatusCode::kInternal);
@@ -694,7 +698,7 @@ TEST(Serve, BreakerHalfOpenProbeFailureReopens) {
   EXPECT_EQ(engine.submit(fast.request()).get().code(),
             StatusCode::kUnavailable);
   // Second cooldown, healthy probe: the breaker closes for good.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  clock.advance(100'000'000);
   Problem healthy(8, 8, 8, 183);
   EXPECT_TRUE(engine.submit(healthy.request()).get().ok());
   EXPECT_TRUE(healthy.c_matches_ref());
@@ -732,8 +736,9 @@ TEST(Serve, SubmitWithRetrySucceedsAfterTransientRejections) {
 TEST(Serve, RetryBudgetExhaustionUnderSustainedOverload) {
   failpoint::disarm_all();
   EngineOptions opts;
-  opts.retry_budget_tokens = 1.0;  // one retry engine-wide, never refilled
-  opts.retry_token_ratio = 0.0;
+  // One retry engine-wide, never refilled: no request completes under
+  // the overload below, so nothing earns a token back.
+  opts.retry_budget_tokens = 1.0;
   Engine engine(test_ctx(), opts);
   failpoint::arm("serve.queue_full");  // sustained overload: every attempt
   Problem p(8, 8, 8, 195);
@@ -759,10 +764,11 @@ TEST(Serve, RetryBudgetExhaustionUnderSustainedOverload) {
 
 TEST(Serve, DispatcherCrashRecoveredByRespawn) {
   failpoint::disarm_all();
+  common::ManualClock clock;
   EngineOptions opts;
   opts.start_paused = true;
-  opts.supervision_interval_ns = 1'000'000;
-  opts.restart_backoff_ns = 100'000;
+  opts.max_batch_delay_ns = 0;  // no batch window: time stops once served
+  opts.clock = &clock;
   Engine engine(test_ctx(), opts);
   std::vector<std::unique_ptr<Problem>> ps;
   std::vector<std::future<Status>> fs;
@@ -771,9 +777,16 @@ TEST(Serve, DispatcherCrashRecoveredByRespawn) {
     fs.push_back(engine.submit(ps.back()->request()));
   }
   // The dispatcher dies on its first wakeup with the whole backlog
-  // queued; the monitor must respawn it and nothing may be stranded.
+  // queued; the monitor must respawn it and nothing may be stranded. The
+  // crash wakes the monitor at once; 1 ms steps of engine time then
+  // cover its restart backoff.
   failpoint::arm("serve.dispatcher_crash", 1);
   engine.resume();
+  ASSERT_TRUE(testutil::advance_until(
+      clock, 0, [&] { return engine.stats().dispatcher_crashes >= 1; }));
+  ASSERT_TRUE(testutil::advance_until(clock, 1'000'000, [&] {
+    return engine.stats().dispatcher_restarts >= 1;
+  }));
   for (auto& f : fs) EXPECT_TRUE(f.get().ok());
   for (auto& p : ps) EXPECT_TRUE(p->c_matches_ref());
   failpoint::disarm_all();
@@ -788,21 +801,30 @@ TEST(Serve, DispatcherCrashRecoveredByRespawn) {
 
 TEST(Serve, DispatcherStallDetectedAndRespawned) {
   failpoint::disarm_all();
+  common::ManualClock clock;
   EngineOptions opts;
   opts.start_paused = true;
-  opts.supervision_interval_ns = 1'000'000;
-  opts.heartbeat_timeout_ns = 3'000'000;
-  opts.stall_inject_ns = 60'000'000;  // wedged far past the timeout
-  opts.restart_backoff_ns = 100'000;
+  opts.max_batch_delay_ns = 0;  // no batch window: time stops once served
+  opts.clock = &clock;
   Engine engine(test_ctx(), opts);
   Problem p0(8, 8, 8, 210), p1(8, 8, 8, 211);
   std::future<Status> f0 = engine.submit(p0.request());
   std::future<Status> f1 = engine.submit(p1.request());
   // The dispatcher wedges (no heartbeat, no progress) with work pending;
   // the monitor declares a stall, supersedes the thread (parked, joined
-  // at shutdown — never detached) and respawns.
+  // at shutdown — never detached) and respawns. Once it is wedged, 1 s
+  // of engine time passes the 500 ms heartbeat timeout, and 1 ms steps
+  // cover the restart backoff; the replacement's heartbeat is then never
+  // older than those few steps.
   failpoint::arm("serve.dispatcher_stall", 1);
   engine.resume();
+  ASSERT_TRUE(testutil::advance_until(clock, 0, [] {
+    return failpoint::hits("serve.dispatcher_stall") >= 1;
+  }));
+  clock.advance(1'000'000'000);
+  ASSERT_TRUE(testutil::advance_until(clock, 1'000'000, [&] {
+    return engine.stats().dispatcher_restarts >= 1;
+  }));
   EXPECT_TRUE(f0.get().ok());
   EXPECT_TRUE(f1.get().ok());
   failpoint::disarm_all();
@@ -815,10 +837,11 @@ TEST(Serve, DispatcherStallDetectedAndRespawned) {
 
 TEST(Serve, RestartBudgetExhaustionDegradesToInline) {
   failpoint::disarm_all();
+  common::ManualClock clock;  // recovery needs no engine time; none passes
   EngineOptions opts;
   opts.start_paused = true;
-  opts.supervision_interval_ns = 1'000'000;
   opts.max_dispatcher_restarts = 0;  // first crash exhausts the budget
+  opts.clock = &clock;
   Engine engine(test_ctx(), opts);
   std::vector<std::unique_ptr<Problem>> ps;
   std::vector<std::future<Status>> fs;

@@ -57,6 +57,9 @@
 # additionally runs a fault-injection pass that re-executes the hardening
 # suites with AUTOGEMM_FAILPOINTS set, proving the env-var arming path
 # works in the shipped binary, not just the in-process API.
+# It then repeats the serve, router and failpoint tests that drive a
+# common::ManualClock 20 times (--gtest_repeat), so a wall-clock race
+# left in them fails CI instead of flaking once in a while.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,6 +115,12 @@ for config in "${configs[@]}"; do
         fi
       fi
       fault_injection_pass build
+      echo "==== [release] clock-driven serve tests, 20 repeats ===="
+      # These tests move engine time with a common::ManualClock instead of
+      # waiting out short real timeouts, so they must pass every repeat on a
+      # loaded host; a wall-clock race left in them shows up here.
+      ./build/tests/autogemm_tests --gtest_repeat=20 \
+        --gtest_filter='Clock.*:Serve.AgedBulk*:Serve.FreshBulk*:Serve.Breaker*:Serve.Dispatcher*:Serve.RestartBudget*:Router.StealsUnderDispatcherStall*:Failpoints.ServeDispatcherStall*'
       echo "==== [release] multi-thread pass (pooled, threads=4) ===="
       # Re-run the parallel-path suites with an explicit 4-worker pool: the
       # strategy heuristic, the k-split determinism contract and the pooled
